@@ -32,9 +32,22 @@ let procs_arg =
   let doc = "Number of processors." in
   Arg.(value & opt int 10 & info [ "procs" ] ~docv:"P" ~doc)
 
+(* A simulation stops at the first event past its horizon, so a NaN or
+   infinite one never stops and a non-positive one yields NaN periods.  The
+   library raises Invalid_argument on them; here they get a message and
+   exit 2 like every other bad argument. *)
+let finite_positive ~flag value =
+  if Float.is_finite value && value > 0. then value
+  else begin
+    Printf.eprintf "contention: --%s must be finite and positive, got %g\n" flag value;
+    exit 2
+  end
+
 let horizon_arg =
   let doc = "Simulation horizon in time units (the paper used 500000)." in
-  Arg.(value & opt float 500_000. & info [ "horizon" ] ~docv:"T" ~doc)
+  Term.(
+    const (finite_positive ~flag:"horizon")
+    $ Arg.(value & opt float 500_000. & info [ "horizon" ] ~docv:"T" ~doc))
 
 let usecase_arg =
   let doc =
@@ -563,10 +576,12 @@ let serve_cmd =
   in
   let audit_horizon_arg =
     let doc = "Simulation horizon of audit replays, in time units." in
-    Arg.(
-      value
-      & opt float Serve.Audit.default_config.Serve.Audit.horizon
-      & info [ "audit-horizon" ] ~docv:"T" ~doc)
+    Term.(
+      const (finite_positive ~flag:"audit-horizon")
+      $ Arg.(
+          value
+          & opt float Serve.Audit.default_config.Serve.Audit.horizon
+          & info [ "audit-horizon" ] ~docv:"T" ~doc))
   in
   let audit_drift_delta_arg =
     let doc =

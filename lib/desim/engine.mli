@@ -57,6 +57,10 @@ type result = Appstate.result = {
 type stats = {
   final_time : float;  (** Simulated time at which the run stopped. *)
   total_firings : int;
+      (** Firings completed within the horizon, extrapolated ones included. *)
+  extrapolated_firings : int;
+      (** The part of [total_firings] that the steady-state fast-forward
+          counted instead of simulating; 0 when it did not engage. *)
   proc_busy : float array;  (** Per-processor total busy time (all apps). *)
 }
 
@@ -78,9 +82,30 @@ val run :
     (arguments are the application index and actor id); the default uses the
     graph's static execution time.  This is the hook for stochastic
     execution times, time-varying behaviour or fault injection — the value
-    must be positive.
+    must be finite and positive.
+
+    {b Steady-state fast-forward.}  With constant execution times the
+    contended execution is a deterministic finite-state system, so after a
+    transient it repeats with some period.  [run] skips the repetitions,
+    and the results are bit-identical to simulating every firing.  It does
+    so exactly when neither [on_event] nor [firing_time] is given, every
+    execution time is an integer and [horizon] plus the largest execution
+    time is below 2{^53}: then every event time and busy sum is an exact
+    float.  Once every application is past its warm-up, the state relative
+    to the clock is hashed at each iteration boundary of application 0.  A
+    repeated hash names a candidate period, which is simulated once more;
+    only if the full state then matches exactly are whole periods skipped.
+    At least one period before the horizon is left to simulate, so every
+    gap across a period boundary still reaches [max_period] and
+    [min_period].  Iteration, busy and firing counts grow by the skipped
+    periods' share, and {!stats.extrapolated_firings} reports the firings
+    skipped.  The extra memory is one state copy plus one hash and time per
+    iteration of application 0 (at most 2{^16} of them; the table restarts
+    when full), freed when [run] returns.  Passing [on_event] turns it off,
+    since every firing then has to be reported.
     @raise Invalid_argument on an invalid mapping, an empty application set,
-    or a non-positive [firing_time] result. *)
+    a [horizon] that is not finite and positive, or a [firing_time] result
+    that is not. *)
 
 val utilisation : stats -> float array
 (** Per-processor busy fraction of the simulated time. *)

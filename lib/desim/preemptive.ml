@@ -16,7 +16,7 @@ type running = {
 }
 
 type proc_state = {
-  owners : (int * int) array;  (* (app, actor) owning each slice *)
+  owners : int array;  (* global actor owning each slice *)
   slice : float;
   paused : float array;  (* remaining work per owner slot; 0 = none *)
   pending : float array;  (* arrival time per owner slot; nan = none *)
@@ -29,29 +29,18 @@ type proc_state = {
 type event = Boundary of int | Completion of int * int  (* proc, generation *)
 
 let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs apps =
-  if Array.length apps = 0 then invalid_arg "Desim.Preemptive.run: no applications";
-  if procs < 1 then invalid_arg "Desim.Preemptive.run: procs < 1";
+  Appstate.check_horizon "Desim.Preemptive.run" horizon;
   if wheel <= 0. then invalid_arg "Desim.Preemptive.run: wheel <= 0";
-  Array.iteri (fun index a -> Appstate.validate ~procs ~index a) apps;
-  let states = Array.map (fun a -> Appstate.make ~procs a) apps in
-  let busy_actor =
-    Array.map
-      (fun (a : Appstate.app) -> Array.make (Sdf.Graph.num_actors a.graph) false)
-      apps
-  in
+  let st = Appstate.compile ~procs apps in
+  let actors = Array.length st.status in
+  (* Owner slot of each actor on its processor's wheel. *)
+  let slot_of = Array.make actors 0 in
   let proc_states =
     Array.init procs (fun proc ->
         let owners =
-          Array.of_list
-            (List.concat
-               (List.mapi
-                  (fun ai (a : Appstate.app) ->
-                    List.filter_map
-                      (fun actor ->
-                        if a.mapping.(actor) = proc then Some (ai, actor) else None)
-                      (List.init (Array.length a.mapping) Fun.id))
-                  (Array.to_list apps)))
+          Array.of_list (List.filter (fun g -> st.proc_of.(g) = proc) (List.init actors Fun.id))
         in
+        Array.iteri (fun slot g -> slot_of.(g) <- slot) owners;
         let sharers = Int.max 1 (Array.length owners) in
         let slice = slice_of ~wheel ~sharers in
         {
@@ -65,18 +54,10 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs 
           generation = 0;
         })
   in
-  let proc_busy = Array.make procs 0. in
-  let total_firings = ref 0 in
   let heap : event Heap.t = Heap.create () in
   for proc = 0 to procs - 1 do
     Heap.push heap ~time:proc_states.(proc).slice (Boundary proc)
   done;
-  let slot_of ps ai actor =
-    let found = ref (-1) in
-    Array.iteri (fun i owner -> if owner = (ai, actor) then found := i) ps.owners;
-    assert (!found >= 0);
-    !found
-  in
   (* Begin executing [remaining] units of the current slot's work at [time];
      schedule the completion when it fits in the slice (the boundary event
      handles the pause otherwise). *)
@@ -88,6 +69,7 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs 
       Heap.push heap ~time:(time +. remaining) (Completion (proc, ps.generation))
   in
   let emit e = match on_event with Some f -> f e | None -> () in
+  let app_actor g = (st.app_of.(g), g - st.first.(st.app_of.(g))) in
   (* Occupy the current slot of [proc] at [time] if work is available:
      paused work first, then a pending arrival that has already happened. *)
   let try_start proc time =
@@ -102,50 +84,45 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs 
       else if (not (Float.is_nan ps.pending.(slot))) && ps.pending.(slot) <= time +. 1e-9
       then begin
         ps.pending.(slot) <- nan;
-        let ai, actor = ps.owners.(slot) in
-        emit (Engine.Start { time; app = ai; actor; proc });
-        start_segment proc time (Sdf.Graph.actor apps.(ai).Appstate.graph actor).exec_time
+        let g = ps.owners.(slot) in
+        let app, actor = app_actor g in
+        emit (Engine.Start { time; app; actor; proc });
+        start_segment proc time st.exec_time.(g)
       end
     end
   in
-  let enabled ai actor =
-    (not busy_actor.(ai).(actor)) && Appstate.tokens_enabled states.(ai) actor
-  in
   (* An actor becomes ready: record the arrival and start it at once when its
      slice is currently open and idle. *)
-  let arrive time ai actor =
-    busy_actor.(ai).(actor) <- true;
-    Appstate.consume_inputs states.(ai) actor;
-    let proc = apps.(ai).Appstate.mapping.(actor) in
+  let arrive g =
+    let time = st.clock.now in
+    st.status.(g) <- Appstate.running;
+    Appstate.consume st g;
+    let proc = st.proc_of.(g) in
     let ps = proc_states.(proc) in
-    let slot = slot_of ps ai actor in
+    let slot = slot_of.(g) in
     ps.pending.(slot) <- time;
     if ps.slot_index = slot then try_start proc time
   in
-  let arrive_if_enabled time ai actor = if enabled ai actor then arrive time ai actor in
-  let account proc ai spent =
-    proc_busy.(proc) <- proc_busy.(proc) +. spent;
-    states.(ai).Appstate.busy.(proc) <- states.(ai).Appstate.busy.(proc) +. spent
+  let account proc g spent =
+    let b = (st.app_of.(g) * procs) + proc in
+    st.proc_busy.(proc) <- st.proc_busy.(proc) +. spent;
+    st.busy.(b) <- st.busy.(b) +. spent
   in
-  let finish_and_propagate proc time slot =
-    let ps = proc_states.(proc) in
-    let ai, actor = ps.owners.(slot) in
-    emit (Engine.Finish { time; app = ai; actor; proc });
-    busy_actor.(ai).(actor) <- false;
-    Appstate.finish_firing states.(ai) ~warmup:warmup_iterations ~actor ~time;
-    incr total_firings;
-    arrive_if_enabled time ai actor;
-    List.iter (arrive_if_enabled time ai) (Appstate.output_consumers states.(ai) actor)
+  let finish_and_propagate proc slot =
+    let g = proc_states.(proc).owners.(slot) in
+    let app, actor = app_actor g in
+    emit (Engine.Finish { time = st.clock.now; app; actor; proc });
+    Appstate.complete st ~warmup:warmup_iterations ~ready:arrive g
   in
   let complete proc time =
     let ps = proc_states.(proc) in
     match ps.running with
     | None -> assert false
     | Some r ->
-        account proc (fst ps.owners.(r.slot)) r.remaining;
+        account proc ps.owners.(r.slot) r.remaining;
         ps.running <- None;
         ps.generation <- ps.generation + 1;
-        finish_and_propagate proc time r.slot;
+        finish_and_propagate proc r.slot;
         (* The freed slot may immediately serve the actor's next firing. *)
         try_start proc time
   in
@@ -160,7 +137,7 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs 
       | Some r ->
           let elapsed = time -. r.started in
           let remaining = r.remaining -. elapsed in
-          account proc (fst ps.owners.(r.slot)) elapsed;
+          account proc ps.owners.(r.slot) elapsed;
           ps.running <- None;
           ps.generation <- ps.generation + 1;
           if remaining <= 1e-9 then
@@ -174,31 +151,32 @@ let run ?(horizon = 500_000.) ?(warmup_iterations = 20) ?on_event ~wheel ~procs 
     ps.slice_end <- time +. ps.slice;
     Heap.push heap ~time:ps.slice_end (Boundary proc);
     (match !completed_slot with
-    | Some slot -> finish_and_propagate proc time slot
+    | Some slot -> finish_and_propagate proc slot
     | None -> ());
     try_start proc time
   in
   (* Boot: everything initially enabled arrives at time 0. *)
-  Array.iteri
-    (fun ai (a : Appstate.app) ->
-      for actor = 0 to Sdf.Graph.num_actors a.graph - 1 do
-        arrive_if_enabled 0. ai actor
-      done)
-    apps;
-  let now = ref 0. in
+  for g = 0 to actors - 1 do
+    if Appstate.enabled st g then arrive g
+  done;
   let continue = ref true in
   while !continue do
     match Heap.pop heap with
     | None -> continue := false
     | Some (time, _) when time > horizon ->
-        now := horizon;
+        st.clock.now <- horizon;
         continue := false
     | Some (time, Boundary proc) ->
-        now := time;
+        st.clock.now <- time;
         boundary proc time
     | Some (time, Completion (proc, generation)) ->
-        now := time;
+        st.clock.now <- time;
         if proc_states.(proc).generation = generation then complete proc time
   done;
-  ( Array.map Appstate.result states,
-    { Engine.final_time = !now; total_firings = !total_firings; proc_busy } )
+  ( Appstate.results st,
+    {
+      Engine.final_time = st.clock.now;
+      total_firings = st.firings;
+      extrapolated_firings = 0;
+      proc_busy = st.proc_busy;
+    } )

@@ -404,6 +404,10 @@ let worker t () =
   loop ()
 
 let create ?(config = default_config) ~registry ?journal ?shard () =
+  if not (Float.is_finite config.horizon && config.horizon > 0.) then
+    invalid_arg
+      (Printf.sprintf "Serve.Audit.create: horizon %g is not finite and positive"
+         config.horizon);
   let config =
     { config with sample_every = max 1 config.sample_every;
       queue_capacity = max 1 config.queue_capacity }

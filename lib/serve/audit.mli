@@ -88,7 +88,9 @@ val create :
 (** Spawns the background replay domain.  Metrics land in [registry]:
     [contention_serve_audit_total]/[_error] (histogram)/[_drift] (gauge)/
     [_alarms_total] per estimator label, plus [_dropped_total] and
-    [_failed_total]. *)
+    [_failed_total].
+    @raise Invalid_argument unless [config.horizon] is finite and positive:
+    a replay with a NaN or infinite horizon would never finish. *)
 
 val sampled : t -> bool
 (** Head-based 1-in-[sample_every] counter; call once per estimate served

@@ -71,6 +71,24 @@ let test_drift_min_samples () =
   done;
   Alcotest.(check bool) "not flagged" false (Audit.Drift.flagged d)
 
+(* --- config ------------------------------------------------------------ *)
+
+(* A replay stops at the first event past the horizon: a NaN or infinite
+   one would wedge the replay domain, a non-positive one yields nothing. *)
+let test_rejects_bad_horizon () =
+  List.iter
+    (fun horizon ->
+      match
+        Audit.create
+          ~config:{ Audit.default_config with Audit.horizon }
+          ~registry:(Obs.Metric.create_registry ()) ()
+      with
+      | exception Invalid_argument _ -> ()
+      | a ->
+          Audit.stop a;
+          Alcotest.failf "horizon %g accepted" horizon)
+    [ nan; infinity; -5.; 0. ]
+
 (* --- head sampler ------------------------------------------------------ *)
 
 let test_sampler () =
@@ -367,6 +385,7 @@ let suite =
     Alcotest.test_case "drift: upward shift" `Quick test_drift_shift_up;
     Alcotest.test_case "drift: downward shift" `Quick test_drift_shift_down;
     Alcotest.test_case "drift: min samples" `Quick test_drift_min_samples;
+    Alcotest.test_case "rejects bad horizons" `Quick test_rejects_bad_horizon;
     Alcotest.test_case "head sampler" `Quick test_sampler;
     Alcotest.test_case "end to end" `Slow test_audit_end_to_end;
     Alcotest.test_case "queue full drops" `Slow test_queue_full_drops;

@@ -10,16 +10,17 @@ let test_isolated_matches_statespace () =
   Fixtures.check_float ~eps:1e-6 "max period" 300. results.(0).Engine.max_period;
   Fixtures.check_float ~eps:1e-6 "min period" 300. results.(0).Engine.min_period
 
+(* Section 3: A and B share Proc_i for actor i. *)
+let paper_pair () =
+  [|
+    { Engine.graph = Fixtures.graph_a (); mapping = [| 0; 1; 2 |] };
+    { Engine.graph = Fixtures.graph_b (); mapping = [| 0; 1; 2 |] };
+  |]
+
 let test_paper_shared_period () =
-  (* Section 3: A and B share Proc_i for actor i; in practice the period
-     stays 300 (the probabilistic estimate of 359 is conservative). *)
-  let apps =
-    [|
-      { Engine.graph = Fixtures.graph_a (); mapping = [| 0; 1; 2 |] };
-      { Engine.graph = Fixtures.graph_b (); mapping = [| 0; 1; 2 |] };
-    |]
-  in
-  let results, _ = Engine.run ~procs:3 apps in
+  (* In practice the period stays 300 (the probabilistic estimate of 359
+     is conservative). *)
+  let results, _ = Engine.run ~procs:3 (paper_pair ()) in
   Fixtures.check_float ~eps:1e-6 "Per(A) shared" 300. results.(0).Engine.avg_period;
   Fixtures.check_float ~eps:1e-6 "Per(B) shared" 300. results.(1).Engine.avg_period
 
@@ -118,6 +119,124 @@ let prop_contention_monotone =
       let shared = results.(0).Engine.avg_period in
       Float.is_nan shared || shared +. 1e-6 >= iso -. 1e-6)
 
+(* Bit-for-bit equality of two runs, every field but the extrapolated
+   count. *)
+let same_run (r1, s1) (r2, s2) =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let same_array a b = Array.length a = Array.length b && Array.for_all2 same a b in
+  Array.length r1 = Array.length r2
+  && Array.for_all2
+       (fun (a : Engine.result) (b : Engine.result) ->
+         a.app_name = b.app_name && a.iterations = b.iterations
+         && same a.avg_period b.avg_period && same a.max_period b.max_period
+         && same a.min_period b.min_period && same_array a.busy_time b.busy_time)
+       r1 r2
+  && same s1.Engine.final_time s2.Engine.final_time
+  && s1.total_firings = s2.total_firings
+  && same_array s1.proc_busy s2.proc_busy
+
+(* A random workload: 1-4 applications drawn from the default generator
+   parameters, a fuzz draw or small graphs with tiny execution times,
+   mapped at random on 1-4 processors, with a random horizon, warm-up and
+   arbitration.  Static orders are random permutations of each processor's
+   actors, so some of them stall. *)
+let random_run seed =
+  let rng = Sdfgen.Rng.create seed in
+  let procs = Sdfgen.Rng.int_in rng 1 4 in
+  let params =
+    match Sdfgen.Rng.int rng 3 with
+    | 0 -> Sdfgen.Generator.default_params
+    | 1 -> Sdfgen.Generator.fuzz_params rng
+    | _ ->
+        (* Small graphs with execution times of 1-3: many completions at
+           equal times and long queues, where tie-breaks decide. *)
+        { Sdfgen.Generator.default_params with actors_min = 2; actors_max = 5; exec_min = 1; exec_max = 3 }
+  in
+  let apps =
+    Array.init (Sdfgen.Rng.int_in rng 1 4) (fun i ->
+        let graph = Sdfgen.Generator.generate ~params rng ~name:(Printf.sprintf "G%d" i) in
+        { Engine.graph;
+          mapping = Array.init (Sdf.Graph.num_actors graph) (fun _ -> Sdfgen.Rng.int rng procs) })
+  in
+  let horizon = float_of_int (Sdfgen.Rng.int_in rng 1 60_000) +. if Sdfgen.Rng.bool rng then 0.5 else 0. in
+  let warmup_iterations = Sdfgen.Rng.int rng 25 in
+  let arbitration =
+    match Sdfgen.Rng.int rng 3 with
+    | 0 -> Engine.Fcfs
+    | 1 -> Engine.Fixed_priority
+    | _ ->
+        let actors_on proc =
+          List.concat
+            (List.mapi
+               (fun ai (a : Engine.app) ->
+                 List.filter (fun (_, actor) -> a.mapping.(actor) = proc)
+                   (List.init (Array.length a.mapping) (fun actor -> (ai, actor))))
+               (Array.to_list apps))
+        in
+        Engine.Static_order
+          (Array.init procs (fun proc ->
+               let order = Array.of_list (actors_on proc) in
+               Sdfgen.Rng.shuffle rng order;
+               order))
+  in
+  fun ?on_event () -> Engine.run ?on_event ~horizon ~warmup_iterations ~arbitration ~procs apps
+
+(* Fast-forward is the only thing [on_event] turns off, so a run with a
+   no-op event hook is the full simulation to compare against. *)
+let prop_fast_forward_exact =
+  Fixtures.qcheck_case ~count:400 "fast-forward = full simulation, bit for bit"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let run = random_run seed in
+      same_run (run ()) (run ~on_event:ignore ()))
+
+let test_fast_forward_engages () =
+  let apps = paper_pair () in
+  let ((_, stats) as fast) = Engine.run ~procs:3 apps in
+  let ((_, full_stats) as full) = Engine.run ~on_event:ignore ~procs:3 apps in
+  Alcotest.(check bool) "periods extrapolated" true (stats.Engine.extrapolated_firings > 0);
+  Alcotest.(check bool) "some firings simulated" true
+    (stats.extrapolated_firings < stats.total_firings);
+  Alcotest.(check bool) "same as the full simulation" true (same_run fast full);
+  Alcotest.(check int) "nothing extrapolated with on_event" 0
+    full_stats.Engine.extrapolated_firings
+
+let test_fast_forward_needs_integral_times () =
+  let apps = paper_pair () in
+  let _, hooked =
+    Engine.run ~firing_time:(fun ~app ~actor -> (Sdf.Graph.actor apps.(app).graph actor).exec_time)
+      ~procs:3 apps
+  in
+  Alcotest.(check int) "not with a firing_time hook" 0 hooked.Engine.extrapolated_firings;
+  let half = Fixtures.single ~tau:7.5 () in
+  let apps = Array.append apps [| { Engine.graph = half; mapping = [| 0 |] } |] in
+  let _, stats = Engine.run ~procs:3 apps in
+  Alcotest.(check int) "not with tau = 7.5" 0 stats.Engine.extrapolated_firings;
+  Alcotest.(check bool) "simulated" true (stats.total_firings > 0)
+
+let raises_invalid name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s accepted" name
+
+let test_rejects_bad_horizon () =
+  let apps = [| dedicated (Fixtures.graph_a ()) |] in
+  List.iter
+    (fun horizon ->
+      raises_invalid (Printf.sprintf "Engine horizon %g" horizon) (fun () ->
+          Engine.run ~horizon ~procs:3 apps);
+      raises_invalid (Printf.sprintf "Preemptive horizon %g" horizon) (fun () ->
+          Preemptive.run ~horizon ~wheel:100. ~procs:3 apps))
+    [ nan; infinity; neg_infinity; -5.; 0. ]
+
+let test_rejects_bad_firing_time () =
+  let apps = [| dedicated (Fixtures.graph_a ()) |] in
+  List.iter
+    (fun tau ->
+      raises_invalid (Printf.sprintf "firing_time %g" tau) (fun () ->
+          Engine.run ~horizon:1000. ~firing_time:(fun ~app:_ ~actor:_ -> tau) ~procs:3 apps))
+    [ nan; infinity; 0.; -1. ]
+
 let suite =
   [
     Alcotest.test_case "isolated matches statespace" `Quick test_isolated_matches_statespace;
@@ -130,4 +249,10 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "events emitted" `Quick test_events_emitted;
     prop_contention_monotone;
+    prop_fast_forward_exact;
+    Alcotest.test_case "fast-forward engages on the paper pair" `Quick test_fast_forward_engages;
+    Alcotest.test_case "fast-forward needs integral times" `Quick
+      test_fast_forward_needs_integral_times;
+    Alcotest.test_case "rejects bad horizons" `Quick test_rejects_bad_horizon;
+    Alcotest.test_case "rejects bad firing times" `Quick test_rejects_bad_firing_time;
   ]
