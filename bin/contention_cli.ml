@@ -291,16 +291,8 @@ let experiment_cmd =
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
 
-let exact_check_arg =
-  let doc =
-    "Re-run every estimate on the list-based reference implementation and \
-     fail on any divergence from the zero-allocation kernel beyond 1e-9 \
-     (slower; a self-validating mode for unattended runs)."
-  in
-  Arg.(value & flag & info [ "exact-check" ] ~doc)
-
 let sweep_cmd =
-  let run seed num_apps procs horizon jobs load trace exact_check =
+  let run seed num_apps procs horizon jobs load trace =
     with_trace trace (fun () ->
         let w = workload ~load seed num_apps procs in
         let last = ref 0 in
@@ -311,22 +303,21 @@ let sweep_cmd =
             Printf.eprintf "  sweep: %d%% (%d/%d use-cases)\n%!" pct done_ total
           end
         in
-        let sweep = Exp.Sweep.run ~horizon ~progress ?jobs ~exact_check w in
+        let sweep = Exp.Sweep.run ~horizon ~progress ?jobs w in
         print_string (Exp.Figures.render_table1 (Exp.Figures.table1 sweep));
         print_string (Exp.Figures.render_timing sweep))
   in
   let term =
     Term.(
       const run $ seed_arg $ num_apps_arg $ procs_arg $ horizon_arg $ jobs_arg
-      $ load_arg $ trace_arg $ exact_check_arg)
+      $ load_arg $ trace_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
          "Sweep every use-case (simulation + all estimators) and print the \
           accuracy table and timing; $(b,--trace) records where the time \
-          goes; $(b,--exact-check) cross-validates the kernel against the \
-          reference path")
+          goes")
     term
 
 (* ------------------------------------------------------------------ *)

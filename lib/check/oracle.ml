@@ -170,11 +170,76 @@ let engine_agreement (a : Analysis.app) acc =
   let acc = pair acc "state-space" ss "mcm" mcm in
   pair acc "state-space" ss "max-plus" mp
 
-(* The zero-allocation kernel engine against the list-based reference: both
-   evaluate the same Figure-4 pass, and the kernel replicates the reference's
-   floating-point operation sequences, so waits, response times, and periods
-   must agree to 1e-9 for every estimator — and the batched entry point must
-   reproduce the one-at-a-time results bit for bit. *)
+(* The list-based Figure-4 pass: per-processor contender lists built by
+   prepending during an ascending (app, actor) scan, {!Analysis.waiting_time_for}
+   per actor, and the period of the HSDF expansion through {!Sdf.Mcm}.  It
+   shares no code with the kernel pass beyond the load descriptors and
+   expansions the caller hands in. *)
+let reference est triples =
+  let apps = Array.of_list (List.map (fun (a, _, _) -> a) triples) in
+  let loads = Array.of_list (List.map (fun (_, l, _) -> l) triples) in
+  let by_node = Hashtbl.create 16 in
+  let on_node proc = Option.value ~default:[] (Hashtbl.find_opt by_node proc) in
+  Array.iteri
+    (fun ai (a : Analysis.app) ->
+      Array.iteri
+        (fun actor proc ->
+          Hashtbl.replace by_node proc ((ai, actor) :: on_node proc))
+        a.mapping)
+    apps;
+  List.mapi
+    (fun ai ((a : Analysis.app), _, expansion) ->
+      let waiting_times =
+        Array.mapi
+          (fun actor proc ->
+            Analysis.waiting_time_for est
+              (List.filter_map
+                 (fun (aj, actor_j) ->
+                   if aj = ai && actor_j = actor then None
+                   else Some loads.(aj).(actor_j))
+                 (on_node proc)))
+          a.mapping
+      in
+      let response_times =
+        Array.mapi
+          (fun actor w -> (Sdf.Graph.actor a.graph actor).exec_time +. w)
+          waiting_times
+      in
+      {
+        Analysis.for_app = a;
+        waiting_times;
+        response_times;
+        period = Sdf.Hsdf.period_of_expansion expansion ~exec_times:response_times;
+      })
+    triples
+
+(* [got] against [expected], one estimate per app: periods, waits and
+   response times must be [close]. *)
+let agree ?(close = fun a b -> rel_close a b) ~property name path got expected
+    acc =
+  let values (e : Analysis.estimate) =
+    let named what a =
+      List.mapi (fun i v -> (Printf.sprintf "%s.(%d)" what i, v)) (Array.to_list a)
+    in
+    (("period", e.period) :: named "waiting_times" e.waiting_times)
+    @ named "response_times" e.response_times
+  in
+  List.fold_left2
+    (fun acc (g : Analysis.estimate) e ->
+      List.fold_left2
+        (fun acc (what, gv) (_, ev) ->
+          if close gv ev then acc
+          else
+            violation property "%s %s %s of %S: %.17g, expected %.17g" name path
+              what g.for_app.graph.Sdf.Graph.name gv ev
+            :: acc)
+        acc (values g) (values e))
+    acc got expected
+
+(* Every kernel entry point against the list-based reference, for every
+   estimator, to 1e-9: one-at-a-time, a second refinement pass, and
+   caller-supplied loads (those the second pass re-bases on) — and the
+   batched entry point bit for bit against one-at-a-time. *)
 let kernel_agreement apps acc =
   match apps with
   | [] -> acc
@@ -182,64 +247,45 @@ let kernel_agreement apps acc =
       let arr = Array.of_list apps in
       let caches = Array.map Analysis.prepare arr in
       let prepared = Analysis.prepare_workload ~caches arr in
-      let pairs = List.map2 (fun a c -> (a, c)) apps (Array.to_list caches) in
+      let pairs = List.combine apps (Array.to_list caches) in
+      let expansions =
+        List.map (fun (a : Analysis.app) -> Sdf.Hsdf.expand a.graph) apps
+      in
+      let with_loads loads =
+        List.map2 (fun (a, h) l -> (a, l, h)) (List.combine apps expansions) loads
+      in
+      let isolation = with_loads (List.map Analysis.loads apps) in
       let napps = Array.length arr in
       List.fold_left
         (fun acc (name, est) ->
           let kernel = Analysis.estimate_prepared est pairs in
-          let reference = Analysis.estimate_prepared_reference est pairs in
+          let first = reference est isolation in
+          let rebased =
+            List.map
+              (fun (r : Analysis.estimate) ->
+                Analysis.loads_at_period r.for_app ~period:r.period)
+              first
+          in
+          let second = reference est (with_loads rebased) in
+          let property = "kernel-engine" in
           let acc =
-            List.fold_left2
-              (fun acc (k : Analysis.estimate) (r : Analysis.estimate) ->
-                let acc =
-                  if rel_close k.period r.period then acc
-                  else
-                    violation "kernel-engine"
-                      "%s period of %S: kernel %.17g, reference %.17g" name
-                      k.for_app.graph.Sdf.Graph.name k.period r.period
-                    :: acc
-                in
-                let fold_arr what ka ra acc =
-                  snd
-                    (Array.fold_left
-                       (fun (i, acc) kv ->
-                         ( i + 1,
-                           if rel_close kv ra.(i) then acc
-                           else
-                             violation "kernel-engine"
-                               "%s %s.(%d) of %S: kernel %.17g, reference %.17g"
-                               name what i k.for_app.graph.Sdf.Graph.name kv
-                               ra.(i)
-                             :: acc ))
-                       (0, acc) ka)
-                in
-                acc
-                |> fold_arr "waiting_times" k.waiting_times r.waiting_times
-                |> fold_arr "response_times" k.response_times r.response_times)
-              acc kernel reference
+            acc
+            |> agree ~property name "estimate_prepared" kernel first
+            |> agree ~property name "estimate ~iterations:2"
+                 (Analysis.estimate ~iterations:2 est apps)
+                 second
+            |> agree ~property name "estimate_with_loads"
+                 (Analysis.estimate_with_loads est (List.combine apps rebased))
+                 second
           in
           if napps >= 30 then acc
           else
-            let batch =
-              List.concat
-                (Analysis.estimate_batch est prepared
-                   [ Contention.Usecase.full ~napps ])
-            in
-            List.fold_left2
-              (fun acc (k : Analysis.estimate) (b : Analysis.estimate) ->
-                if
-                  Float.equal k.period b.period
-                  && Array.for_all2 Float.equal k.waiting_times b.waiting_times
-                  && Array.for_all2 Float.equal k.response_times
-                       b.response_times
-                then acc
-                else
-                  violation "kernel-batch"
-                    "%s estimate of %S: batch differs from one-at-a-time \
-                     (period %.17g vs %.17g)"
-                    name k.for_app.graph.Sdf.Graph.name b.period k.period
-                  :: acc)
-              acc kernel batch)
+            agree ~close:Float.equal ~property:"kernel-batch" name
+              "estimate_batch"
+              (List.concat
+                 (Analysis.estimate_batch est prepared
+                    [ Contention.Usecase.full ~napps ]))
+              kernel acc)
         acc estimators
 
 (* Per-processor load groups across the active applications; each entry is

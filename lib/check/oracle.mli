@@ -20,9 +20,9 @@
     - composability stays within a configurable envelope of exact;
     - the {!Metamorphic} relations.
 
-    {e Engine equivalence} — per use-case, the zero-allocation kernel
-    engine against the list-based reference path for every estimator
-    ({!kernel_agreement}).
+    {e Engine equivalence} — per use-case, every entry point of the
+    zero-allocation kernel pass against the list-based {!reference} for
+    every estimator ({!kernel_agreement}).
 
     {e Periods under contention} — per use-case:
     - every estimate is finite, positive, and at least the isolation period;
@@ -91,17 +91,25 @@ val check_kernel :
     tests use to prove the oracle catches an injected estimator bug (e.g. a
     dropped [(-1)^(j+1)] sign) without patching the library. *)
 
+val reference :
+  Contention.Analysis.estimator ->
+  (Contention.Analysis.app * Contention.Prob.t array * Sdf.Hsdf.t) list ->
+  Contention.Analysis.estimate list
+(** The list-based Figure-4 pass, the one reference for the kernel pass of
+    {!Contention.Analysis} and {!Contention.Kernel.period_into}:
+    {!Contention.Analysis.waiting_time_for} per actor and
+    {!Sdf.Hsdf.period_of_expansion} per application.  Each application comes
+    with its loads and HSDF expansion, so timing it times only the pass. *)
+
 val kernel_agreement :
   Contention.Analysis.app list ->
   violation list ->
   violation list
-(** Differential check of the zero-allocation kernel engine
-    ({!Contention.Analysis.estimate_prepared}) against the list-based
-    reference ({!Contention.Analysis.estimate_prepared_reference}) on one
-    use-case, for every estimator: waits, response times, and periods must
-    agree to 1e-9, and the batched entry point
-    ({!Contention.Analysis.estimate_batch}) must reproduce the
-    one-at-a-time results bit for bit.  Part of {!check}. *)
+(** Differential check against {!reference} on one use-case, for every
+    estimator: {!Contention.Analysis.estimate_prepared}, [estimate
+    ~iterations:2] and [estimate_with_loads] must agree with it to 1e-9,
+    and [estimate_batch] with one-at-a-time bit for bit.  Part of
+    {!check}. *)
 
 val check : ?config:config -> Case.t -> outcome
 (** Run every level on a case.  Deterministic: the metamorphic RNG is seeded

@@ -244,6 +244,27 @@ let fuzz_lines ?(seeds = 200) server =
   done;
   { requests = !requests; violations = List.rev !acc }
 
+(* One frame through handle_line: [Some (reply, payload)] (the payload ok or
+   error), or [None] after recording a crash or an unparseable reply. *)
+let exchange server acc requests ~what line =
+  incr requests;
+  match Serve.Server.handle_line server line with
+  | exception e ->
+      acc :=
+        violation "wire-crash" "%s raised %s on %S" what (Printexc.to_string e)
+          line
+        :: !acc;
+      None
+  | reply -> (
+      match Serve.Json.of_string reply with
+      | Error msg ->
+          acc :=
+            violation "wire-unparseable-reply" "%s: non-JSON reply %S: %s" what
+              reply msg
+            :: !acc;
+          None
+      | Ok json -> Some (reply, Serve.Protocol.unwrap_reply json))
+
 (* Live-state id fuzzing: duplicate admits and stale releases against a
    real session.  Unlike the stateless lines above, these frames are valid
    JSON aimed at admission-state edges — the same app admitted twice, a
@@ -253,32 +274,16 @@ let fuzz_session_ids server =
   let acc = ref [] in
   let requests = ref 0 in
   let step ~what ~expect_ok line =
-    incr requests;
-    match Serve.Server.handle_line server line with
-    | exception e ->
-        acc :=
-          violation "wire-crash" "%s raised %s on %S" what
-            (Printexc.to_string e) line
-          :: !acc;
-        None
-    | reply -> (
-        match Serve.Json.of_string reply with
-        | Error msg ->
-            acc :=
-              violation "wire-unparseable-reply" "%s: non-JSON reply %S: %s"
-                what reply msg
-              :: !acc;
-            None
-        | Ok json ->
-            let payload = Serve.Protocol.unwrap_reply json in
-            if Result.is_ok payload <> expect_ok then
-              acc :=
-                violation "wire-session-ids" "%s: expected %s reply, got %S"
-                  what
-                  (if expect_ok then "an ok" else "an error")
-                  reply
-                :: !acc;
-            Result.to_option payload)
+    match exchange server acc requests ~what line with
+    | None -> None
+    | Some (reply, payload) ->
+        if Result.is_ok payload <> expect_ok then
+          acc :=
+            violation "wire-session-ids" "%s: expected %s reply, got %S" what
+              (if expect_ok then "an ok" else "an error")
+              reply
+            :: !acc;
+        Result.to_option payload
   in
   let upload_line =
     Serve.Json.to_string
@@ -342,6 +347,73 @@ let fuzz_session_ids server =
       | _ -> ());
       ignore
         (step ~what:"cleanup release" ~expect_ok:true (release "ids" "A")));
+  { requests = !requests; violations = List.rev !acc }
+
+(* A workload payload with the execution time of its [i]-th actor line
+   (counted across the whole payload) mapped by [f i]. *)
+let map_exec_times f payload =
+  let i = ref (-1) in
+  String.split_on_char '\n' payload
+  |> List.map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ "actor"; name; time ] ->
+             incr i;
+             Printf.sprintf "actor %s %.17g" name (f !i (float_of_string time))
+         | _ -> line)
+  |> String.concat "\n"
+
+(* Edge-value workloads: one actor's execution time set to nan, inf or 0,
+   and a valid workload with every time scaled by 10^6 (contended periods
+   far past the 2^23 where a 1e-9 bisection bracket stops shrinking).  Each
+   upload must be refused with an error reply, or every paper estimator's
+   estimate of it must be an ok reply with finite periods. *)
+let fuzz_edge_values server =
+  let acc = ref [] and requests = ref 0 in
+  let send what request =
+    exchange server acc requests ~what
+      (Serve.Json.to_string (Serve.Protocol.request_to_json request))
+    |> Option.map snd
+  in
+  let flag what fmt =
+    Printf.ksprintf
+      (fun d -> acc := violation "wire-edge-values" "%s: %s" what d :: !acc)
+      fmt
+  in
+  let estimate what digest estimator =
+    let what = what ^ " " ^ Contention.Analysis.estimator_name estimator in
+    match send what (Serve.Protocol.Estimate { digest; usecase = None; estimator }) with
+    | None -> ()
+    | Some (Error msg) -> flag what "upload accepted, estimate refused: %s" msg
+    | Some (Ok reply) -> (
+        match Serve.Protocol.estimate_reply_of_json reply with
+        | Error msg -> flag what "bad estimate reply: %s" msg
+        | Ok r ->
+            List.iter
+              (fun (row : Serve.Protocol.estimate_row) ->
+                if not (Float.is_finite row.period) then
+                  flag what "app %s period %g" row.app row.period)
+              r.rows)
+  in
+  let base =
+    Exp.Workload.to_string (Exp.Workload.make ~seed:7 ~num_apps:2 ~procs:2 ())
+  in
+  List.iter
+    (fun (what, f) ->
+      let payload = map_exec_times f base in
+      match send (what ^ " upload") (Serve.Protocol.Upload { payload }) with
+      | None | Some (Error _) -> ()
+      | Some (Ok reply) -> (
+          match Serve.Protocol.upload_reply_of_json reply with
+          | Error msg -> flag what "bad upload reply: %s" msg
+          | Ok up ->
+              List.iter (estimate what up.Serve.Protocol.digest)
+                Contention.Analysis.all_paper_estimators))
+    [
+      ("tau = nan", fun i t -> if i = 0 then nan else t);
+      ("tau = inf", fun i t -> if i = 0 then infinity else t);
+      ("tau = 0", fun i t -> if i = 0 then 0. else t);
+      ("tau x 1e6", fun _ t -> t *. 1e6);
+    ];
   { requests = !requests; violations = List.rev !acc }
 
 let write_all fd s =
@@ -429,6 +501,7 @@ let run ?(seeds = 200) () =
         (fun () ->
           let in_process = fuzz_lines ~seeds server in
           let sessions = fuzz_session_ids server in
+          let edges = fuzz_edge_values server in
           let socket =
             match Serve.Server.tcp_port server with
             | None ->
@@ -442,7 +515,10 @@ let run ?(seeds = 200) () =
                   ~port ()
           in
           {
-            requests = in_process.requests + sessions.requests + socket.requests;
+            requests =
+              in_process.requests + sessions.requests + edges.requests
+              + socket.requests;
             violations =
-              in_process.violations @ sessions.violations @ socket.violations;
+              in_process.violations @ sessions.violations @ edges.violations
+              @ socket.violations;
           })

@@ -15,6 +15,7 @@
     - {!fuzz_lines} drives {!Serve.Server.handle_line} in process: every
       generated line must yield one syntactically valid JSON reply envelope,
       and a well-formed [ping] afterwards must still succeed;
+      {!fuzz_edge_values} sends it edge-value workloads;
     - {!fuzz_sockets} opens real connections and writes junk, truncated
       frames (no trailing newline, then hard close) and over-length lines,
       then proves liveness with a {!Serve.Client} ping.
@@ -33,6 +34,12 @@ val fuzz_line : Sdfgen.Rng.t -> string
 
 val fuzz_lines : ?seeds:int -> Serve.Server.t -> result
 (** In-process campaign against a running server's {!Serve.Server.handle_line}. *)
+
+val fuzz_edge_values : Serve.Server.t -> result
+(** Upload workloads with one execution time of [nan], [inf] or [0], and
+    one with every time ×10^6, and estimate each with the paper estimators:
+    each upload must be refused, or its estimates must be ok with finite
+    periods (["wire-edge-values"]). *)
 
 val fuzz_sockets : ?seeds:int -> host:string -> port:int -> unit -> result
 (** Socket-level campaign; [seeds] counts connections (default 32). *)

@@ -131,10 +131,12 @@ let responses_under entries aggregates (e : entry) =
       in
       (Sdf.Graph.actor g actor).exec_time +. rest.Compose.w)
 
-let period_under entries aggregates (e : entry) =
-  let g = e.app.Analysis.graph in
-  Sdf.Hsdf.period
-    (Sdf.Graph.with_exec_times g (responses_under entries aggregates e))
+(* Every period below runs on the one period engine, {!Analysis.period_with},
+   over a cache prepared once per call and dropped with it: nothing is kept
+   per admitted entry. *)
+let period_under cache entries aggregates (e : entry) =
+  Analysis.period_with cache
+    ~response_times:(responses_under entries aggregates e)
 
 (* ------------------------------------------------------------------ *)
 (* Confidence margins *)
@@ -154,7 +156,7 @@ let contribution_variance (e : entry) actor (l : Prob.t) =
   let r2 = Dist.residual_second_moment (dist_of e actor) in
   Float.max 0. ((l.p *. r2) -. ((l.p *. l.mu) *. (l.p *. l.mu)))
 
-let margin_z entries aggregates ~nprocs (e : entry) ~period ~confidence =
+let margin_z cache entries aggregates ~nprocs (e : entry) ~period ~confidence =
   let g = e.app.Analysis.graph in
   let na = Sdf.Graph.num_actors g in
   let z = Margin.z_of_confidence confidence in
@@ -180,12 +182,12 @@ let margin_z entries aggregates ~nprocs (e : entry) ~period ~confidence =
     resp_lo.(actor) <- exec +. Float.max 0. (wait -. (z *. std));
     resp_hi.(actor) <- exec +. wait +. (z *. std)
   done;
-  let lo = Sdf.Hsdf.period (Sdf.Graph.with_exec_times g resp_lo) in
-  let hi = Sdf.Hsdf.period (Sdf.Graph.with_exec_times g resp_hi) in
+  let lo = Analysis.period_with cache ~response_times:resp_lo in
+  let hi = Analysis.period_with cache ~response_times:resp_hi in
   Margin.of_bounds ~confidence ~period ~lo ~hi
 
-let margin_quantile entries ~nprocs (e : entry) ~period ~confidence ~samples
-    ~seed =
+let margin_quantile cache entries ~nprocs (e : entry) ~period ~confidence
+    ~samples ~seed =
   if samples < 1 then
     invalid_arg "Contention.Admission: margin samples < 1";
   let g = e.app.Analysis.graph in
@@ -237,17 +239,18 @@ let margin_quantile entries ~nprocs (e : entry) ~period ~confidence ~samples
             (Sdf.Graph.actor g actor).exec_time
             +. Float.max 0. (totals.(proc) -. own)
         done;
-        Sdf.Hsdf.period (Sdf.Graph.with_exec_times g resp))
+        Analysis.period_with cache ~response_times:resp)
   in
   Margin.of_samples ~confidence ~period periods
 
-let compute_margin entries aggregates ~nprocs (e : entry) ~period spec =
+let compute_margin cache entries aggregates ~nprocs (e : entry) ~period spec =
   match spec.method_ with
   | Margin.Z_score ->
-      margin_z entries aggregates ~nprocs e ~period ~confidence:spec.confidence
+      margin_z cache entries aggregates ~nprocs e ~period
+        ~confidence:spec.confidence
   | Margin.Quantile ->
-      margin_quantile entries ~nprocs e ~period ~confidence:spec.confidence
-        ~samples:spec.samples ~seed:spec.seed
+      margin_quantile cache entries ~nprocs e ~period
+        ~confidence:spec.confidence ~samples:spec.samples ~seed:spec.seed
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate maintenance *)
@@ -328,7 +331,8 @@ let try_admit ?margin t app req =
     app.Analysis.mapping;
   let tentative = add_loads t.aggregates candidate in
   let population = (name, candidate) :: t.entries in
-  let candidate_period = period_under population tentative candidate in
+  let cache = Analysis.prepare app in
+  let candidate_period = period_under cache population tentative candidate in
   let candidate_tp = 1. /. candidate_period in
   if candidate_tp < req.min_throughput then
     Rejected_candidate { estimated = candidate_tp; required = req.min_throughput }
@@ -341,7 +345,9 @@ let try_admit ?margin t app req =
              to the number of guaranteed applications under heavy churn. *)
           if e.req.min_throughput <= 0. then None
           else
-            let tp = 1. /. period_under population tentative e in
+            let tp =
+              1. /. period_under (Analysis.prepare e.app) population tentative e
+            in
             if tp < e.req.min_throughput then
               Some (Rejected_victim
                       { app = vname; estimated = tp; required = e.req.min_throughput })
@@ -356,8 +362,8 @@ let try_admit ?margin t app req =
           | None -> None
           | Some spec ->
               Some
-                (compute_margin population tentative ~nprocs:t.nprocs candidate
-                   ~period:candidate_period spec)
+                (compute_margin cache population tentative ~nprocs:t.nprocs
+                   candidate ~period:candidate_period spec)
         in
         Array.blit tentative 0 t.aggregates 0 t.nprocs;
         t.entries <- (name, candidate) :: t.entries;
@@ -461,13 +467,17 @@ let observe t name ~measured_period =
 
 let observed_period t name = (find t name).measured
 
-let estimated_period t name = period_under t.entries t.aggregates (find t name)
+let estimated_period t name =
+  let e = find t name in
+  period_under (Analysis.prepare e.app) t.entries t.aggregates e
+
 let estimated_throughput t name = 1. /. estimated_period t name
 
 let margin_for t spec name =
   let e = find t name in
-  let period = period_under t.entries t.aggregates e in
-  compute_margin t.entries t.aggregates ~nprocs:t.nprocs e ~period spec
+  let cache = Analysis.prepare e.app in
+  let period = period_under cache t.entries t.aggregates e in
+  compute_margin cache t.entries t.aggregates ~nprocs:t.nprocs e ~period spec
 
 let estimated_period_via t est name =
   match (est : Analysis.estimator) with
@@ -490,7 +500,7 @@ let estimated_period_via t est name =
             in
             (Sdf.Graph.actor g actor).exec_time +. waiting)
       in
-      Sdf.Hsdf.period (Sdf.Graph.with_exec_times g response)
+      Analysis.period_with (Analysis.prepare e.app) ~response_times:response
 
 let estimated_throughput_via t est name = 1. /. estimated_period_via t est name
 

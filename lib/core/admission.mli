@@ -19,7 +19,11 @@
     can pin them.
 
     On request ({!try_admit}'s [?margin], {!margin_for}), the point estimate
-    is wrapped in a {!Margin.t} confidence interval — see DESIGN §15. *)
+    is wrapped in a {!Margin.t} confidence interval — see DESIGN §15.
+
+    Every period here is {!Analysis.period_with} over a cache prepared once
+    per call (once per margin, not per sample); nothing is kept per
+    admitted entry. *)
 
 type requirement = {
   min_throughput : float;

@@ -8,8 +8,13 @@
       applications of the use-case;
     + estimate each actor's expected waiting time from the co-mapped actors'
       loads, add it to the execution time (response time);
-    + recompute the application period by throughput analysis of the graph
-      with response times as execution times. *)
+    + recompute the application period by maximum-cycle-ratio analysis of
+      the graph's HSDF expansion with response times as execution times.
+
+    Every entry point below runs this as one pass over flat, preallocated
+    arrays ({!Kernel}), and every contended period, here and in
+    {!Admission}, {!Explain} and {!Tdma}, comes from {!Kernel.period_into}.
+    Their reference is the list-based pass [Check.Oracle.reference]. *)
 
 type estimator =
   | Worst_case  (** Baseline: sum of others' execution times ({!Wcrt}). *)
@@ -21,10 +26,6 @@ val estimator_name : estimator -> string
 val all_paper_estimators : estimator list
 (** [[Worst_case; Order 4; Order 2; Composability]] — the four methods of the
     paper's evaluation, in its Figure 5 legend order. *)
-
-type period_engine =
-  | Mcm  (** HSDF expansion + maximum cycle ratio ({!Sdf.Hsdf}); default. *)
-  | Statespace  (** Self-timed execution ({!Sdf.Statespace}). *)
 
 type app = private {
   graph : Sdf.Graph.t;
@@ -46,7 +47,8 @@ val app :
   app
 (** Wrap a graph and its mapping.  The isolation period is computed with
     {!Sdf.Statespace} unless [period] is given.  When [procs] is given the
-    mapping is validated against it.
+    mapping is validated against it; without it, processor ids must still
+    be non-negative.
 
     With [distributions] (one per actor), the graph's execution times are
     replaced by the distribution means for all throughput computations and
@@ -83,7 +85,6 @@ val contended_metrics : estimate -> Sdf.Metrics.t option
     and buffer peaks of the application {e while sharing} its processors. *)
 
 val estimate :
-  ?engine:period_engine ->
   ?iterations:int ->
   estimator ->
   app list ->
@@ -98,20 +99,29 @@ val estimate :
     Waiting times are estimated from {e every} co-mapped actor, including
     actors of the same application sharing a node (the Figure 4 algorithm
     makes no distinction); a lone application whose actors all have dedicated
-    processors therefore keeps its isolation period exactly. *)
+    processors therefore keeps its isolation period exactly.  Every pass runs
+    on the calling domain's {!shared_workspace}. *)
 
 type cache
 (** Use-case-invariant per-application precomputation: the isolation-period
     load descriptors ({!loads}) and the HSDF expansion of the application
-    graph (reused through {!Sdf.Hsdf.period_of_expansion} by the MCM engine).
-    A cache depends only on the [app] it was prepared from, so it can be
-    computed once per workload, shared read-only across domains, and reused
-    by every use-case the application appears in. *)
+    graph, flattened for {!Kernel.period_into}.  The expansion's topology
+    does not depend on execution times, so one cache serves every response
+    time assignment.  A cache depends only on the [app] it was prepared
+    from, so it can be computed once per workload, shared read-only across
+    domains, and reused by every use-case the application appears in. *)
 
 val prepare : app -> cache
 
+val period_with : cache -> response_times:float array -> float
+(** The period of the cache's application with [response_times] as
+    execution times: the maximum cycle ratio of its HSDF expansion, by
+    {!Kernel.period_into} on the calling domain's {!shared_workspace}.
+    @raise Invalid_argument unless there is one response time per actor,
+    or, as {!Kernel.period_into}, on a negative or non-finite time. *)
+
 type workspace
-(** Preallocated buffers for the kernel engine's Figure-4 pass ({!Kernel}):
+(** Preallocated buffers for the Figure-4 pass ({!Kernel}):
     per-processor member layout, flat load/wait arrays, period-search
     scratch.  Buffers grow to the workload's high-water mark and are then
     reused — after warm-up a pass performs no heap allocation.  Not
@@ -125,36 +135,15 @@ val shared_workspace : unit -> workspace
     reuse one set of buffers per domain with no sharing or locking. *)
 
 val estimate_prepared :
-  ?engine:period_engine ->
-  ?workspace:workspace ->
-  ?exact_check:bool ->
-  estimator ->
-  (app * cache) list ->
-  estimate list
+  ?workspace:workspace -> estimator -> (app * cache) list -> estimate list
 (** Exactly {!estimate} with [iterations = 1], but with the per-app
     isolation work supplied by the caller instead of being recomputed: the
     results are bit-identical to [estimate est apps].  This is the hot path
     of {!Exp.Sweep}, where each application's cache is hit by up to
-    [2^(n-1)] use-cases.
-
-    With the default [Mcm] engine the pass runs on the zero-allocation
-    {!Kernel} evaluators over [workspace] (default: the domain's
-    {!shared_workspace}); the kernel replicates the reference's
-    floating-point operation sequences, so the switch is invisible in the
-    results.  [exact_check] (default [false]) re-runs every use-case on
-    {!estimate_prepared_reference} and fails if any waiting time, response
-    time, or period differs by more than [1e-9] — the belt-and-braces mode
-    for long unattended runs.
+    [2^(n-1)] use-cases.  The pass runs over [workspace] (default: the
+    domain's {!shared_workspace}).
     @raise Invalid_argument when a cache was prepared from a different
-    application than the one it is paired with.
-    @raise Failure on an [exact_check] divergence. *)
-
-val estimate_prepared_reference :
-  ?engine:period_engine -> estimator -> (app * cache) list -> estimate list
-(** The list-based reference implementation {!estimate_prepared} is checked
-    against (and the pre-kernel behaviour): {!waiting_time_for} per actor,
-    {!Sdf.Hsdf.period_of_expansion} per app.  Kept as the baseline for
-    [exact_check], the fuzzing oracle, and the benchmark's speedup ratio. *)
+    application than the one it is paired with. *)
 
 (** {1 Batched evaluation}
 
@@ -172,9 +161,7 @@ val prepare_workload : ?caches:cache array -> app array -> prepared
     @raise Invalid_argument on a cache/app mismatch or length mismatch. *)
 
 val estimate_batch :
-  ?engine:period_engine ->
   ?workspace:workspace ->
-  ?exact_check:bool ->
   estimator ->
   prepared ->
   Usecase.t list ->
@@ -191,16 +178,15 @@ val estimate_periods_into :
     returning the number of active applications.  No estimate records, no
     spans, no lists — once the workspace is warm, a call performs {e zero}
     heap allocation (enforced by the test suite's allocation budget).
-    [out] must have room for {!Usecase.cardinal}[ usecase] periods.  Only
-    the [Mcm] engine's semantics; validation is done by
-    {!prepare_workload}. *)
+    [out] must have room for {!Usecase.cardinal}[ usecase] periods;
+    validation is done by {!prepare_workload}. *)
 
 val waiting_time_for : estimator -> Prob.t list -> float
-(** The raw per-actor waiting-time kernel used by {!estimate}: expected wait
-    inflicted by the given co-mapped loads. *)
+(** The list-based per-actor waiting time: expected wait inflicted by the
+    given co-mapped loads, folded in list order.  The kernel's evaluators
+    reproduce it bit for bit on the same contender order. *)
 
 val estimate_with_loads :
-  ?engine:period_engine ->
   estimator ->
   (app * Prob.t array) list ->
   estimate list
@@ -209,7 +195,6 @@ val estimate_with_loads :
     @raise Invalid_argument on a loads array of the wrong length. *)
 
 val estimate_calibrated :
-  ?engine:period_engine ->
   estimator ->
   (app * float) list ->
   estimate list

@@ -65,23 +65,18 @@ let estimator_of_name s =
           | _ -> Error (Printf.sprintf "unknown estimator %S" s))
       | _ -> Error (Printf.sprintf "unknown estimator %S" s))
 
-let engine_name = function
-  | Analysis.Mcm -> "mcm"
-  | Analysis.Statespace -> "statespace"
-
-let engine_of_name = function
-  | "mcm" -> Ok Analysis.Mcm
-  | "statespace" -> Ok Analysis.Statespace
-  | s -> Error (Printf.sprintf "unknown period engine %S" s)
+(* Periods come from the one period engine ({!Analysis.period_with}): the
+   maximum cycle ratio of the HSDF expansion, named "mcm" in the record. *)
+let engine = "mcm"
 
 (* ------------------------------------------------------------------ *)
-(* Computation: the reference Figure-4 pass with its working kept        *)
+(* Computation: the list-based Figure-4 pass with its working kept      *)
 
-(* The per-processor occupancy lists replicate {!Analysis.one_pass} to the
-   letter: built by prepending during an ascending (app, actor) scan, so
-   each list runs descending and the estimator folds the contenders in the
-   same order — which is what makes every recorded float bit-identical to
-   the served value (the kernel engine replays the same sequences). *)
+(* The per-processor occupancy lists are built by prepending during an
+   ascending (app, actor) scan, so each list runs descending and the
+   estimator folds the contenders in the order the kernel's member slots
+   hold them — which is what makes every recorded float bit-identical to
+   the served value. *)
 let occupancy (apps : Analysis.app array) =
   let by_node = Hashtbl.create 16 in
   Array.iteri
@@ -120,7 +115,7 @@ let sandwich_for order loads wait =
   if order mod 2 = 0 then { s_order = order; s_lower = other; s_upper = wait }
   else { s_order = order; s_lower = wait; s_upper = other }
 
-let compute ?(engine = Analysis.Mcm) est (apps : Analysis.app list) =
+let compute est (apps : Analysis.app list) =
   let apps = Array.of_list apps in
   let app_loads = Array.map Analysis.loads apps in
   let names =
@@ -179,15 +174,7 @@ let compute ?(engine = Analysis.Mcm) est (apps : Analysis.app list) =
     let response_times =
       Array.of_list (List.map (fun x -> x.a_response) actors)
     in
-    let period =
-      match engine with
-      | Analysis.Mcm ->
-          Sdf.Hsdf.period_of_expansion (Sdf.Hsdf.expand a.graph)
-            ~exec_times:response_times
-      | Analysis.Statespace ->
-          Sdf.Statespace.period_exn
-            (Sdf.Graph.with_exec_times a.graph response_times)
-    in
+    let period = Analysis.period_with (Analysis.prepare a) ~response_times in
     {
       x_app = names.(ai);
       x_isolation = a.isolation_period;
@@ -200,7 +187,7 @@ let compute ?(engine = Analysis.Mcm) est (apps : Analysis.app list) =
   in
   {
     estimator = Analysis.estimator_name est;
-    engine = engine_name engine;
+    engine;
     usecase = Array.to_list names;
     apps = Array.to_list (Array.mapi explain_app apps);
   }
@@ -230,7 +217,10 @@ let ( let* ) = Result.bind
 
 let verify (t : t) (apps : Analysis.app list) =
   let* est = estimator_of_name t.estimator in
-  let* engine = engine_of_name t.engine in
+  let* () =
+    if t.engine = engine then Ok ()
+    else Error (Printf.sprintf "unsupported period engine %S" t.engine)
+  in
   let* () =
     if List.length apps = List.length t.apps then Ok ()
     else
@@ -298,13 +288,7 @@ let verify (t : t) (apps : Analysis.app list) =
           (Ok ()) x.x_actors
       in
       let period =
-        match engine with
-        | Analysis.Mcm ->
-            Sdf.Hsdf.period_of_expansion (Sdf.Hsdf.expand a.graph)
-              ~exec_times:responses
-        | Analysis.Statespace ->
-            Sdf.Statespace.period_exn
-              (Sdf.Graph.with_exec_times a.graph responses)
+        Analysis.period_with (Analysis.prepare a) ~response_times:responses
       in
       let* () = check (name ^ ": period") ~expect:x.x_period ~got:period in
       let* () =

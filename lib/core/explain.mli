@@ -13,9 +13,10 @@
     The record is {e reproducing}: {!verify} re-derives every waiting time
     from the recorded contender descriptors alone and every period from the
     application graphs plus the re-derived response times, and demands
-    bit-for-bit equality with the recorded values.  Since the kernel engine
-    ({!Analysis.estimate_prepared}) replicates the reference floating-point
-    operation sequences, a provenance record produced by {!compute} also
+    bit-for-bit equality with the recorded values.  {!compute} folds each
+    actor's contenders in the order the kernel pass
+    ({!Analysis.estimate_prepared}) does and takes periods from the same
+    engine ({!Analysis.period_with}), so a provenance record also
     reproduces a served estimate exactly — which is what the serve daemon's
     [explain] command and the shadow auditor lean on.
 
@@ -89,7 +90,10 @@ type app = {
 
 type t = {
   estimator : string;  (** Canonical estimator name. *)
-  engine : string;  (** ["mcm"] or ["statespace"]. *)
+  engine : string;
+      (** Always ["mcm"]: periods are maximum cycle ratios of the HSDF
+          expansion ({!Analysis.period_with}).  Kept on the wire so
+          explain replies stay byte-identical. *)
   usecase : string list;  (** Active application names, ascending. *)
   apps : app list;
 }
@@ -98,11 +102,7 @@ val estimator_of_name : string -> (Analysis.estimator, string) result
 (** Parse a canonical {!Analysis.estimator_name} back — exactly the names
     {!compute} stores, nothing looser. *)
 
-val compute :
-  ?engine:Analysis.period_engine ->
-  Analysis.estimator ->
-  Analysis.app list ->
-  t
+val compute : Analysis.estimator -> Analysis.app list -> t
 (** Run one Figure-4 pass over exactly the given applications (the
     use-case), recording provenance along the way.  Every recorded number
     is bit-identical to what {!Analysis.estimate} (and the kernel path
@@ -122,6 +122,7 @@ val verify : t -> Analysis.app list -> (unit, string) result
     times from the recorded execution times, periods from the application
     graphs under the re-derived response times.  [Ok ()] iff every value
     matches the record bit for bit ([Error] names the first divergence).
+    A record naming any period engine other than ["mcm"] is refused.
     The [apps] must be the use-case the record was computed for, in record
     order. *)
 

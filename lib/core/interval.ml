@@ -27,9 +27,9 @@ let waiting_interval est bounds_list =
   let hi = Analysis.waiting_time_for est (List.map (fun b -> b.upper) bounds_list) in
   (lo, hi)
 
-let period_interval ?engine est apps_with_bounds =
+let period_interval est apps_with_bounds =
   let side pick =
-    Analysis.estimate_with_loads ?engine est
+    Analysis.estimate_with_loads est
       (List.map
          (fun ((a : Analysis.app), bounds) ->
            if Array.length bounds <> Sdf.Graph.num_actors a.Analysis.graph then

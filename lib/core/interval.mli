@@ -21,7 +21,6 @@ val waiting_interval : Analysis.estimator -> bounds list -> float * float
     loads. *)
 
 val period_interval :
-  ?engine:Analysis.period_engine ->
   Analysis.estimator ->
   (Analysis.app * bounds array) list ->
   (Analysis.app * (float * float)) list

@@ -14,11 +14,11 @@
      closure is ever built on the hot path.
 
    The evaluators replicate the exact floating-point operation sequences of
-   the list-based reference implementations ({!Wcrt}, {!Approx}, {!Compose},
-   {!Exact}, {!Sdf.Mcm}) — same fold orders, same parenthesisation, same
-   guarded deconvolutions — so their results are bit-identical, which is what
-   lets {!Analysis.estimate_prepared} switch engines without disturbing the
-   golden 1e-9 pins or the serve daemon's cache-equality guarantees. *)
+   the list-based implementations ({!Wcrt}, {!Approx}, {!Compose}, {!Exact},
+   {!Sdf.Mcm}) — same fold orders, same parenthesisation, same guarded
+   deconvolutions — so their results are bit-identical to the list-based
+   Figure-4 pass kept as [Check.Oracle.reference], which is what keeps the
+   golden 1e-9 pins and the serve daemon's cache-equality guarantees. *)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch *)
@@ -45,7 +45,7 @@ let scratch () =
     par = Array.make 64 0;
     f = Array.make 8 0.;
     i = Array.make 4 0;
-    b = Array.make 4 false;
+    b = Array.make 5 false;
   }
 
 let grow a n = if Array.length a < n then Array.make (Int.max n (2 * Array.length a)) 0. else a
@@ -228,31 +228,16 @@ let graph ~nnodes ~name edges =
       wactor.(e) <- a;
       delay.(e) <- float_of_int d)
     edges;
-  (* Zero-delay-cycle DFS, once per graph (Sdf.Mcm recomputes it per period
-     call; the answer only depends on topology). *)
-  let adj = Array.make (Int.max 1 nnodes) [] in
-  Array.iter (fun (u, v, _, d) -> if d = 0 then adj.(u) <- v :: adj.(u)) edges;
-  let color = Array.make (Int.max 1 nnodes) 0 in
-  let found = ref false in
-  let rec visit u =
-    color.(u) <- 1;
-    List.iter
-      (fun v ->
-        if not !found then
-          if color.(v) = 1 then found := true else if color.(v) = 0 then visit v)
-      adj.(u);
-    color.(u) <- 2
-  in
-  for u = 0 to nnodes - 1 do
-    if color.(u) = 0 && not !found then visit u
-  done;
+  (* Once per graph: Sdf.Mcm recomputes it per period call, but the answer
+     only depends on topology. *)
+  let zero_delay_cycle = Sdf.Mcm.zero_delay_cycle ~nodes:nnodes edges in
   {
     nnodes;
     src;
     dst;
     wactor;
     delay;
-    zero_delay_cycle = !found;
+    zero_delay_cycle;
     source_name = name;
   }
 
@@ -385,8 +370,11 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
   reserve_graph s g;
   let ne = num_edges g in
   for e = 0 to ne - 1 do
-    if exec.(exec_off + g.wactor.(e)) < 0. then
-      invalid_arg "Sdf.Mcm: negative weight or delay"
+    let w = exec.(exec_off + g.wactor.(e)) in
+    if w < 0. then invalid_arg "Sdf.Mcm: negative weight or delay";
+    (* A non-finite weight would pin the bisection bounds at infinity. *)
+    if not (w -. w = 0.) then
+      invalid_arg (Printf.sprintf "Sdf.Mcm: non-finite edge weight %g" w)
   done;
   if ne = 0 then invalid_arg (no_cycle_msg g);
   if g.zero_delay_cycle then
@@ -415,15 +403,22 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
      three orders of magnitude of margin over that while leaving only the
      final ~10 probes to run for real. *)
   let guard = (s.f.(0) +. Float.abs mcr +. 2.) *. 1e-11 in
-  (* Lawler binary search: lo in f.(1), hi in f.(2), epsilon 1e-9. *)
+  (* Lawler binary search: lo in f.(1), hi in f.(2), epsilon 1e-9.  Past
+     ~2^23 the bracket cannot shrink below epsilon (the midpoint rounds onto
+     a bound first), so the search also stops, as the reference does, once
+     the midpoint no longer moves (b.(4) clears). *)
   s.f.(1) <- 0.;
   s.f.(2) <- s.f.(0) +. 1.;
-  while s.f.(2) -. s.f.(1) > 1e-9 do
+  s.b.(4) <- true;
+  while s.b.(4) && s.f.(2) -. s.f.(1) > 1e-9 do
     s.f.(4) <- 0.5 *. (s.f.(1) +. s.f.(2));
-    if certified && s.f.(4) > mcr +. guard then s.b.(0) <- false
-    else if certified && s.f.(4) < mcr -. guard then s.b.(0) <- true
-    else probe s g ~exec ~exec_off;
-    if s.b.(0) then s.f.(1) <- s.f.(4) else s.f.(2) <- s.f.(4)
+    if s.f.(4) <= s.f.(1) || s.f.(4) >= s.f.(2) then s.b.(4) <- false
+    else begin
+      if certified && s.f.(4) > mcr +. guard then s.b.(0) <- false
+      else if certified && s.f.(4) < mcr -. guard then s.b.(0) <- true
+      else probe s g ~exec ~exec_off;
+      if s.b.(0) then s.f.(1) <- s.f.(4) else s.f.(2) <- s.f.(4)
+    end
   done;
   out.(out_idx) <- 0.5 *. (s.f.(1) +. s.f.(2))
 

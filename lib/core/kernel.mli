@@ -8,8 +8,10 @@
     operation sequences exactly — same fold orders, same parenthesisation,
     same guarded deconvolutions — so results are {e bit-identical} to the
     list-based {!Wcrt}/{!Approx}/{!Compose}/{!Exact} and {!Sdf.Mcm} paths.
-    {!Analysis} builds the group layout and drives these evaluators; see
-    DESIGN §11 for the memory layout and the boxing rules the code obeys.
+    {!Analysis} builds the group layout and drives these evaluators — the
+    only production Figure-4 pass and period engine; their reference is the
+    list-based [Check.Oracle.reference].  See DESIGN §11 for the memory
+    layout and the boxing rules the code obeys.
 
     Group members are passed as parallel [(array, offset, count)] slices
     rather than records or lists, and results are written into caller arrays:
@@ -108,8 +110,12 @@ val period_into :
     from the answer without running them — the probe {e outcomes}, hence the
     bisection trajectory and the result, are unchanged; only the handful of
     probes near the ratio run for real.
-    @raise Invalid_argument exactly as the reference: negative weights, an
-    empty or cycle-free graph, or a zero-delay cycle. *)
+
+    Like {!Sdf.Mcm.max_cycle_ratio}, the bisection also stops once the
+    midpoint no longer moves: past ~2^23 the bracket cannot shrink to 1e-9.
+    @raise Invalid_argument exactly as the reference, with its messages:
+    negative or non-finite weights, an empty or cycle-free graph, or a
+    zero-delay cycle. *)
 
 (** {1 Incremental group state}
 

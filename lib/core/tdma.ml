@@ -38,12 +38,11 @@ let estimate ?(wheel = 100.) apps =
             (fun actor r -> r -. (Sdf.Graph.actor a.graph actor).exec_time)
             response_times
         in
-        let adjusted = Sdf.Graph.with_exec_times a.graph response_times in
         {
           Analysis.for_app = a;
           waiting_times;
           response_times;
-          period = Sdf.Hsdf.period adjusted;
+          period = Analysis.period_with (Analysis.prepare a) ~response_times;
         }
       in
       Array.to_list (Array.map estimate_one apps_arr)

@@ -29,7 +29,7 @@ type task_result = {
 }
 
 let run ?(horizon = 500_000.) ?estimators ?usecases ?progress ?jobs
-    ?(exact_check = false) (w : Workload.t) =
+    (w : Workload.t) =
   let estimators =
     Option.value ~default:Contention.Analysis.all_paper_estimators estimators
   in
@@ -85,11 +85,11 @@ let run ?(horizon = 500_000.) ?estimators ?usecases ?progress ?jobs
                  ~args:(fun () ->
                    [ ("estimator", Contention.Analysis.estimator_name est) ])
                  (fun () ->
-                   (* The kernel engine over this domain's workspace: every
+                   (* The kernel pass over this domain's workspace: every
                       use-case this task analyses reuses the same buffers. *)
                    Contention.Analysis.estimate_prepared
                      ~workspace:(Contention.Analysis.shared_workspace ())
-                     ~exact_check est pairs)
+                     est pairs)
              in
              task_analysis_s.(k) <- Obs.Clock.elapsed_s ~since:t0;
              ( est,

@@ -19,9 +19,10 @@ let check_actor_id g id =
 
 let create ~name ~actors ~channels =
   let mk_actor id (aname, exec_time) =
-    if exec_time <= 0. then
+    if not (exec_time > 0. && exec_time < infinity) then
       invalid_arg
-        (Printf.sprintf "Sdf.Graph.create: actor %S has non-positive execution time %g"
+        (Printf.sprintf
+           "Sdf.Graph.create: actor %S has execution time %g, not finite and positive"
            aname exec_time);
     { id; name = aname; exec_time }
   in
@@ -50,9 +51,10 @@ let with_exec_times g times =
     invalid_arg "Sdf.Graph.with_exec_times: length mismatch";
   let set a =
     let t = times.(a.id) in
-    if t <= 0. then
+    if not (t > 0. && t < infinity) then
       invalid_arg
-        (Printf.sprintf "Sdf.Graph.with_exec_times: non-positive time %g for %S" t a.name);
+        (Printf.sprintf "Sdf.Graph.with_exec_times: time %g for %S, not finite and positive"
+           t a.name);
     { a with exec_time = t }
   in
   { g with actors = Array.map set g.actors }

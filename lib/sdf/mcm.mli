@@ -15,6 +15,9 @@ val has_positive_cycle : nodes:int -> (int * int * float) array -> bool
     positive total weight (detected with a tolerance of [1e-12] per
     relaxation to absorb rounding). *)
 
+val zero_delay_cycle : nodes:int -> (int * int * 'w * int) array -> bool
+(** Whether some cycle has only zero-delay edges (an SDF deadlock). *)
+
 val max_cycle_ratio :
   ?epsilon:float -> nodes:int -> (int * int * float * int) array -> float option
 (** [None] when the graph is acyclic.  [epsilon] (default [1e-9]) is the

@@ -306,6 +306,23 @@ let test_wirefuzz_run () =
         v.Check.Oracle.detail);
   Alcotest.(check bool) "made requests" true (r.requests >= 60)
 
+let test_wirefuzz_edge_values () =
+  let config =
+    { Serve.Server.default_config with port = Some 0; jobs = Some 1 }
+  in
+  let server = Serve.Server.start ~config () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Server.stop server)
+    (fun () ->
+      let r = Check.Wirefuzz.fuzz_edge_values server in
+      (match r.violations with
+      | [] -> ()
+      | v :: _ ->
+          Alcotest.failf "edge-value violation: %s: %s" v.Check.Oracle.property
+            v.Check.Oracle.detail);
+      (* Four uploads, and the valid scaled workload estimated four ways. *)
+      Alcotest.(check bool) "made requests" true (r.requests >= 8))
+
 let suite =
   [
     Alcotest.test_case "spec line round-trip" `Quick test_spec_line_roundtrip;
@@ -332,4 +349,6 @@ let suite =
     Alcotest.test_case "wire fuzz lines deterministic" `Quick
       test_wirefuzz_line_deterministic;
     Alcotest.test_case "wire fuzz campaign" `Slow test_wirefuzz_run;
+    Alcotest.test_case "wire fuzz edge-value workloads" `Quick
+      test_wirefuzz_edge_values;
   ]

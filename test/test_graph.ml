@@ -41,6 +41,17 @@ let test_exec_times () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative time accepted"
 
+let test_non_finite_exec_times () =
+  List.iter
+    (fun t ->
+      (match Graph.create ~name:"g" ~actors:[| ("x", t) |] ~channels:[||] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "create accepted execution time %g" t);
+      match Graph.with_exec_times (Fixtures.graph_a ()) [| 1.; t; 3. |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "with_exec_times accepted time %g" t)
+    [ nan; infinity ]
+
 let test_adjacency () =
   let g = Fixtures.graph_a () in
   let succ = Graph.successors g 0 in
@@ -89,6 +100,7 @@ let suite =
     Alcotest.test_case "create and accessors" `Quick test_create_accessors;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "exec times" `Quick test_exec_times;
+    Alcotest.test_case "non-finite exec times" `Quick test_non_finite_exec_times;
     Alcotest.test_case "adjacency" `Quick test_adjacency;
     Alcotest.test_case "connectivity" `Quick test_connectivity;
     Alcotest.test_case "find actor" `Quick test_find_actor;

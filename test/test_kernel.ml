@@ -200,6 +200,91 @@ let test_period_known_value () =
   Kernel.period_into s g2 ~exec:[| 3.; 5.; 9. |] ~exec_off:0 ~out ~out_idx:0;
   Fixtures.check_float ~eps:1e-8 "critical cycle" 12. out.(0)
 
+(* Run [f] in a forked child that SIGALRM kills after [seconds], so a
+   non-terminating search fails the case instead of hanging the suite. *)
+let in_child_within ~seconds what f =
+  match Unix.fork () with
+  | 0 ->
+      ignore (Unix.alarm seconds);
+      let code =
+        match f () with
+        | Ok () -> 0
+        | Error msg ->
+            prerr_endline (what ^ ": " ^ msg);
+            1
+        | exception e ->
+            prerr_endline (what ^ ": " ^ Printexc.to_string e);
+            2
+      in
+      Unix._exit code
+  | pid -> (
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED c -> Alcotest.failf "%s: child exited %d" what c
+      | Unix.WSIGNALED sg when sg = Sys.sigalrm ->
+          Alcotest.failf "%s: no answer within %d s" what seconds
+      | Unix.WSIGNALED sg | Unix.WSTOPPED sg ->
+          Alcotest.failf "%s: child stopped by signal %d" what sg)
+
+let test_period_terminates_at_scale () =
+  (* Past ~2^23 the bisection bracket cannot shrink below 1e-9 (the midpoint
+     rounds onto a bound first); the search must stop where Sdf.Mcm stops
+     and return its value bit for bit. *)
+  in_child_within ~seconds:10 "ring period at scale" (fun () ->
+      let s = Kernel.scratch () in
+      let out = [| 0. |] in
+      List.fold_left
+        (fun acc scale ->
+          Result.bind acc (fun () ->
+              let exec = [| 3. *. scale; 5. *. scale |] in
+              let g =
+                Sdf.Graph.create ~name:"ring"
+                  ~actors:[| ("a", exec.(0)); ("b", exec.(1)) |]
+                  ~channels:[| (0, 1, 1, 1, 1); (1, 0, 1, 1, 1) |]
+              in
+              let h = Sdf.Hsdf.expand g in
+              let kg =
+                Kernel.graph ~nnodes:(Sdf.Hsdf.num_nodes h) ~name:"ring"
+                  (Array.map
+                     (fun (e : Sdf.Hsdf.edge) ->
+                       ( e.from_node,
+                         e.to_node,
+                         h.nodes.(e.from_node).Sdf.Hsdf.actor,
+                         e.delay ))
+                     h.edges)
+              in
+              Kernel.period_into s kg ~exec ~exec_off:0 ~out ~out_idx:0;
+              let expected = Sdf.Hsdf.period_of_expansion h ~exec_times:exec in
+              if Int64.equal (Int64.bits_of_float expected)
+                   (Int64.bits_of_float out.(0))
+              then Ok ()
+              else
+                Error
+                  (Printf.sprintf "scale %g: kernel %.17g, reference %.17g"
+                     scale out.(0) expected)))
+        (Ok ()) [ 16777216.; 1e9 ])
+
+let test_period_rejects_non_finite () =
+  (* An infinite weight pins the bisection bound at infinity, so this runs
+     under the same kill guard. *)
+  in_child_within ~seconds:10 "non-finite weights" (fun () ->
+      let s = Kernel.scratch () in
+      let g =
+        Kernel.graph ~nnodes:2 ~name:"ring" [| (0, 1, 0, 1); (1, 0, 1, 1) |]
+      in
+      let out = [| 0. |] in
+      List.fold_left
+        (fun acc w ->
+          Result.bind acc (fun () ->
+              let expected = Printf.sprintf "Sdf.Mcm: non-finite edge weight %g" w in
+              match
+                Kernel.period_into s g ~exec:[| 3.; w |] ~exec_off:0 ~out ~out_idx:0
+              with
+              | exception Invalid_argument msg when msg = expected -> Ok ()
+              | exception e -> Error (Printexc.to_string e)
+              | () -> Error (Printf.sprintf "weight %g accepted" w)))
+        (Ok ()) [ nan; infinity ])
+
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence and batching *)
 
@@ -214,6 +299,16 @@ let engine_estimators =
     Analysis.Composability;
     Analysis.Exact;
   ]
+
+(* The list-based reference on use-case [uc] of [w]: isolation loads and
+   HSDF expansions supplied, as the kernel gets them from its caches. *)
+let reference (w : Exp.Workload.t) est uc =
+  Check.Oracle.reference est
+    (List.map
+       (fun i ->
+         let a = w.apps.(i) in
+         (a, Analysis.loads a, Sdf.Hsdf.expand a.Analysis.graph))
+       (Usecase.to_list uc))
 
 let check_estimates_equal what (a : Analysis.estimate) (b : Analysis.estimate) =
   if not (Float.equal a.period b.period) then
@@ -241,7 +336,7 @@ let test_engine_bit_identity () =
           List.iter2
             (check_estimates_equal name)
             (Analysis.estimate_prepared est pairs)
-            (Analysis.estimate_prepared_reference est pairs))
+            (reference w est uc))
         engine_estimators)
     (Usecase.all ~napps:(Array.length w.apps))
 
@@ -279,10 +374,7 @@ let test_periods_into_matches () =
           let active =
             Analysis.estimate_periods_into ws est prepared ~usecase:uc ~out
           in
-          let pairs =
-            List.map (fun i -> (w.apps.(i), caches.(i))) (Usecase.to_list uc)
-          in
-          let reference = Analysis.estimate_prepared_reference est pairs in
+          let reference = reference w est uc in
           Alcotest.(check int) "active count" (List.length reference) active;
           List.iteri
             (fun k (r : Analysis.estimate) ->
@@ -332,6 +424,10 @@ let suite =
     Alcotest.test_case "group errors" `Quick test_group_errors;
     Alcotest.test_case "graph validation" `Quick test_graph_validation;
     Alcotest.test_case "period known values" `Quick test_period_known_value;
+    Alcotest.test_case "period terminates at scale" `Quick
+      test_period_terminates_at_scale;
+    Alcotest.test_case "period rejects non-finite weights" `Quick
+      test_period_rejects_non_finite;
     Alcotest.test_case "engine bit-identity" `Quick test_engine_bit_identity;
     Alcotest.test_case "batch bit-identity" `Quick test_batch_bit_identity;
     Alcotest.test_case "periods-into agreement" `Quick test_periods_into_matches;

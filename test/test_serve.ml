@@ -276,6 +276,35 @@ let test_robustness () =
       (* The server survived all of the above. *)
       with_client port (fun c -> unwrap (Serve.Client.ping c)))
 
+(* A non-finite execution time is refused at upload: the workload never
+   gets a digest, so no estimate can trip over it later. *)
+let test_non_finite_upload () =
+  with_server (fun server _port ->
+      let payload = Exp.Workload.to_string (small_workload ()) in
+      List.iter
+        (fun bad ->
+          let lines = String.split_on_char '\n' payload in
+          let replaced = ref false in
+          let edited =
+            List.map
+              (fun line ->
+                match String.split_on_char ' ' line with
+                | [ "actor"; name; _ ] when not !replaced ->
+                    replaced := true;
+                    Printf.sprintf "actor %s %s" name bad
+                | _ -> line)
+              lines
+          in
+          Alcotest.(check bool) "an actor line was edited" true !replaced;
+          let request =
+            Json.to_string
+              (Protocol.request_to_json
+                 (Protocol.Upload { payload = String.concat "\n" edited }))
+          in
+          expect_error_reply ("upload with tau = " ^ bad)
+            (Serve.Server.handle_line server request))
+        [ "nan"; "inf" ])
+
 let test_release_errors () =
   with_server (fun _server port ->
       with_client port (fun c ->
@@ -471,6 +500,7 @@ let suite =
     Alcotest.test_case "protocol round-trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "estimator names" `Quick test_estimator_names;
     Alcotest.test_case "robustness" `Quick test_robustness;
+    Alcotest.test_case "non-finite upload refused" `Quick test_non_finite_upload;
     Alcotest.test_case "admission errors" `Quick test_release_errors;
     Alcotest.test_case "integration" `Quick test_integration;
     Alcotest.test_case "graceful stop, idle client" `Quick
