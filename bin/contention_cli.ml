@@ -59,7 +59,7 @@ let usecase_arg =
 let estimator_conv =
   (* One estimator grammar for the CLI and the wire protocol. *)
   let parse s =
-    Result.map_error (fun msg -> `Msg msg) (Serve.Protocol.estimator_of_string s)
+    Result.map_error (fun msg -> `Msg msg) (Contention.Analysis.estimator_of_string s)
   in
   let print ppf e = Format.pp_print_string ppf (Contention.Analysis.estimator_name e) in
   Arg.conv (parse, print)

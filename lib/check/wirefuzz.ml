@@ -298,13 +298,9 @@ let fuzz_session_ids server =
   let target =
     match step ~what:"upload" ~expect_ok:true upload_line with
     | Some payload -> (
-        match
-          ( Option.bind (Serve.Json.member "digest" payload) Serve.Json.get_str,
-            Serve.Json.member "apps" payload )
-        with
-        | Some digest, Some (Serve.Json.Arr (Serve.Json.Str app :: _)) ->
-            Some (digest, app)
-        | _ -> None)
+        match Serve.Protocol.upload_reply_of_json payload with
+        | Ok { Serve.Protocol.digest; apps = app :: _; _ } -> Some (digest, app)
+        | Ok _ | Error _ -> None)
     | None -> None
   in
   (match target with

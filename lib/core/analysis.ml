@@ -8,6 +8,45 @@ let estimator_name = function
   | Composability -> "composability"
   | Exact -> "exact"
 
+(* The M of "order-M". *)
+let order_of_name s =
+  if String.starts_with ~prefix:"order-" s then
+    int_of_string_opt (String.sub s 6 (String.length s - 6))
+  else None
+
+let estimator_of_name s =
+  match s with
+  | "worst-case" -> Ok Worst_case
+  | "second-order" -> Ok (Order 2)
+  | "fourth-order" -> Ok (Order 4)
+  | "composability" -> Ok Composability
+  | "exact" -> Ok Exact
+  | s -> (
+      match order_of_name s with
+      | Some m when m >= 2 -> Ok (Order m)
+      | _ -> Error (Printf.sprintf "unknown estimator %S" s))
+
+let estimator_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "wc" -> Ok Worst_case
+  | "o2" -> Ok (Order 2)
+  | "o4" -> Ok (Order 4)
+  | "comp" -> Ok Composability
+  | s -> (
+      match estimator_of_name s with
+      | Ok _ as named -> named
+      | Error _ as unknown -> (
+          (* "order-M" with M below 2, or a bare order M. *)
+          let order =
+            if String.starts_with ~prefix:"order-" s then order_of_name s
+            else int_of_string_opt s
+          in
+          match order with
+          | Some m when m >= 2 -> Ok (Order m)
+          | Some m ->
+              Error (Printf.sprintf "estimator order must be >= 2, got %d" m)
+          | None -> unknown))
+
 let all_paper_estimators = [ Worst_case; Order 4; Order 2; Composability ]
 
 type app = {

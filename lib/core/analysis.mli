@@ -23,6 +23,21 @@ type estimator =
   | Exact  (** Full Eq. 4 ({!Exact}). *)
 
 val estimator_name : estimator -> string
+(** The canonical name: ["worst-case"], ["second-order"], ["fourth-order"],
+    ["order-M"] for other orders, ["composability"], ["exact"].  It names
+    the estimator on the wire and in the estimate cache's key. *)
+
+val estimator_of_name : string -> (estimator, string) result
+(** Exactly the canonical names back, with ["order-M"] for any M >= 2 —
+    nothing looser.  Provenance records are checked against it. *)
+
+val estimator_of_string : string -> (estimator, string) result
+(** The grammar of the wire protocol and of the CLI's [--method]: any
+    {!estimator_of_name} name, the aliases ["wc"], ["o2"], ["o4"] and
+    ["comp"], or a bare order M >= 2; case and surrounding whitespace are
+    ignored.  Errors: [unknown estimator "s"], or [estimator order must be
+    >= 2, got M] for an order below 2. *)
+
 val all_paper_estimators : estimator list
 (** [[Worst_case; Order 4; Order 2; Composability]] — the four methods of the
     paper's evaluation, in its Figure 5 legend order. *)

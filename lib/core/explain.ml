@@ -1,11 +1,3 @@
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
 type contender = {
   c_app : string;
   c_actor : int;
@@ -47,23 +39,6 @@ type t = {
   usecase : string list;
   apps : app list;
 }
-
-let estimator_of_name s =
-  match s with
-  | "worst-case" -> Ok Analysis.Worst_case
-  | "second-order" -> Ok (Analysis.Order 2)
-  | "fourth-order" -> Ok (Analysis.Order 4)
-  | "composability" -> Ok Analysis.Composability
-  | "exact" -> Ok Analysis.Exact
-  | s -> (
-      match String.index_opt s '-' with
-      | Some i when String.sub s 0 i = "order" -> (
-          match
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          with
-          | Some m when m >= 2 -> Ok (Analysis.Order m)
-          | _ -> Error (Printf.sprintf "unknown estimator %S" s))
-      | _ -> Error (Printf.sprintf "unknown estimator %S" s))
 
 (* Periods come from the one period engine ({!Analysis.period_with}): the
    maximum cycle ratio of the HSDF expansion, named "mcm" in the record. *)
@@ -216,7 +191,7 @@ let same_float a b =
 let ( let* ) = Result.bind
 
 let verify (t : t) (apps : Analysis.app list) =
-  let* est = estimator_of_name t.estimator in
+  let* est = Analysis.estimator_of_name t.estimator in
   let* () =
     if t.engine = engine then Ok ()
     else Error (Printf.sprintf "unsupported period engine %S" t.engine)
@@ -257,20 +232,43 @@ let verify (t : t) (apps : Analysis.app list) =
             (Printf.sprintf "%s: record has %d actors, graph has %d" name
                (List.length x.x_actors) n)
       in
+      let own = Analysis.loads a in
       let responses = Array.make n 0. in
       let* () =
         List.fold_left
           (fun acc (ax : actor) ->
             let* () = acc in
+            let where =
+              Printf.sprintf "%s actor %d (%s)" name ax.a_index ax.a_name
+            in
+            let* () =
+              if ax.a_index < 0 || ax.a_index >= n then
+                Error (Printf.sprintf "%s: actor index out of range" where)
+              else Ok ()
+            in
+            (* What the use-case states outright: the actor's name and
+               processor, its execution time and its own load. *)
+            let g = Sdf.Graph.actor a.graph ax.a_index in
+            let proc = a.mapping.(ax.a_index) and load = own.(ax.a_index) in
+            let* () =
+              if String.equal ax.a_name g.name && ax.a_proc = proc then Ok ()
+              else
+                Error
+                  (Printf.sprintf "%s: the use-case has %s on processor %d"
+                     where g.name proc)
+            in
+            let* () =
+              check (where ^ " execution time") ~expect:ax.a_exec
+                ~got:g.exec_time
+            in
+            let* () = check (where ^ " P") ~expect:ax.a_p ~got:load.Prob.p in
+            let* () = check (where ^ " mu") ~expect:ax.a_mu ~got:load.Prob.mu in
             let loads =
               List.map
                 (fun c -> Prob.make ~p:c.c_p ~mu:c.c_mu ~tau:c.c_tau)
                 ax.a_contenders
             in
             let wait = Analysis.waiting_time_for est loads in
-            let where =
-              Printf.sprintf "%s actor %d (%s)" name ax.a_index ax.a_name
-            in
             let* () =
               check (where ^ " waiting time") ~expect:ax.a_wait ~got:wait
             in
@@ -279,12 +277,8 @@ let verify (t : t) (apps : Analysis.app list) =
               check (where ^ " response time") ~expect:ax.a_response
                 ~got:response
             in
-            if ax.a_index < 0 || ax.a_index >= n then
-              Error (Printf.sprintf "%s: actor index out of range" where)
-            else begin
-              responses.(ax.a_index) <- response;
-              Ok ()
-            end)
+            responses.(ax.a_index) <- response;
+            Ok ())
           (Ok ()) x.x_actors
       in
       let period =
@@ -300,225 +294,6 @@ let verify (t : t) (apps : Analysis.app list) =
         ~got:(period /. x.x_isolation))
     (Ok ())
     (List.combine t.apps apps)
-
-(* ------------------------------------------------------------------ *)
-(* JSON codec                                                            *)
-
-let int_j i = Num (float_of_int i)
-
-let contender_to_json c =
-  Obj
-    [
-      ("app", Str c.c_app);
-      ("actor", int_j c.c_actor);
-      ("p", Num c.c_p);
-      ("mu", Num c.c_mu);
-      ("tau", Num c.c_tau);
-    ]
-
-let fold_step_to_json f =
-  Obj
-    [
-      ("app", Str f.f_app);
-      ("actor", int_j f.f_actor);
-      ("p", Num f.f_p);
-      ("w", Num f.f_w);
-    ]
-
-let sandwich_to_json s =
-  Obj
-    [
-      ("order", int_j s.s_order);
-      ("lower", Num s.s_lower);
-      ("upper", Num s.s_upper);
-    ]
-
-let actor_to_json a =
-  Obj
-    ([
-       ("actor", int_j a.a_index);
-       ("name", Str a.a_name);
-       ("proc", int_j a.a_proc);
-       ("exec", Num a.a_exec);
-       ("p", Num a.a_p);
-       ("mu", Num a.a_mu);
-       ("contenders", Arr (List.map contender_to_json a.a_contenders));
-     ]
-    @ (match a.a_fold with
-      | [] -> []
-      | fold -> [ ("fold", Arr (List.map fold_step_to_json fold)) ])
-    @ (match a.a_sandwich with
-      | None -> []
-      | Some s -> [ ("sandwich", sandwich_to_json s) ])
-    @ [ ("wait", Num a.a_wait); ("response", Num a.a_response) ])
-
-let margin_to_json (m : Margin.t) =
-  Obj
-    [
-      ("confidence", Num m.confidence);
-      ("method", Str (Margin.method_to_string m.method_));
-      ("period", Num m.period);
-      ("lo", Num m.lo);
-      ("hi", Num m.hi);
-      ("mean", Num m.mean);
-      ("std", Num m.std);
-      ("samples", int_j m.samples);
-    ]
-
-let app_to_json x =
-  Obj
-    ([
-       ("app", Str x.x_app);
-       ("isolation_period", Num x.x_isolation);
-       ("period", Num x.x_period);
-       ("contention_factor", Num x.x_factor);
-       ("throughput", Num x.x_throughput);
-     ]
-    @ (match x.x_margin with
-      | None -> []
-      | Some m -> [ ("margin", margin_to_json m) ])
-    @ [ ("actors", Arr (List.map actor_to_json x.x_actors)) ])
-
-let to_json t =
-  Obj
-    [
-      ("estimator", Str t.estimator);
-      ("engine", Str t.engine);
-      ("usecase", Arr (List.map (fun a -> Str a) t.usecase));
-      ("apps", Arr (List.map app_to_json t.apps));
-    ]
-
-let member name = function
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let get_str = function Str s -> Some s | _ -> None
-let get_num = function Num n -> Some n | _ -> None
-let get_arr = function Arr xs -> Some xs | _ -> None
-
-let field name conv json =
-  match member name json with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
-
-let get_int v = Option.map int_of_float (get_num v)
-
-let map_result f xs =
-  List.fold_right
-    (fun x acc ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    xs (Ok [])
-
-let contender_of_json j =
-  let* c_app = field "app" get_str j in
-  let* c_actor = field "actor" get_int j in
-  let* c_p = field "p" get_num j in
-  let* c_mu = field "mu" get_num j in
-  let* c_tau = field "tau" get_num j in
-  Ok { c_app; c_actor; c_p; c_mu; c_tau }
-
-let fold_step_of_json j =
-  let* f_app = field "app" get_str j in
-  let* f_actor = field "actor" get_int j in
-  let* f_p = field "p" get_num j in
-  let* f_w = field "w" get_num j in
-  Ok { f_app; f_actor; f_p; f_w }
-
-let sandwich_of_json j =
-  let* s_order = field "order" get_int j in
-  let* s_lower = field "lower" get_num j in
-  let* s_upper = field "upper" get_num j in
-  Ok { s_order; s_lower; s_upper }
-
-let actor_of_json j =
-  let* a_index = field "actor" get_int j in
-  let* a_name = field "name" get_str j in
-  let* a_proc = field "proc" get_int j in
-  let* a_exec = field "exec" get_num j in
-  let* a_p = field "p" get_num j in
-  let* a_mu = field "mu" get_num j in
-  let* contenders = field "contenders" get_arr j in
-  let* a_contenders = map_result contender_of_json contenders in
-  let* a_fold =
-    match member "fold" j with
-    | None -> Ok []
-    | Some v -> (
-        match get_arr v with
-        | None -> Error "field \"fold\" has the wrong type"
-        | Some xs -> map_result fold_step_of_json xs)
-  in
-  let* a_sandwich =
-    match member "sandwich" j with
-    | None -> Ok None
-    | Some v -> Result.map Option.some (sandwich_of_json v)
-  in
-  let* a_wait = field "wait" get_num j in
-  let* a_response = field "response" get_num j in
-  Ok
-    {
-      a_index;
-      a_name;
-      a_proc;
-      a_exec;
-      a_p;
-      a_mu;
-      a_contenders;
-      a_fold;
-      a_sandwich;
-      a_wait;
-      a_response;
-    }
-
-let margin_of_json j =
-  let* confidence = field "confidence" get_num j in
-  let* method_name = field "method" get_str j in
-  let* method_ = Margin.method_of_string method_name in
-  let* period = field "period" get_num j in
-  let* lo = field "lo" get_num j in
-  let* hi = field "hi" get_num j in
-  let* mean = field "mean" get_num j in
-  let* std = field "std" get_num j in
-  let* samples = field "samples" get_int j in
-  let m = { Margin.confidence; method_; period; lo; hi; mean; std; samples } in
-  let* () = Margin.validate m in
-  Ok m
-
-let app_of_json j =
-  let* x_app = field "app" get_str j in
-  let* x_isolation = field "isolation_period" get_num j in
-  let* x_period = field "period" get_num j in
-  let* x_factor = field "contention_factor" get_num j in
-  let* x_throughput = field "throughput" get_num j in
-  let* x_margin =
-    (* Lenient in presence (older records have no margin), strict in shape. *)
-    match member "margin" j with
-    | None | Some Null -> Ok None
-    | Some v -> Result.map Option.some (margin_of_json v)
-  in
-  let* actors = field "actors" get_arr j in
-  let* x_actors = map_result actor_of_json actors in
-  Ok { x_app; x_isolation; x_period; x_factor; x_throughput; x_margin; x_actors }
-
-let of_json j =
-  let* estimator = field "estimator" get_str j in
-  let* engine = field "engine" get_str j in
-  let* usecase_json = field "usecase" get_arr j in
-  let* usecase =
-    map_result
-      (fun v ->
-        match get_str v with
-        | Some s -> Ok s
-        | None -> Error "field \"usecase\" has the wrong type")
-      usecase_json
-  in
-  let* apps_json = field "apps" get_arr j in
-  let* apps = map_result app_of_json apps_json in
-  Ok { estimator; engine; usecase; apps }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                             *)

@@ -20,20 +20,9 @@
     reproduces a served estimate exactly — which is what the serve daemon's
     [explain] command and the shadow auditor lean on.
 
-    The JSON codec is total: {!of_json} never raises, and
-    [of_json (to_json t) = Ok t]. *)
-
-(** A minimal JSON document — structurally the same shape as the serve
-    layer's codec, which cannot be used here because [serve] sits above
-    [contention].  The serve layer converts between the two representations
-    at the wire boundary. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+    The record's JSON codec is declared once, with the other wire records,
+    in [Serve.Protocol] ([explain_reply_to_json] / [explain_reply_of_json]);
+    this module knows no JSON. *)
 
 type contender = {
   c_app : string;  (** Application the contender belongs to. *)
@@ -98,10 +87,6 @@ type t = {
   apps : app list;
 }
 
-val estimator_of_name : string -> (Analysis.estimator, string) result
-(** Parse a canonical {!Analysis.estimator_name} back — exactly the names
-    {!compute} stores, nothing looser. *)
-
 val compute : Analysis.estimator -> Analysis.app list -> t
 (** Run one Figure-4 pass over exactly the given applications (the
     use-case), recording provenance along the way.  Every recorded number
@@ -117,19 +102,22 @@ val with_margins : t -> (string * Margin.t) list -> t
     record's reproducible numbers. *)
 
 val verify : t -> Analysis.app list -> (unit, string) result
-(** Re-derive the estimate from the provenance record: waiting times from
-    the recorded contender descriptors via the named estimator, response
-    times from the recorded execution times, periods from the application
-    graphs under the re-derived response times.  [Ok ()] iff every value
-    matches the record bit for bit ([Error] names the first divergence).
-    A record naming any period engine other than ["mcm"] is refused.
+(** Re-derive the estimate from the provenance record and demand bit-for-bit
+    agreement ([Error] names the first divergence):
+    - the estimator must be a canonical name ({!Analysis.estimator_of_name})
+      and the period engine ["mcm"];
+    - per application: its name and isolation period are the use-case's;
+    - per actor: its index is in range, and its name, processor, execution
+      time and own load [p]/[mu] are the graph's, the mapping's and
+      {!Analysis.loads}';
+    - its waiting time follows from the recorded contender descriptors via
+      the named estimator (contenders are taken from the record, not
+      re-derived from the mapping), and its response time is execution
+      time plus wait;
+    - each period, throughput and contention factor follows from the
+      application graph under the re-derived response times.
     The [apps] must be the use-case the record was computed for, in record
     order. *)
-
-val to_json : t -> json
-
-val of_json : json -> (t, string) result
-(** Total: malformed documents yield [Error], never an exception. *)
 
 val render : t -> string
 (** Human-readable explanation: one block per application with its period

@@ -272,3 +272,109 @@ let get_int = function
 let get_bool = function Bool b -> Some b | _ -> None
 let get_arr = function Arr xs -> Some xs | _ -> None
 let get_obj = function Obj kvs -> Some kvs | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Codecs                                                              *)
+
+(* Decoders raise [Wrong_type] on a shape mismatch, which the enclosing
+   member turns into its "wrong type" message, and [Invalid] with a final
+   message; {!decode}, {!field} and {!opt_field} catch both, so the public
+   surface is total. *)
+exception Wrong_type
+exception Invalid of string
+
+type 'a codec = { enc : 'a -> t; dec : t -> 'a }
+
+let encode c v = c.enc v
+
+let decode c json =
+  match c.dec json with
+  | v -> Ok v
+  | exception Invalid msg -> Error msg
+  | exception Wrong_type -> Error "value has the wrong type"
+
+let value = { enc = Fun.id; dec = Fun.id }
+
+let leaf enc get =
+  let dec json = match get json with Some v -> v | None -> raise Wrong_type in
+  { enc; dec }
+
+let num = leaf (fun x -> Num x) get_num
+let int = leaf (fun i -> Num (float_of_int i)) get_int
+let str = leaf (fun s -> Str s) get_str
+let bool = leaf (fun b -> Bool b) get_bool
+
+let list c =
+  {
+    enc = (fun xs -> Arr (List.map c.enc xs));
+    dec = (function Arr xs -> List.map c.dec xs | _ -> raise Wrong_type);
+  }
+
+let conv of_ to_ c =
+  {
+    enc = (fun v -> c.enc (to_ v));
+    dec =
+      (fun json ->
+        match of_ (c.dec json) with
+        | Ok v -> v
+        | Error msg -> raise (Invalid msg));
+  }
+
+let member_value name c v =
+  try c.dec v
+  with Wrong_type ->
+    raise (Invalid (Printf.sprintf "field %S has the wrong type" name))
+
+let member_exn name c json =
+  match member name json with
+  | None -> raise (Invalid (Printf.sprintf "missing field %S" name))
+  | Some v -> member_value name c v
+
+let opt_member_exn name c json =
+  match member name json with
+  | None | Some Null -> None
+  | Some v -> Some (member_value name c v)
+
+let field name c json =
+  match member_exn name c json with
+  | v -> Ok v
+  | exception Invalid msg -> Error msg
+
+let opt_field name c json =
+  match opt_member_exn name c json with
+  | v -> Ok v
+  | exception Invalid msg -> Error msg
+
+(* An object under construction: [members] conses the declared members
+   in front of a tail (so the last declared is consed first and no list is
+   reversed), [build] applies the constructor to the members in declaration
+   order. *)
+type ('r, 'k) obj = {
+  members : 'r -> (string * t) list -> (string * t) list;
+  build : t -> 'k;
+}
+
+let obj k = { members = (fun _ tail -> tail); build = (fun _ -> k) }
+
+let mem name c get o =
+  {
+    members = (fun r tail -> o.members r ((name, c.enc (get r)) :: tail));
+    build =
+      (fun json ->
+        let k = o.build json in
+        k (member_exn name c json));
+  }
+
+let opt_mem name c get o =
+  {
+    members =
+      (fun r tail ->
+        o.members r
+          (match get r with None -> tail | Some v -> (name, c.enc v) :: tail));
+    build =
+      (fun json ->
+        let k = o.build json in
+        k (opt_member_exn name c json));
+  }
+
+let finish o = { enc = (fun r -> Obj (o.members r [])); dec = o.build }

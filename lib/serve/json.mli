@@ -48,3 +48,61 @@ val get_int : t -> int option
 val get_bool : t -> bool option
 val get_arr : t -> t list option
 val get_obj : t -> (string * t) list option
+
+(** {1 Codecs}
+
+    A ['a codec] pairs an encoder with a total decoder, so one declaration
+    gives a wire record both directions, e.g.
+    [obj (fun app period -> { app; period }) |> mem "app" str (fun r -> r.app)
+     |> mem "period" num (fun r -> r.period) |> finish].
+    Objects encode their members in declaration order and decode them in
+    the same order, ignoring unknown members, so the first bad member
+    names the error: [missing field "x"], [field "x" has the wrong type]
+    (also when one list element is), or a {!conv} validation's message.
+    Build codecs once, at top level: declaring one allocates, using it
+    allocates only the values it produces. *)
+
+type 'a codec
+
+val encode : 'a codec -> 'a -> t
+val decode : 'a codec -> t -> ('a, string) result
+
+val value : t codec
+(** Any value, as is. *)
+
+val num : float codec
+
+val int : int codec
+(** Integral numbers of magnitude at most 1e15, as {!get_int}. *)
+
+val str : string codec
+val bool : bool codec
+val list : 'a codec -> 'a list codec
+
+val conv : ('a -> ('b, string) result) -> ('b -> 'a) -> 'a codec -> 'b codec
+(** [conv of_ to_ c]: decode with [c], then validate with [of_]; encode
+    through [to_]. *)
+
+type ('r, 'k) obj
+(** A record codec under construction; ['k] is what the constructor still
+    takes. *)
+
+val obj : 'k -> ('r, 'k) obj
+(** Start from the constructor, a function of the members in order. *)
+
+val mem : string -> 'a codec -> ('r -> 'a) -> ('r, 'a -> 'k) obj -> ('r, 'k) obj
+(** A required member and its getter. *)
+
+val opt_mem :
+  string -> 'a codec -> ('r -> 'a option) -> ('r, 'a option -> 'k) obj ->
+  ('r, 'k) obj
+(** An optional member: omitted when [None]; absent or [null] reads as
+    [None]. *)
+
+val finish : ('r, 'r) obj -> 'r codec
+
+val field : string -> 'a codec -> t -> ('a, string) result
+(** A member of an object, decoded — for hand-written decoders. *)
+
+val opt_field : string -> 'a codec -> t -> ('a option, string) result
+(** Like {!field}; an absent or [null] member is [Ok None]. *)

@@ -42,87 +42,67 @@ type request =
 
 let default_session = "default"
 
-let estimator_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "worst-case" | "wc" -> Ok Contention.Analysis.Worst_case
-  | "second-order" | "o2" -> Ok (Contention.Analysis.Order 2)
-  | "fourth-order" | "o4" -> Ok (Contention.Analysis.Order 4)
-  | "composability" | "comp" -> Ok Contention.Analysis.Composability
-  | "exact" -> Ok Contention.Analysis.Exact
-  | s -> (
-      let order m =
-        if m >= 2 then Ok (Contention.Analysis.Order m)
-        else Error (Printf.sprintf "estimator order must be >= 2, got %d" m)
-      in
-      match int_of_string_opt s with
-      | Some m -> order m
-      | None -> (
-          (* The canonical name of Order m for m outside {2, 4}. *)
-          match String.index_opt s '-' with
-          | Some i
-            when String.sub s 0 i = "order" -> (
-              match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-              | Some m -> order m
-              | None -> Error (Printf.sprintf "unknown estimator %S" s))
-          | _ -> Error (Printf.sprintf "unknown estimator %S" s)))
-
-let estimator_to_string = Contention.Analysis.estimator_name
-
-(* ------------------------------------------------------------------ *)
-(* Field helpers                                                       *)
+let cmd_name = function
+  | Ping -> "ping"
+  | Upload _ -> "upload"
+  | Estimate _ -> "estimate"
+  | Explain _ -> "explain"
+  | Admit _ -> "admit"
+  | Release _ -> "release"
+  | Cache_put _ -> "cache-put"
+  | Stats -> "stats"
+  | Metrics -> "metrics"
+  | Shutdown -> "shutdown"
 
 let ( let* ) = Result.bind
 
-let field name conv json =
-  match Json.member name json with
-  | None -> Error (Printf.sprintf "missing field %S" name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+(* ------------------------------------------------------------------ *)
+(* Codecs shared by requests and replies                               *)
 
-let opt_field name conv json =
-  match Json.member name json with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None -> Error (Printf.sprintf "field %S has the wrong type" name))
+let names = Json.list Json.str
 
-let str_list json =
-  match Json.get_arr json with
-  | None -> None
-  | Some xs ->
-      List.fold_right
-        (fun x acc ->
-          match (Json.get_str x, acc) with
-          | Some s, Some rest -> Some (s :: rest)
-          | _ -> None)
-        xs (Some [])
+let estimator =
+  Json.conv Contention.Analysis.estimator_of_string
+    Contention.Analysis.estimator_name Json.str
 
-let estimate_row_to_json r =
-  Json.Obj
-    [
-      ("app", Json.Str r.app);
-      ("period", Json.Num r.period);
-      ("isolation_period", Json.Num r.isolation_period);
-      ("throughput", Json.Num r.throughput);
-    ]
+let confidence =
+  Json.conv
+    (fun c ->
+      if Float.is_finite c && c > 0. && c < 1. then Ok c
+      else Error "confidence must be in (0,1)")
+    Fun.id Json.num
 
-let estimate_row_of_json json =
-  let* app = field "app" Json.get_str json in
-  let* period = field "period" Json.get_num json in
-  let* isolation_period = field "isolation_period" Json.get_num json in
-  let* throughput = field "throughput" Json.get_num json in
-  Ok { app; period; isolation_period; throughput }
+let margin_method =
+  Json.conv Contention.Margin.method_of_string
+    Contention.Margin.method_to_string Json.str
 
-let rows_of_json rows_json =
-  List.fold_right
-    (fun r acc ->
-      let* acc = acc in
-      let* row = estimate_row_of_json r in
-      Ok (row :: acc))
-    rows_json (Ok [])
+let margin =
+  let open Contention.Margin in
+  Json.(
+    obj (fun confidence method_ period lo hi mean std samples ->
+        { confidence; method_; period; lo; hi; mean; std; samples })
+    |> mem "confidence" num (fun m -> m.confidence)
+    |> mem "method" margin_method (fun m -> m.method_)
+    |> mem "period" num (fun m -> m.period)
+    |> mem "lo" num (fun m -> m.lo)
+    |> mem "hi" num (fun m -> m.hi)
+    |> mem "mean" num (fun m -> m.mean)
+    |> mem "std" num (fun m -> m.std)
+    |> mem "samples" int (fun m -> m.samples)
+    |> finish
+    |> conv (fun m -> Result.map (fun () -> m) (validate m)) Fun.id)
+
+let estimate_row =
+  Json.(
+    obj (fun app period isolation_period throughput ->
+        { app; period; isolation_period; throughput })
+    |> mem "app" str (fun r -> r.app)
+    |> mem "period" num (fun r -> r.period)
+    |> mem "isolation_period" num (fun r -> r.isolation_period)
+    |> mem "throughput" num (fun r -> r.throughput)
+    |> finish)
+
+let rows = Json.list estimate_row
 
 (* ------------------------------------------------------------------ *)
 (* Trace context envelope                                              *)
@@ -171,144 +151,94 @@ let trace_of_request json : Obs.Span.ctx option =
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 
-let base_request_to_json = function
-  | Ping -> Json.Obj [ ("cmd", Json.Str "ping") ]
-  | Upload { payload } ->
-      Json.Obj [ ("cmd", Json.Str "upload"); ("workload", Json.Str payload) ]
-  | Estimate { digest; usecase; estimator } ->
-      Json.Obj
-        ([ ("cmd", Json.Str "estimate"); ("workload", Json.Str digest) ]
-        @ (match usecase with
-          | None -> []
-          | Some apps ->
-              [ ("usecase", Json.Arr (List.map (fun a -> Json.Str a) apps)) ])
-        @ [ ("estimator", Json.Str (estimator_to_string estimator)) ])
-  | Admit { session; digest; app; min_throughput; confidence; margin_method } ->
-      Json.Obj
-        ([
-           ("cmd", Json.Str "admit");
-           ("session", Json.Str session);
-           ("workload", Json.Str digest);
-           ("app", Json.Str app);
-           ("min_throughput", Json.Num min_throughput);
-         ]
-        @ (match confidence with
-          | None -> []
-          | Some c -> [ ("confidence", Json.Num c) ])
-        @
-        match margin_method with
-        | None -> []
-        | Some m ->
-            [ ("margin_method", Json.Str (Contention.Margin.method_to_string m)) ])
-  | Release { session; app } ->
-      Json.Obj
-        [
-          ("cmd", Json.Str "release");
-          ("session", Json.Str session);
-          ("app", Json.Str app);
-        ]
-  | Cache_put { digest; mask; estimator; rows } ->
-      Json.Obj
-        [
-          ("cmd", Json.Str "cache-put");
-          ("workload", Json.Str digest);
-          ("mask", Json.Num (float_of_int mask));
-          ("estimator", Json.Str estimator);
-          ("results", Json.Arr (List.map estimate_row_to_json rows));
-        ]
-  | Explain { digest; usecase; estimator } ->
-      Json.Obj
-        ([ ("cmd", Json.Str "explain"); ("workload", Json.Str digest) ]
-        @ (match usecase with
-          | None -> []
-          | Some apps ->
-              [ ("usecase", Json.Arr (List.map (fun a -> Json.Str a) apps)) ])
-        @ [ ("estimator", Json.Str (estimator_to_string estimator)) ])
-  | Stats -> Json.Obj [ ("cmd", Json.Str "stats") ]
-  | Metrics -> Json.Obj [ ("cmd", Json.Str "metrics") ]
-  | Shutdown -> Json.Obj [ ("cmd", Json.Str "shutdown") ]
-
 let request_to_json ?trace req =
-  match (trace, base_request_to_json req) with
-  | Some c, Json.Obj fields -> Json.Obj (fields @ [ ("trace", trace_to_json c) ])
-  | _, json -> json
+  let tail =
+    match trace with None -> [] | Some c -> [ ("trace", trace_to_json c) ]
+  in
+  let members =
+    match req with
+    | Ping | Stats | Metrics | Shutdown -> tail
+    | Upload { payload } -> ("workload", Json.Str payload) :: tail
+    | Estimate { digest; usecase; estimator = e }
+    | Explain { digest; usecase; estimator = e } ->
+        ("workload", Json.Str digest)
+        :: (match usecase with
+           | None -> []
+           | Some apps -> [ ("usecase", Json.encode names apps) ])
+        @ ("estimator", Json.encode estimator e) :: tail
+    | Admit r ->
+        ("session", Json.Str r.session)
+        :: ("workload", Json.Str r.digest)
+        :: ("app", Json.Str r.app)
+        :: ("min_throughput", Json.Num r.min_throughput)
+        :: (match r.confidence with
+           | None -> []
+           | Some c -> [ ("confidence", Json.encode confidence c) ])
+        @ (match r.margin_method with
+          | None -> []
+          | Some m -> [ ("margin_method", Json.encode margin_method m) ])
+        @ tail
+    | Release { session; app } ->
+        ("session", Json.Str session) :: ("app", Json.Str app) :: tail
+    | Cache_put { digest; mask; estimator; rows = r } ->
+        ("workload", Json.Str digest)
+        :: ("mask", Json.encode Json.int mask)
+        :: ("estimator", Json.Str estimator)
+        :: ("results", Json.encode rows r)
+        :: tail
+  in
+  Json.Obj (("cmd", Json.Str (cmd_name req)) :: members)
 
 let request_of_json json =
-  match Json.get_obj json with
-  | None -> Error "request must be a JSON object"
-  | Some _ -> (
-      let* cmd = field "cmd" Json.get_str json in
+  match json with
+  | Json.Obj _ -> (
+      let* cmd = Json.field "cmd" Json.str json in
       match cmd with
       | "ping" -> Ok Ping
       | "upload" ->
-          let* payload = field "workload" Json.get_str json in
+          let* payload = Json.field "workload" Json.str json in
           Ok (Upload { payload })
       | "estimate" | "explain" ->
-          let* digest = field "workload" Json.get_str json in
-          let* usecase = opt_field "usecase" str_list json in
-          let* name =
-            match Json.member "estimator" json with
-            | None | Some Json.Null -> Ok "second-order"
-            | Some v -> (
-                match Json.get_str v with
-                | Some s -> Ok s
-                | None -> Error "field \"estimator\" has the wrong type")
+          let* digest = Json.field "workload" Json.str json in
+          let* usecase = Json.opt_field "usecase" names json in
+          let* e = Json.opt_field "estimator" estimator json in
+          let estimator =
+            Option.value e ~default:(Contention.Analysis.Order 2)
           in
-          let* estimator = estimator_of_string name in
           if cmd = "explain" then Ok (Explain { digest; usecase; estimator })
           else Ok (Estimate { digest; usecase; estimator })
       | "admit" ->
-          let* session =
-            Result.map
-              (Option.value ~default:default_session)
-              (opt_field "session" Json.get_str json)
-          in
-          let* digest = field "workload" Json.get_str json in
-          let* app = field "app" Json.get_str json in
-          let* min_throughput = field "min_throughput" Json.get_num json in
-          let* confidence = opt_field "confidence" Json.get_num json in
-          let* confidence =
-            match confidence with
-            | None -> Ok None
-            | Some c ->
-                if Float.is_finite c && c > 0. && c < 1. then Ok (Some c)
-                else Error "confidence must be in (0,1)"
-          in
+          let* session = Json.opt_field "session" Json.str json in
+          let* digest = Json.field "workload" Json.str json in
+          let* app = Json.field "app" Json.str json in
+          let* min_throughput = Json.field "min_throughput" Json.num json in
+          let* confidence = Json.opt_field "confidence" confidence json in
           let* margin_method =
-            match Json.member "margin_method" json with
-            | None | Some Json.Null -> Ok None
-            | Some v -> (
-                match Json.get_str v with
-                | None -> Error "field \"margin_method\" has the wrong type"
-                | Some s ->
-                    Result.map Option.some
-                      (Contention.Margin.method_of_string s))
+            Json.opt_field "margin_method" margin_method json
           in
           if Float.is_finite min_throughput && min_throughput >= 0. then
+            let session = Option.value session ~default:default_session in
             Ok
               (Admit
                  { session; digest; app; min_throughput; confidence; margin_method })
           else Error "min_throughput must be finite and non-negative"
       | "release" ->
-          let* session =
-            Result.map
-              (Option.value ~default:default_session)
-              (opt_field "session" Json.get_str json)
-          in
-          let* app = field "app" Json.get_str json in
+          let* session = Json.opt_field "session" Json.str json in
+          let* app = Json.field "app" Json.str json in
+          let session = Option.value session ~default:default_session in
           Ok (Release { session; app })
       | "cache-put" ->
-          let* digest = field "workload" Json.get_str json in
-          let* mask = field "mask" Json.get_int json in
-          let* estimator = field "estimator" Json.get_str json in
-          let* rows_json = field "results" Json.get_arr json in
-          let* rows = rows_of_json rows_json in
+          let* digest = Json.field "workload" Json.str json in
+          let* mask = Json.field "mask" Json.int json in
+          let* estimator = Json.field "estimator" Json.str json in
+          let* rows = Json.field "results" rows json in
           if mask < 0 then Error "mask must be non-negative"
           else Ok (Cache_put { digest; mask; estimator; rows })
       | "stats" -> Ok Stats
       | "metrics" -> Ok Metrics
       | "shutdown" -> Ok Shutdown
       | cmd -> Error (Printf.sprintf "unknown command %S" cmd))
+  | _ -> Error "request must be a JSON object"
 
 (* ------------------------------------------------------------------ *)
 (* Replies                                                             *)
@@ -399,106 +329,147 @@ let pool_occupancy s =
 
 type metrics_reply = { prometheus : string }
 
-let metrics_reply_to_json r = Json.Obj [ ("prometheus", Json.Str r.prometheus) ]
+let metrics_reply =
+  Json.(
+    obj (fun prometheus -> { prometheus })
+    |> mem "prometheus" str (fun r -> r.prometheus)
+    |> finish)
 
-let metrics_reply_of_json json =
-  let* prometheus = field "prometheus" Json.get_str json in
-  Ok { prometheus }
+let upload_reply =
+  Json.(
+    obj (fun digest apps procs -> { digest; apps; procs })
+    |> mem "digest" str (fun r -> r.digest)
+    |> mem "apps" names (fun r -> r.apps)
+    |> mem "procs" int (fun r -> r.procs)
+    |> finish)
 
-let upload_reply_to_json r =
-  Json.Obj
-    [
-      ("digest", Json.Str r.digest);
-      ("apps", Json.Arr (List.map (fun a -> Json.Str a) r.apps));
-      ("procs", Json.Num (float_of_int r.procs));
-    ]
+let estimate_reply =
+  Json.(
+    obj (fun cached estimator rows -> { cached; estimator; rows })
+    |> mem "cached" bool (fun r -> r.cached)
+    |> mem "estimator" str (fun r -> r.estimator)
+    |> mem "results" rows (fun r -> r.rows)
+    |> finish)
 
-let upload_reply_of_json json =
-  let* digest = field "digest" Json.get_str json in
-  let* apps = field "apps" str_list json in
-  let* procs = field "procs" Json.get_int json in
-  Ok { digest; apps; procs }
+let metrics_reply_to_json = Json.encode metrics_reply
+let metrics_reply_of_json = Json.decode metrics_reply
+let upload_reply_to_json = Json.encode upload_reply
+let upload_reply_of_json = Json.decode upload_reply
+let estimate_reply_to_json = Json.encode estimate_reply
+let estimate_reply_of_json = Json.decode estimate_reply
+let margin_to_json = Json.encode margin
+let margin_of_json = Json.decode margin
 
-let estimate_reply_to_json r =
-  Json.Obj
-    [
-      ("cached", Json.Bool r.cached);
-      ("estimator", Json.Str r.estimator);
-      ("results", Json.Arr (List.map estimate_row_to_json r.rows));
-    ]
+(* The provenance record of one Figure-4 pass ({!Contention.Explain.t}). *)
+module Explain_codec = struct
+  open Contention.Explain
 
-let estimate_reply_of_json json =
-  let* cached = field "cached" Json.get_bool json in
-  let* estimator = field "estimator" Json.get_str json in
-  let* rows_json = field "results" Json.get_arr json in
-  let* rows = rows_of_json rows_json in
-  Ok { cached; estimator; rows }
+  let contender =
+    Json.(
+      obj (fun c_app c_actor c_p c_mu c_tau ->
+          { c_app; c_actor; c_p; c_mu; c_tau })
+      |> mem "app" str (fun c -> c.c_app)
+      |> mem "actor" int (fun c -> c.c_actor)
+      |> mem "p" num (fun c -> c.c_p)
+      |> mem "mu" num (fun c -> c.c_mu)
+      |> mem "tau" num (fun c -> c.c_tau)
+      |> finish)
 
-(* The provenance record's JSON lives in [Contention.Explain] (core cannot
-   see the serve layer's codec); the two ASTs are structurally identical, so
-   the bridge is a plain structural copy in each direction. *)
-let rec json_of_explain : Contention.Explain.json -> Json.t = function
-  | Contention.Explain.Null -> Json.Null
-  | Contention.Explain.Bool b -> Json.Bool b
-  | Contention.Explain.Num n -> Json.Num n
-  | Contention.Explain.Str s -> Json.Str s
-  | Contention.Explain.Arr xs -> Json.Arr (List.map json_of_explain xs)
-  | Contention.Explain.Obj fields ->
-      Json.Obj (List.map (fun (k, v) -> (k, json_of_explain v)) fields)
+  let fold_step =
+    Json.(
+      obj (fun f_app f_actor f_p f_w -> { f_app; f_actor; f_p; f_w })
+      |> mem "app" str (fun f -> f.f_app)
+      |> mem "actor" int (fun f -> f.f_actor)
+      |> mem "p" num (fun f -> f.f_p)
+      |> mem "w" num (fun f -> f.f_w)
+      |> finish)
 
-let rec explain_json_of_json : Json.t -> Contention.Explain.json = function
-  | Json.Null -> Contention.Explain.Null
-  | Json.Bool b -> Contention.Explain.Bool b
-  | Json.Num n -> Contention.Explain.Num n
-  | Json.Str s -> Contention.Explain.Str s
-  | Json.Arr xs -> Contention.Explain.Arr (List.map explain_json_of_json xs)
-  | Json.Obj fields ->
-      Contention.Explain.Obj
-        (List.map (fun (k, v) -> (k, explain_json_of_json v)) fields)
+  let sandwich =
+    Json.(
+      obj (fun s_order s_lower s_upper -> { s_order; s_lower; s_upper })
+      |> mem "order" int (fun s -> s.s_order)
+      |> mem "lower" num (fun s -> s.s_lower)
+      |> mem "upper" num (fun s -> s.s_upper)
+      |> finish)
 
-let explain_reply_to_json (e : Contention.Explain.t) =
-  json_of_explain (Contention.Explain.to_json e)
+  (* An empty fold lineage is omitted, like an absent sandwich. *)
+  let actor =
+    Json.(
+      obj
+        (fun a_index a_name a_proc a_exec a_p a_mu a_contenders fold a_sandwich
+             a_wait a_response ->
+          {
+            a_index;
+            a_name;
+            a_proc;
+            a_exec;
+            a_p;
+            a_mu;
+            a_contenders;
+            a_fold = Option.value fold ~default:[];
+            a_sandwich;
+            a_wait;
+            a_response;
+          })
+      |> mem "actor" int (fun a -> a.a_index)
+      |> mem "name" str (fun a -> a.a_name)
+      |> mem "proc" int (fun a -> a.a_proc)
+      |> mem "exec" num (fun a -> a.a_exec)
+      |> mem "p" num (fun a -> a.a_p)
+      |> mem "mu" num (fun a -> a.a_mu)
+      |> mem "contenders" (list contender) (fun a -> a.a_contenders)
+      |> opt_mem "fold" (list fold_step) (fun a ->
+             match a.a_fold with [] -> None | fold -> Some fold)
+      |> opt_mem "sandwich" sandwich (fun a -> a.a_sandwich)
+      |> mem "wait" num (fun a -> a.a_wait)
+      |> mem "response" num (fun a -> a.a_response)
+      |> finish)
 
-let explain_reply_of_json json =
-  Contention.Explain.of_json (explain_json_of_json json)
+  let app =
+    Json.(
+      obj
+        (fun x_app x_isolation x_period x_factor x_throughput x_margin x_actors ->
+          {
+            x_app;
+            x_isolation;
+            x_period;
+            x_factor;
+            x_throughput;
+            x_margin;
+            x_actors;
+          })
+      |> mem "app" str (fun x -> x.x_app)
+      |> mem "isolation_period" num (fun x -> x.x_isolation)
+      |> mem "period" num (fun x -> x.x_period)
+      |> mem "contention_factor" num (fun x -> x.x_factor)
+      |> mem "throughput" num (fun x -> x.x_throughput)
+      |> opt_mem "margin" margin (fun x -> x.x_margin)
+      |> mem "actors" (list actor) (fun x -> x.x_actors)
+      |> finish)
 
-let margin_to_json (m : Contention.Margin.t) =
-  Json.Obj
-    [
-      ("confidence", Json.Num m.confidence);
-      ("method", Json.Str (Contention.Margin.method_to_string m.method_));
-      ("period", Json.Num m.period);
-      ("lo", Json.Num m.lo);
-      ("hi", Json.Num m.hi);
-      ("mean", Json.Num m.mean);
-      ("std", Json.Num m.std);
-      ("samples", Json.Num (float_of_int m.samples));
-    ]
+  let t =
+    Json.(
+      obj (fun estimator engine usecase apps ->
+          { estimator; engine; usecase; apps })
+      |> mem "estimator" str (fun e -> e.estimator)
+      |> mem "engine" str (fun e -> e.engine)
+      |> mem "usecase" names (fun e -> e.usecase)
+      |> mem "apps" (list app) (fun e -> e.apps)
+      |> finish)
+end
 
-let margin_of_json json =
-  let* confidence = field "confidence" Json.get_num json in
-  let* method_name = field "method" Json.get_str json in
-  let* method_ = Contention.Margin.method_of_string method_name in
-  let* period = field "period" Json.get_num json in
-  let* lo = field "lo" Json.get_num json in
-  let* hi = field "hi" Json.get_num json in
-  let* mean = field "mean" Json.get_num json in
-  let* std = field "std" Json.get_num json in
-  let* samples = field "samples" Json.get_int json in
-  let m =
-    { Contention.Margin.confidence; method_; period; lo; hi; mean; std; samples }
-  in
-  let* () = Contention.Margin.validate m in
-  Ok m
+let explain_reply_to_json = Json.encode Explain_codec.t
+let explain_reply_of_json = Json.decode Explain_codec.t
 
 let verdict_to_json = function
-  | Admitted { throughput; margin } ->
+  | Admitted { throughput; margin = m } ->
       Json.Obj
-        ([ ("verdict", Json.Str "admitted"); ("throughput", Json.Num throughput) ]
-        @
-        match margin with
+        (("verdict", Json.Str "admitted")
+        :: ("throughput", Json.Num throughput)
+        ::
+        (match m with
         | None -> []
-        | Some m -> [ ("margin", margin_to_json m) ])
+        | Some m -> [ ("margin", Json.encode margin m) ]))
   | Rejected_candidate { estimated; required } ->
       Json.Obj
         [
@@ -516,26 +487,56 @@ let verdict_to_json = function
         ]
 
 let verdict_of_json json =
-  let* kind = field "verdict" Json.get_str json in
+  let* kind = Json.field "verdict" Json.str json in
   match kind with
   | "admitted" ->
-      let* throughput = field "throughput" Json.get_num json in
-      let* margin =
-        match Json.member "margin" json with
-        | None | Some Json.Null -> Ok None
-        | Some m -> Result.map Option.some (margin_of_json m)
-      in
+      let* throughput = Json.field "throughput" Json.num json in
+      let* margin = Json.opt_field "margin" margin json in
       Ok (Admitted { throughput; margin })
   | "rejected-candidate" ->
-      let* estimated = field "estimated" Json.get_num json in
-      let* required = field "required" Json.get_num json in
+      let* estimated = Json.field "estimated" Json.num json in
+      let* required = Json.field "required" Json.num json in
       Ok (Rejected_candidate { estimated; required })
   | "rejected-victim" ->
-      let* victim = field "victim" Json.get_str json in
-      let* estimated = field "estimated" Json.get_num json in
-      let* required = field "required" Json.get_num json in
+      let* victim = Json.field "victim" Json.str json in
+      let* estimated = Json.field "estimated" Json.num json in
+      let* required = Json.field "required" Json.num json in
       Ok (Rejected_victim { victim; estimated; required })
   | k -> Error (Printf.sprintf "unknown verdict %S" k)
+
+(* Every member reads as zero when absent: servers that predate a counter
+   leave it out. *)
+let audit_stats =
+  let n = Option.value ~default:0 and x = Option.value ~default:0. in
+  Json.(
+    obj
+      (fun sample submitted completed dropped failed mean_err max_abs_err alarms
+           drifting checked missed ->
+        {
+          audit_sample = n sample;
+          audit_submitted = n submitted;
+          audit_completed = n completed;
+          audit_dropped = n dropped;
+          audit_failed = n failed;
+          audit_mean_err = x mean_err;
+          audit_max_abs_err = x max_abs_err;
+          audit_alarms = n alarms;
+          audit_drifting = Option.value drifting ~default:[];
+          audit_margin_checked = n checked;
+          audit_margin_missed = n missed;
+        })
+    |> opt_mem "sample" int (fun a -> Some a.audit_sample)
+    |> opt_mem "submitted" int (fun a -> Some a.audit_submitted)
+    |> opt_mem "completed" int (fun a -> Some a.audit_completed)
+    |> opt_mem "dropped" int (fun a -> Some a.audit_dropped)
+    |> opt_mem "failed" int (fun a -> Some a.audit_failed)
+    |> opt_mem "mean_err" num (fun a -> Some a.audit_mean_err)
+    |> opt_mem "max_abs_err" num (fun a -> Some a.audit_max_abs_err)
+    |> opt_mem "alarms" int (fun a -> Some a.audit_alarms)
+    |> opt_mem "drifting" names (fun a -> Some a.audit_drifting)
+    |> opt_mem "margin_checked" int (fun a -> Some a.audit_margin_checked)
+    |> opt_mem "margin_missed" int (fun a -> Some a.audit_margin_missed)
+    |> finish)
 
 let stats_reply_to_json s =
   Json.Obj
@@ -594,117 +595,57 @@ let stats_reply_to_json s =
             ("burn_1m", Json.Num s.slo_burn_1m);
             ("burn_1h", Json.Num s.slo_burn_1h);
           ] );
-      ( "audit",
-        Json.Obj
-          [
-            ("sample", Json.Num (float_of_int s.audit.audit_sample));
-            ("submitted", Json.Num (float_of_int s.audit.audit_submitted));
-            ("completed", Json.Num (float_of_int s.audit.audit_completed));
-            ("dropped", Json.Num (float_of_int s.audit.audit_dropped));
-            ("failed", Json.Num (float_of_int s.audit.audit_failed));
-            ("mean_err", Json.Num s.audit.audit_mean_err);
-            ("max_abs_err", Json.Num s.audit.audit_max_abs_err);
-            ("alarms", Json.Num (float_of_int s.audit.audit_alarms));
-            ( "drifting",
-              Json.Arr
-                (List.map (fun e -> Json.Str e) s.audit.audit_drifting) );
-            ( "margin_checked",
-              Json.Num (float_of_int s.audit.audit_margin_checked) );
-            ( "margin_missed",
-              Json.Num (float_of_int s.audit.audit_margin_missed) );
-          ] );
+      ("audit", Json.encode audit_stats s.audit);
     ]
 
 let stats_reply_of_json json =
-  let* uptime_s = field "uptime_s" Json.get_num json in
-  let* connections = field "connections" Json.get_int json in
-  let* requests_obj = field "requests" Json.get_obj json in
-  let* requests_total =
-    field "total" Json.get_int (Json.Obj requests_obj)
-  in
+  (* What a server of an older version leaves out (margin accounting, the
+     slo and audit blocks) reads as zero, so a new client reads its stats. *)
+  let or_ d = function Ok (Some v) -> v | Ok None | Error _ -> d in
+  let* uptime_s = Json.field "uptime_s" Json.num json in
+  let* connections = Json.field "connections" Json.int json in
+  let* requests = Json.field "requests" Json.value json in
+  let* requests_total = Json.field "total" Json.int requests in
   let requests =
     List.filter_map
       (fun (k, v) ->
-        if k = "total" then None
-        else Option.map (fun n -> (k, n)) (Json.get_int v))
-      requests_obj
+        match Json.decode Json.int v with
+        | Ok n when k <> "total" -> Some (k, n)
+        | _ -> None)
+      (Option.value ~default:[] (Json.get_obj requests))
   in
-  let* workloads = field "workloads" Json.get_int json in
-  let* sessions = field "sessions" Json.get_int json in
-  let* cache = field "cache" (fun j -> Some j) json in
-  let* cache_entries = field "entries" Json.get_int cache in
-  let* cache_capacity = field "capacity" Json.get_int cache in
-  let* cache_hits = field "hits" Json.get_int cache in
-  let* cache_misses = field "misses" Json.get_int cache in
-  let* pool = field "pool" (fun j -> Some j) json in
-  let* active_connections = field "active_connections" Json.get_int pool in
-  let* workers = field "workers" Json.get_int pool in
-  let* queue_capacity = field "queue_capacity" Json.get_int pool in
-  let* shed = field "shed" Json.get_int pool in
-  let* admission = field "admission" (fun j -> Some j) json in
-  let* admitted = field "admitted" Json.get_int admission in
-  let* rejected_candidate = field "rejected_candidate" Json.get_int admission in
-  let* rejected_victim = field "rejected_victim" Json.get_int admission in
-  let* released = field "released" Json.get_int admission in
-  (* Margin accounting is absent from pre-margin servers: default to zero so
-     a new client can still read an old server's stats. *)
-  let margins_served =
-    Option.value ~default:0
-      (Option.bind (Json.member "margins" admission) Json.get_int)
+  let* workloads = Json.field "workloads" Json.int json in
+  let* sessions = Json.field "sessions" Json.int json in
+  let* cache = Json.field "cache" Json.value json in
+  let* cache_entries = Json.field "entries" Json.int cache in
+  let* cache_capacity = Json.field "capacity" Json.int cache in
+  let* cache_hits = Json.field "hits" Json.int cache in
+  let* cache_misses = Json.field "misses" Json.int cache in
+  let* pool = Json.field "pool" Json.value json in
+  let* active_connections = Json.field "active_connections" Json.int pool in
+  let* workers = Json.field "workers" Json.int pool in
+  let* queue_capacity = Json.field "queue_capacity" Json.int pool in
+  let* shed = Json.field "shed" Json.int pool in
+  let* admission = Json.field "admission" Json.value json in
+  let* admitted = Json.field "admitted" Json.int admission in
+  let* rejected_candidate =
+    Json.field "rejected_candidate" Json.int admission
   in
+  let* rejected_victim = Json.field "rejected_victim" Json.int admission in
+  let* released = Json.field "released" Json.int admission in
+  let margins_served = or_ 0 (Json.opt_field "margins" Json.int admission) in
   let margin_mean_rel_width =
-    Option.value ~default:0.
-      (Option.bind (Json.member "margin_mean_rel_width" admission) Json.get_num)
+    or_ 0. (Json.opt_field "margin_mean_rel_width" Json.num admission)
   in
-  let* latency = field "latency_us" (fun j -> Some j) json in
-  let* latency_mean_us = field "mean" Json.get_num latency in
-  let* latency_p50_us = field "p50" Json.get_num latency in
-  let* latency_p90_us = field "p90" Json.get_num latency in
-  let* latency_p99_us = field "p99" Json.get_num latency in
-  let* latency_max_us = field "max" Json.get_num latency in
-  let* latency_samples = field "samples" Json.get_int latency in
-  (* SLO block is absent from pre-SLO servers: default to zeros so a new
-     client can still read an old server's stats. *)
-  let slo_num name =
-    match Json.member "slo" json with
-    | None -> 0.
-    | Some slo -> (
-        match Option.bind (Json.member name slo) Json.get_num with
-        | None -> 0.
-        | Some v -> v)
-  in
-  let slo_objective_ms = slo_num "objective_ms" in
-  let slo_target = slo_num "target" in
-  let slo_burn_1m = slo_num "burn_1m" in
-  let slo_burn_1h = slo_num "burn_1h" in
-  (* Like the SLO block, the audit block is absent from pre-audit servers
-     (and from servers running with auditing off the section is all-zero):
-     default everything so old and new peers interoperate. *)
-  let audit =
-    match Json.member "audit" json with
-    | None -> no_audit
-    | Some a ->
-        let num name =
-          Option.value ~default:0.
-            (Option.bind (Json.member name a) Json.get_num)
-        in
-        let int name = int_of_float (num name) in
-        {
-          audit_sample = int "sample";
-          audit_submitted = int "submitted";
-          audit_completed = int "completed";
-          audit_dropped = int "dropped";
-          audit_failed = int "failed";
-          audit_mean_err = num "mean_err";
-          audit_max_abs_err = num "max_abs_err";
-          audit_alarms = int "alarms";
-          audit_drifting =
-            Option.value ~default:[]
-              (Option.bind (Json.member "drifting" a) str_list);
-          audit_margin_checked = int "margin_checked";
-          audit_margin_missed = int "margin_missed";
-        }
-  in
+  let* latency = Json.field "latency_us" Json.value json in
+  let* latency_mean_us = Json.field "mean" Json.num latency in
+  let* latency_p50_us = Json.field "p50" Json.num latency in
+  let* latency_p90_us = Json.field "p90" Json.num latency in
+  let* latency_p99_us = Json.field "p99" Json.num latency in
+  let* latency_max_us = Json.field "max" Json.num latency in
+  let* latency_samples = Json.field "samples" Json.int latency in
+  let slo = or_ Json.Null (Json.opt_field "slo" Json.value json) in
+  let* audit = Json.opt_field "audit" audit_stats json in
   Ok
     {
       uptime_s;
@@ -733,11 +674,11 @@ let stats_reply_of_json json =
       latency_p99_us;
       latency_max_us;
       latency_samples;
-      slo_objective_ms;
-      slo_target;
-      slo_burn_1m;
-      slo_burn_1h;
-      audit;
+      slo_objective_ms = or_ 0. (Json.opt_field "objective_ms" Json.num slo);
+      slo_target = or_ 0. (Json.opt_field "target" Json.num slo);
+      slo_burn_1m = or_ 0. (Json.opt_field "burn_1m" Json.num slo);
+      slo_burn_1h = or_ 0. (Json.opt_field "burn_1h" Json.num slo);
+      audit = Option.value audit ~default:no_audit;
     }
 
 (* ------------------------------------------------------------------ *)

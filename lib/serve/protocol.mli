@@ -11,7 +11,16 @@
     the server.
 
     Both the server's dispatcher and {!Client} are written against this
-    module, so the codecs are exercised from both ends in the tests. *)
+    module, so the codecs are exercised from both ends in the tests.
+
+    Every fixed-shape record — the estimate row, the upload, estimate and
+    metrics replies, the confidence margin and the explain record with its
+    parts — is declared once on the {!Json.codec} combinators, which give
+    it both its encoder and its decoder.  The request and verdict unions
+    and the nested [stats] reply are written by hand over {!Json.field},
+    {!Json.opt_field} and the same codecs.  Estimator names on the wire
+    follow {!Contention.Analysis.estimator_of_string}; a reply always names
+    the estimator canonically ({!Contention.Analysis.estimator_name}). *)
 
 type estimate_row = {
   app : string;
@@ -51,10 +60,19 @@ type request =
       (** Peer-to-peer cache replication: install precomputed estimate rows
           into the receiving server's estimate cache.  The cluster router
           forwards hot entries this way so a failover peer can answer from
-          cache.  The digest must name a workload the receiver has (upload
-          is broadcast in cluster mode), and the estimator must be a valid
-          {!estimator_of_string} name — the key is re-canonicalised so a
-          forwarded entry actually hits. *)
+          cache.  The receiver installs only what an [estimate] could have
+          produced:
+          - the digest names a workload it has (upload is broadcast in
+            cluster mode);
+          - the estimator is a {!Contention.Analysis.estimator_of_string}
+            name, re-canonicalised so a forwarded entry actually hits;
+          - the mask names a non-empty subset of the workload's
+            applications;
+          - the rows are one per application of the mask, in ascending
+            index order, each named as in the workload, with the stored
+            workload's isolation period bit for bit, a finite period
+            [> 0], and a throughput bit-equal to [1. /. period].
+          Anything else gets an error reply and installs nothing. *)
   | Explain of {
       digest : string;
       usecase : string list option;
@@ -72,16 +90,9 @@ type request =
 val default_session : string
 (** ["default"] — used when a client does not name a session. *)
 
-val estimator_of_string :
-  string -> (Contention.Analysis.estimator, string) result
-(** Accepts the canonical names of {!Contention.Analysis.estimator_name}
-    ("worst-case", "second-order", "fourth-order", "order-M",
-    "composability", "exact"), the short aliases "wc", "o2", "o4", "comp",
-    and a bare integer M >= 2 for [Order M]. *)
-
-val estimator_to_string : Contention.Analysis.estimator -> string
-(** [Contention.Analysis.estimator_name] — the canonical wire name, also
-    the estimator component of the cache key. *)
+val cmd_name : request -> string
+(** The request's ["cmd"] on the wire, also its span name ([serve.<cmd>])
+    and metric label in {!Server}. *)
 
 val request_to_json : ?trace:Obs.Span.ctx -> request -> Json.t
 (** With [?trace], appends a ["trace"] envelope member
@@ -186,23 +197,30 @@ val upload_reply_of_json : Json.t -> (upload_reply, string) result
 val estimate_reply_to_json : estimate_reply -> Json.t
 val estimate_reply_of_json : Json.t -> (estimate_reply, string) result
 
-val json_of_explain : Contention.Explain.json -> Json.t
-(** Structural copy between the core provenance AST and the wire codec. *)
-
-val explain_json_of_json : Json.t -> Contention.Explain.json
-
 val explain_reply_to_json : Contention.Explain.t -> Json.t
+(** The provenance record: an empty fold lineage, an absent sandwich and
+    an absent margin are omitted. *)
 
 val explain_reply_of_json : Json.t -> (Contention.Explain.t, string) result
+(** Integer members ([actor], [proc], [order], [samples]) must hold
+    integral numbers; an absent or [null] fold, sandwich or margin reads
+    as none. *)
+
 val margin_to_json : Contention.Margin.t -> Json.t
+
 val margin_of_json : Json.t -> (Contention.Margin.t, string) result
-(** Strict: a present-but-malformed margin object is an error (the lenient
-    case — an {e absent} margin — is handled by {!verdict_of_json}). *)
+(** Strict: the method must be a {!Contention.Margin.method_of_string} name
+    and the margin must pass {!Contention.Margin.validate}.  Verdicts and
+    explain records carry their margins through this same codec, where an
+    absent or [null] margin reads as none. *)
 
 val verdict_to_json : verdict -> Json.t
 val verdict_of_json : Json.t -> (verdict, string) result
 val stats_reply_to_json : stats_reply -> Json.t
 val stats_reply_of_json : Json.t -> (stats_reply, string) result
+(** What an older server leaves out — the margin counters, the [slo] and
+    [audit] blocks or a member of them — reads as zero. *)
+
 val metrics_reply_to_json : metrics_reply -> Json.t
 val metrics_reply_of_json : Json.t -> (metrics_reply, string) result
 

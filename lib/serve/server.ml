@@ -274,7 +274,7 @@ let handle_estimate t ~digest ~usecase ~estimator =
       match resolve_usecase w usecase with
       | Error msg -> Protocol.error msg
       | Ok mask ->
-          let name = Protocol.estimator_to_string estimator in
+          let name = Contention.Analysis.estimator_name estimator in
           let key = (digest, mask, name) in
           let cached, rows =
             match Lru.find t.cache key with
@@ -331,13 +331,31 @@ let handle_explain t ~digest ~usecase ~estimator =
           let e = Contention.Explain.compute estimator apps in
           Protocol.ok (Protocol.explain_reply_to_json e))
 
+(* Whether an estimate of [mask] could have produced [rows]: one per
+   application of the mask, in ascending index order, named and isolated
+   as in the workload, with a finite positive period and its reciprocal as
+   throughput, bit for bit. *)
+let estimate_could_produce (w : Exp.Workload.t) mask rows =
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let apps = Contention.Usecase.to_list mask in
+  List.compare_lengths apps rows = 0
+  && List.for_all2
+       (fun i (r : Protocol.estimate_row) ->
+         let a = w.apps.(i) in
+         String.equal r.app a.graph.Sdf.Graph.name
+         && same r.isolation_period a.isolation_period
+         && Float.is_finite r.period && r.period > 0.
+         && same r.throughput (1. /. r.period))
+       apps rows
+
 let handle_cache_put t ~digest ~mask ~estimator ~rows =
-  (* Accept only keys an estimate request could produce: a stored workload
-     and a canonical estimator name — otherwise the entry could never hit. *)
+  (* Accept only entries an estimate request could produce: a stored
+     workload, a canonical estimator name, and rows that fit the mask —
+     otherwise the entry could never hit, or would answer wrongly. *)
   match Store.find t.store digest with
   | None -> Protocol.error (Printf.sprintf "unknown workload digest %S" digest)
   | Some w -> (
-      match Protocol.estimator_of_string estimator with
+      match Contention.Analysis.estimator_of_string estimator with
       | Error msg -> Protocol.error msg
       | Ok est ->
           let napps = Exp.Workload.num_apps w in
@@ -345,8 +363,13 @@ let handle_cache_put t ~digest ~mask ~estimator ~rows =
             Protocol.error
               (Printf.sprintf "mask %d out of range for %d applications" mask
                  napps)
+          else if not (estimate_could_produce w mask rows) then
+            Protocol.error
+              "cache-put rows must be one per application of the mask, in \
+               index order, with the workload's names and isolation periods, \
+               a positive period and throughput 1/period"
           else begin
-            let name = Protocol.estimator_to_string est in
+            let name = Contention.Analysis.estimator_name est in
             Lru.put t.cache (digest, mask, name) rows;
             Protocol.ok
               (Json.Obj
@@ -563,18 +586,6 @@ let dispatch t (request : Protocol.request) =
       Atomic.set t.stop_requested true;
       Protocol.ok (Json.Obj [ ("stopping", Json.Bool true) ])
 
-let cmd_name = function
-  | Protocol.Ping -> "ping"
-  | Protocol.Upload _ -> "upload"
-  | Protocol.Estimate _ -> "estimate"
-  | Protocol.Explain _ -> "explain"
-  | Protocol.Admit _ -> "admit"
-  | Protocol.Release _ -> "release"
-  | Protocol.Cache_put _ -> "cache-put"
-  | Protocol.Stats -> "stats"
-  | Protocol.Metrics -> "metrics"
-  | Protocol.Shutdown -> "shutdown"
-
 (* ------------------------------------------------------------------ *)
 (* Connection handling                                                 *)
 
@@ -646,7 +657,7 @@ let handle_line t line =
               None,
               Protocol.error (Printf.sprintf "bad request: %s" msg) )
         | Ok request -> (
-            let cmd = cmd_name request in
+            let cmd = Protocol.cmd_name request in
             (* The trace envelope re-establishes the caller's context here,
                so the serve span (and anything under it) links back to the
                client's span across the process boundary.  Malformed trace

@@ -262,6 +262,20 @@ let test_shed_verdict () =
 
 (* --- cache-put: peer cache replication ------------------------------- *)
 
+(* Rows an estimate of every application of [w] could have produced:
+   the workload's names and isolation periods, the given periods. *)
+let forwarded_rows w periods =
+  let names = Exp.Workload.names w and iso = Exp.Workload.isolation_periods w in
+  List.mapi
+    (fun i period ->
+      {
+        Protocol.app = names.(i);
+        period;
+        isolation_period = iso.(i);
+        throughput = 1. /. period;
+      })
+    periods
+
 let test_cache_put () =
   let server = start_server () in
   Fun.protect
@@ -276,16 +290,7 @@ let test_cache_put () =
           let up = unwrap (Serve.Client.upload c ~payload:(Exp.Workload.to_string w)) in
           let digest = up.Protocol.digest in
           let mask = Contention.Usecase.full ~napps:3 in
-          let rows =
-            [
-              {
-                Protocol.app = "a0";
-                period = 10.;
-                isolation_period = 8.;
-                throughput = 0.1;
-              };
-            ]
-          in
+          let rows = forwarded_rows w [ 10.; 20.; 30. ] in
           (* Valid install: the next estimate answers from cache with the
              forwarded rows, proving the key was canonicalised to match. *)
           unwrap
@@ -297,10 +302,8 @@ let test_cache_put () =
           in
           if not e.Protocol.cached then
             Alcotest.fail "installed entry missed the cache";
-          Alcotest.(check int) "forwarded rows served" 1 (List.length e.rows);
-          (match e.rows with
-          | [ row ] -> Alcotest.(check string) "row content" "a0" row.app
-          | _ -> ());
+          Alcotest.(check int) "forwarded rows served" 3 (List.length e.rows);
+          if e.rows <> rows then Alcotest.fail "row content";
           (* Rejections: unknown digest, bad estimator, bad mask. *)
           expect_error "unknown digest"
             (Serve.Client.cache_put c ~digest:"feedface" ~mask ~estimator:"o2"
@@ -312,6 +315,54 @@ let test_cache_put () =
                ~rows);
           expect_error "negative mask"
             (Serve.Client.cache_put c ~digest ~mask:(-1) ~estimator:"o2" ~rows)))
+
+(* Only rows an estimate could have produced are installed: one per
+   application of the mask, ascending, named and isolated as in the
+   workload, with a positive period and its reciprocal as throughput. *)
+let test_cache_put_rows () =
+  let server = start_server () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Server.stop server)
+    (fun () ->
+      let port = Option.get (Serve.Server.tcp_port server) in
+      let c = unwrap (Serve.Client.connect ~port ()) in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let w = small_workload () in
+          let up = unwrap (Serve.Client.upload c ~payload:(Exp.Workload.to_string w)) in
+          let digest = up.Protocol.digest in
+          let mask = Contention.Usecase.full ~napps:3 in
+          let rows = forwarded_rows w [ 10.; 20.; 30. ] in
+          let with_row i f = List.mapi (fun j r -> if i = j then f r else r) rows in
+          List.iter
+            (fun (what, rows) ->
+              expect_error what
+                (Serve.Client.cache_put c ~digest ~mask ~estimator:"wc" ~rows))
+            [
+              ("no rows", []);
+              ("too few rows", List.tl rows);
+              ("too many rows", rows @ [ List.hd rows ]);
+              ("rows out of order", List.rev rows);
+              ("unknown name", with_row 1 (fun r -> { r with Protocol.app = "ZZZ" }));
+              ( "isolation period off by one ulp",
+                with_row 2 (fun r ->
+                    { r with Protocol.isolation_period = Float.succ r.Protocol.isolation_period }) );
+              ( "negative period",
+                with_row 0 (fun r ->
+                    { r with Protocol.period = -5.; throughput = 1. /. -5. }) );
+              ("zero period", with_row 0 (fun r -> { r with Protocol.period = 0.; throughput = 0. }));
+              ( "throughput off by one ulp",
+                with_row 1 (fun r ->
+                    { r with Protocol.throughput = Float.succ r.Protocol.throughput }) );
+              ( "a stray row",
+                [ { Protocol.app = "ZZZ"; period = -5.; isolation_period = 0.; throughput = 3. } ] );
+            ];
+          (* Nothing was installed: the estimate is computed afresh. *)
+          let e =
+            unwrap (Serve.Client.estimate c ~digest ~estimator:Contention.Analysis.Worst_case ())
+          in
+          if e.Protocol.cached then Alcotest.fail "a refused cache-put was installed"))
 
 (* --- hot-entry forwarding: server hook -> router -> peer cache ------- *)
 
@@ -655,6 +706,7 @@ let suite =
     Alcotest.test_case "pool reconnect" `Quick test_pool_reconnect;
     Alcotest.test_case "shed verdict" `Quick test_shed_verdict;
     Alcotest.test_case "cache-put replication" `Quick test_cache_put;
+    Alcotest.test_case "cache-put row rules" `Quick test_cache_put_rows;
     Alcotest.test_case "hot-entry forwarding" `Quick test_hot_forwarding;
     Alcotest.test_case "client timeout" `Quick test_client_timeout;
     Alcotest.test_case "router failover" `Quick test_router_failover;

@@ -1,9 +1,10 @@
 (* Provenance records (Contention.Explain): bit-identical agreement with
    both estimator entry points (estimate and estimate_prepared), sandwich
    bracket orientation per truncation parity, the composability fold
-   lineage, a total JSON codec (including the serve-layer wire bridge),
-   tamper detection by [verify], estimator-name round-trips, and a golden
-   rendering. *)
+   lineage, a total JSON codec (declared in the serve layer's protocol)
+   that refuses non-integral integer members, tamper detection by [verify]
+   (reproduced numbers and the use-case's own facts), estimator-name
+   round-trips, and a golden rendering. *)
 
 module A = Contention.Analysis
 module E = Contention.Explain
@@ -154,7 +155,10 @@ let test_codec_roundtrip () =
   List.iter
     (fun est ->
       let ex = E.compute est apps in
-      match E.of_json (E.to_json ex) with
+      match
+        Serve.Protocol.explain_reply_of_json
+          (Serve.Protocol.explain_reply_to_json ex)
+      with
       | Error msg -> Alcotest.failf "decode failed: %s" msg
       | Ok ex' ->
           if compare ex ex' <> 0 then
@@ -164,24 +168,25 @@ let test_codec_roundtrip () =
 let test_codec_total () =
   List.iter
     (fun doc ->
-      match E.of_json doc with
+      match Serve.Protocol.explain_reply_of_json doc with
       | Error (_ : string) -> ()
       | Ok _ -> Alcotest.fail "malformed document accepted")
-    [
-      E.Null;
-      E.Num 1.;
-      E.Str "explain";
-      E.Arr [];
-      E.Obj [];
-      E.Obj [ ("estimator", E.Num 3.) ];
-      E.Obj
-        [
-          ("estimator", E.Str "second-order");
-          ("engine", E.Str "mcm");
-          ("usecase", E.Arr []);
-          ("apps", E.Str "nope");
-        ];
-    ]
+    Serve.Json.
+      [
+        Null;
+        Num 1.;
+        Str "explain";
+        Arr [];
+        Obj [];
+        Obj [ ("estimator", Num 3.) ];
+        Obj
+          [
+            ("estimator", Str "second-order");
+            ("engine", Str "mcm");
+            ("usecase", Arr []);
+            ("apps", Str "nope");
+          ];
+      ]
 
 let test_wire_bridge () =
   (* Through the serve layer: core json -> wire json -> string -> back. *)
@@ -195,6 +200,57 @@ let test_wire_bridge () =
   | Ok ex' ->
       if compare ex ex' <> 0 then
         Alcotest.fail "wire round-trip is not bit-exact"
+
+(* The first member [name] in a depth-first walk, set to [v]. *)
+let replace_first name v json =
+  let replaced = ref false in
+  let rec go = function
+    | Serve.Json.Obj kvs ->
+        Serve.Json.Obj
+          (List.map
+             (fun (k, x) ->
+               if (not !replaced) && k = name then begin
+                 replaced := true;
+                 (k, v)
+               end
+               else (k, go x))
+             kvs)
+    | Serve.Json.Arr xs -> Serve.Json.Arr (List.map go xs)
+    | x -> x
+  in
+  let json = go json in
+  if not !replaced then Alcotest.failf "no %S member" name;
+  json
+
+let test_codec_integers () =
+  (* Integer members hold integers: a fractional, negative-fraction or
+     out-of-range number is refused, not truncated to a valid index. *)
+  let apps = apps_of (workload ()) in
+  let margin = Contention.Margin.of_bounds ~confidence:0.9 ~period:2. ~lo:1. ~hi:3. in
+  let ex = E.with_margins (E.compute (A.Order 2) apps) [ ("A", margin) ] in
+  let doc = Serve.Protocol.explain_reply_to_json ex in
+  (match Serve.Protocol.explain_reply_of_json doc with
+  | Ok ex' when compare ex ex' = 0 -> ()
+  | Ok _ -> Alcotest.fail "record changed in flight"
+  | Error msg -> Alcotest.failf "valid record refused: %s" msg);
+  List.iter
+    (fun (name, x) ->
+      match
+        Serve.Protocol.explain_reply_of_json
+          (replace_first name (Serve.Json.Num x) doc)
+      with
+      | Error (_ : string) -> ()
+      | Ok tampered -> (
+          match E.verify tampered apps with
+          | Ok () -> Alcotest.failf "%s = %g decoded and verified" name x
+          | Error _ -> Alcotest.failf "%s = %g decoded" name x))
+    [
+      ("actor", 0.5);
+      ("actor", -0.9);
+      ("proc", 1e300);
+      ("order", 2.5);
+      ("samples", 0.25);
+    ]
 
 (* --- verify ----------------------------------------------------------- *)
 
@@ -244,12 +300,38 @@ let test_verify_detects_tampering () =
       | Error (_ : string) -> ())
     [ tamper_wait; tamper_period ]
 
+(* Facts the use-case states outright: a record contradicting one of them
+   for the first actor of the first application is refused. *)
+let refuses_first_actor what tamper =
+  let apps = apps_of (workload ()) in
+  let ex = E.compute (A.Order 2) apps in
+  let tampered =
+    match ex.E.apps with
+    | x :: rest -> (
+        match x.E.x_actors with
+        | a :: actors -> { ex with E.apps = { x with E.x_actors = tamper a :: actors } :: rest }
+        | [] -> Alcotest.fail "no actors")
+    | [] -> Alcotest.fail "no applications"
+  in
+  match E.verify tampered apps with
+  | Ok () -> Alcotest.failf "a record with %s verified" what
+  | Error (_ : string) -> ()
+
+let test_verify_processor () =
+  refuses_first_actor "processor 7 on two processors" (fun a -> { a with E.a_proc = 7 })
+
+let test_verify_actor_name () =
+  refuses_first_actor "a renamed actor" (fun a -> { a with E.a_name = a.E.a_name ^ "x" })
+
+let test_verify_own_load () =
+  refuses_first_actor "p = 0.5" (fun a -> { a with E.a_p = 0.5 })
+
 (* --- estimator names --------------------------------------------------- *)
 
 let test_estimator_names () =
   List.iter
     (fun est ->
-      match E.estimator_of_name (A.estimator_name est) with
+      match A.estimator_of_name (A.estimator_name est) with
       | Ok est' when est' = est -> ()
       | Ok _ -> Alcotest.failf "%s parsed to a different estimator"
                   (A.estimator_name est)
@@ -257,7 +339,7 @@ let test_estimator_names () =
     [ A.Worst_case; A.Order 2; A.Order 4; A.Order 7; A.Composability; A.Exact ];
   List.iter
     (fun bad ->
-      match E.estimator_of_name bad with
+      match A.estimator_of_name bad with
       | Error (_ : string) -> ()
       | Ok _ -> Alcotest.failf "%S accepted" bad)
     [ ""; "o2"; "order-1"; "order-0"; "order-x"; "second order"; "EXACT" ]
@@ -314,10 +396,14 @@ let suite =
     Alcotest.test_case "composability fold lineage" `Quick test_fold_lineage;
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec is total" `Quick test_codec_total;
+    Alcotest.test_case "codec refuses non-integers" `Quick test_codec_integers;
     Alcotest.test_case "wire bridge round-trip" `Quick test_wire_bridge;
     Alcotest.test_case "verify reproduces" `Quick test_verify;
     Alcotest.test_case "verify detects tampering" `Quick
       test_verify_detects_tampering;
+    Alcotest.test_case "verify checks processors" `Quick test_verify_processor;
+    Alcotest.test_case "verify checks actor names" `Quick test_verify_actor_name;
+    Alcotest.test_case "verify checks own loads" `Quick test_verify_own_load;
     Alcotest.test_case "estimator names" `Quick test_estimator_names;
     Alcotest.test_case "render golden" `Quick test_render_golden;
   ]

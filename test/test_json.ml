@@ -201,9 +201,59 @@ let test_accessors () =
   | None -> ()
   | Some _ -> Alcotest.fail "get_str on Num"
 
+(* The codec combinators: one declaration encodes members in order,
+   omits absent optional ones, and decodes with the first bad member
+   named. *)
+type pair = { name : string; size : int option; tags : string list }
+
+let pair =
+  Json.(
+    obj (fun name size tags -> { name; size; tags })
+    |> mem "name" str (fun p -> p.name)
+    |> opt_mem "size" int (fun p -> p.size)
+    |> mem "tags" (list str) (fun p -> p.tags)
+    |> finish)
+
+let test_codec () =
+  let decode s = Result.bind (Json.of_string s) (Json.decode pair) in
+  let v = { name = "a"; size = Some 2; tags = [ "x"; "y" ] } in
+  Alcotest.(check string)
+    "encoding" {|{"name":"a","size":2,"tags":["x","y"]}|}
+    (Json.to_string (Json.encode pair v));
+  Alcotest.(check string)
+    "absent optional member omitted" {|{"name":"a","tags":[]}|}
+    (Json.to_string (Json.encode pair { v with size = None; tags = [] }));
+  (match decode {|{"tags":[],"extra":1,"name":"a","size":null}|} with
+  | Ok { name = "a"; size = None; tags = [] } -> ()
+  | _ -> Alcotest.fail "null optional member, unknown member, any order");
+  List.iter
+    (fun (doc, msg) ->
+      match decode doc with
+      | Error m -> Alcotest.(check string) doc msg m
+      | Ok _ -> Alcotest.failf "%s decoded" doc)
+    [
+      ({|{"size":1.5,"tags":[]}|}, {|missing field "name"|});
+      ({|{"name":"a","size":1.5,"tags":[]}|}, {|field "size" has the wrong type|});
+      ({|{"name":"a","size":1e16,"tags":[]}|}, {|field "size" has the wrong type|});
+      ({|{"name":"a","tags":["x",1]}|}, {|field "tags" has the wrong type|});
+      ({|[1]|}, {|missing field "name"|});
+    ];
+  let even =
+    Json.conv
+      (fun n -> if n mod 2 = 0 then Ok n else Error "odd")
+      Fun.id Json.int
+  in
+  Alcotest.(check (result int string))
+    "conv validates" (Error "odd")
+    (Json.field "n" even (Json.Obj [ ("n", Json.Num 3.) ]));
+  Alcotest.(check (result (option int) string))
+    "opt_field null" (Ok None)
+    (Json.opt_field "n" even (Json.Obj [ ("n", Json.Null) ]))
+
 let suite =
   [
     Alcotest.test_case "escapes" `Quick test_escapes;
+    Alcotest.test_case "codec" `Quick test_codec;
     Alcotest.test_case "strictness" `Quick test_strictness;
     Alcotest.test_case "depth limit" `Quick test_depth_limit;
     Alcotest.test_case "number round-trip" `Quick test_numbers;

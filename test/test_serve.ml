@@ -172,7 +172,7 @@ let test_protocol_roundtrip () =
 
 let test_estimator_names () =
   let ok name expected =
-    match Protocol.estimator_of_string name with
+    match Contention.Analysis.estimator_of_string name with
     | Ok e when e = expected -> ()
     | Ok _ -> Alcotest.failf "%S resolved to the wrong estimator" name
     | Error e -> Alcotest.failf "%S: %s" name e
@@ -188,7 +188,7 @@ let test_estimator_names () =
   ok "exact" Contention.Analysis.Exact;
   List.iter
     (fun bad ->
-      match Protocol.estimator_of_string bad with
+      match Contention.Analysis.estimator_of_string bad with
       | Error (_ : string) -> ()
       | Ok _ -> Alcotest.failf "%S accepted" bad)
     [ "1"; "0"; "-2"; "garbage"; "" ]
