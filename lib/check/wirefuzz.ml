@@ -360,7 +360,8 @@ let map_exec_times f payload =
 
 (* Edge-value workloads: one actor's execution time set to nan, inf or 0,
    and a valid workload with every time scaled by 10^6 (contended periods
-   far past the 2^23 where a 1e-9 bisection bracket stops shrinking).  Each
+   far past the ~1e3 where an absolute 1e-12 relaxation tolerance drops
+   below float resolution).  Each
    upload must be refused with an error reply, or every paper estimator's
    estimate of it must be an ok reply with finite periods. *)
 let fuzz_edge_values server =

@@ -136,16 +136,19 @@ let prepare a =
         Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand a.graph)
       in
       (* The period search reads the expansion as flat edge arrays; an edge
-         weighs its source node's actor's response time. *)
+         weighs its source node's actor's response time.  Its cycle forms
+         are seeded with the critical cycle at the isolation times. *)
       let edge (e : Sdf.Hsdf.edge) =
         (e.from_node, e.to_node, h.nodes.(e.from_node).Sdf.Hsdf.actor, e.delay)
       in
+      let cached_exec = Sdf.Graph.exec_times a.graph in
       {
         cached_loads;
-        cached_exec = Sdf.Graph.exec_times a.graph;
+        cached_exec;
         mcr =
           Kernel.graph ~nnodes:(Sdf.Hsdf.num_nodes h)
-            ~name:a.graph.Sdf.Graph.name (Array.map edge h.edges);
+            ~name:a.graph.Sdf.Graph.name ~seeds:[ cached_exec ]
+            (Array.map edge h.edges);
       })
 
 let estimate_args est n () =
@@ -157,8 +160,9 @@ let estimate_args est n () =
    The use-case's actors are laid out as contiguous per-processor member
    slots in a reusable {!workspace}, and the {!Kernel} evaluators and
    period search run over them.  [Check.Oracle.reference] is the list-based
-   statement of the same pass; the kernel replicates its floating-point
-   operation sequences, so the two agree bit for bit. *)
+   statement of the same pass; the kernel replicates its waiting-time
+   operation sequences, so the waits agree bit for bit, and its periods are
+   exact critical-cycle ratios within the reference bisection's 1e-9. *)
 
 type workspace = {
   ker : Kernel.scratch;
@@ -310,7 +314,7 @@ let kernel_pass ws est (apps : app array) (caches : cache array)
       done
   | Composability ->
       for g = 0 to ngroups - 1 do
-        Kernel.comp_into ws.ker ~p:ws.g_p ~mu:ws.g_mu ~off:ws.gstart.(g)
+        Kernel.comp_into ~p:ws.g_p ~mu:ws.g_mu ~off:ws.gstart.(g)
           ~n:ws.gcount.(g) ~out:ws.g_wait
       done
   | Exact ->

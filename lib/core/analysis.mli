@@ -13,8 +13,11 @@
 
     Every entry point below runs this as one pass over flat, preallocated
     arrays ({!Kernel}), and every contended period, here and in
-    {!Admission}, {!Explain} and {!Tdma}, comes from {!Kernel.period_into}.
-    Their reference is the list-based pass [Check.Oracle.reference]. *)
+    {!Admission}, {!Explain} and {!Tdma}, comes from {!Kernel.period_into}:
+    the exact ratio of the application's critical cycle, certified by one
+    probe when the cycle is among the forms {!prepare} seeds.  Their
+    reference is the list-based pass [Check.Oracle.reference]: waits agree
+    with it bit for bit, periods within its bisection's 1e-9 relative. *)
 
 type estimator =
   | Worst_case  (** Baseline: sum of others' execution times ({!Wcrt}). *)
@@ -120,11 +123,14 @@ val estimate :
 type cache
 (** Use-case-invariant per-application precomputation: the isolation-period
     load descriptors ({!loads}) and the HSDF expansion of the application
-    graph, flattened for {!Kernel.period_into}.  The expansion's topology
-    does not depend on execution times, so one cache serves every response
-    time assignment.  A cache depends only on the [app] it was prepared
-    from, so it can be computed once per workload, shared read-only across
-    domains, and reused by every use-case the application appears in. *)
+    graph, flattened for {!Kernel.period_into} with its cycle forms seeded
+    by the critical cycle at the isolation execution times.  The expansion's
+    topology does not depend on execution times, and the forms never change
+    after [prepare], so one cache serves every response time assignment and
+    its periods depend on nothing else.  A cache depends only on the [app]
+    it was prepared from, so it can be computed once per workload, shared
+    read-only across domains, and reused by every use-case the application
+    appears in. *)
 
 val prepare : app -> cache
 

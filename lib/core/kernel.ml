@@ -1,24 +1,26 @@
 (* Zero-allocation estimator kernel.
 
-   Everything here evaluates over preallocated flat float arrays: after the
-   scratch buffers have grown to the workload's high-water mark (warm-up), no
+   Everything here evaluates over preallocated flat arrays: after the scratch
+   buffers have grown to the workload's high-water mark (warm-up), no
    function in this module allocates on either heap.  Three rules make that
    hold on a non-flambda native compiler:
 
-   - floats cross function boundaries as [(array, index)] pairs, never as
-     arguments or results (a float argument or return value is boxed at every
-     non-inlined call);
-   - loop accumulators live in small float/int/bool register arrays inside
-     the scratch, never in [ref] cells (each [:=] of a float ref boxes);
+   - floats cross non-inlined function boundaries as [(array, index)]
+     pairs, never as arguments or results (those are boxed at every call);
+     the period engine's float helpers are [@inline], so their arguments
+     and results stay in registers;
+   - float accumulators are local [ref]s that never escape, which the
+     compiler keeps unboxed;
    - every helper is a top-level function taking its state explicitly, so no
      closure is ever built on the hot path.
 
-   The evaluators replicate the exact floating-point operation sequences of
-   the list-based implementations ({!Wcrt}, {!Approx}, {!Compose}, {!Exact},
-   {!Sdf.Mcm}) — same fold orders, same parenthesisation, same guarded
-   deconvolutions — so their results are bit-identical to the list-based
-   Figure-4 pass kept as [Check.Oracle.reference], which is what keeps the
-   golden 1e-9 pins and the serve daemon's cache-equality guarantees. *)
+   The waiting-time evaluators replicate the exact floating-point operation
+   sequences of the list-based implementations ({!Wcrt}, {!Approx},
+   {!Compose}, {!Exact}) — same fold orders, same parenthesisation, same
+   guarded deconvolutions — so the waits are bit-identical to the list-based
+   Figure-4 pass kept as [Check.Oracle.reference].  The period is the exact
+   ratio of a certified critical cycle; the reference's bisection midpoint
+   agrees with it to within its 1e-9 bracket. *)
 
 (* ------------------------------------------------------------------ *)
 (* Scratch *)
@@ -30,9 +32,9 @@ type scratch = {
   mutable dist : float array;  (* Bellman-Ford longest-path distances *)
   mutable wshift : float array;  (* lambda-shifted edge weights *)
   mutable par : int array;  (* relaxation parents, for cycle extraction *)
-  f : float array;  (* float registers *)
-  i : int array;  (* int registers *)
-  b : bool array;  (* bool registers *)
+  mutable counts : int array;  (* per-actor edge counts of the last witness *)
+  mutable tokens : int;  (* token count of the last witness *)
+  mutable binding : int;  (* the last period's form, or -1: the witness *)
 }
 
 let scratch () =
@@ -43,9 +45,9 @@ let scratch () =
     dist = Array.make 64 0.;
     wshift = Array.make 64 0.;
     par = Array.make 64 0;
-    f = Array.make 8 0.;
-    i = Array.make 4 0;
-    b = Array.make 5 false;
+    counts = Array.make 16 0;
+    tokens = 0;
+    binding = -1;
   }
 
 let grow a n = if Array.length a < n then Array.make (Int.max n (2 * Array.length a)) 0. else a
@@ -113,28 +115,26 @@ let order_into s ~order ~p ~mu ~off ~n ~out =
           s.es.(j) <- s.es.(j) +. (x *. s.es.(j - 1))
         done
       done;
-      s.f.(0) <- 0.;
-      (* acc *)
+      let acc = ref 0. in
       for o = 0 to m - 1 do
         Sympoly.deconvolve_into ~es:s.es ~xs:s.ps ~skip:o ~out:s.de
           ~n:(max_degree + 1);
         if not (Sympoly.deconv_stable ~es:s.es ~out:s.de ~n:(max_degree + 1))
         then
           Sympoly.refold_trunc_into ~xs:s.ps ~m ~skip:o ~k:max_degree ~out:s.de;
-        s.f.(1) <- 1.;
-        (* series *)
+        let series = ref 1. in
         for j = 1 to max_degree do
-          s.f.(1) <-
-            s.f.(1)
+          series :=
+            !series
             +. ((if j mod 2 = 1 then 1. else -1.)
                 /. float_of_int (j + 1)
                 *. s.de.(j))
         done;
         (* waiting_product l *. series, with the member index of other o *)
         let g = off + if o < t then o else o + 1 in
-        s.f.(0) <- s.f.(0) +. (mu.(g) *. p.(g) *. s.f.(1))
+        acc := !acc +. (mu.(g) *. p.(g) *. !series)
       done;
-      out.(off + t) <- s.f.(0)
+      out.(off + t) <- !acc
     end
   done
 
@@ -155,272 +155,278 @@ let exact_into s ~p ~mu ~off ~n ~out =
           s.es.(j) <- s.es.(j) +. (x *. s.es.(j - 1))
         done
       done;
-      s.f.(0) <- 0.;
+      let acc = ref 0. in
       for o = 0 to m - 1 do
         (* Guarded removal, as {!Sympoly.remove}. *)
         Sympoly.deconvolve_into ~es:s.es ~xs:s.ps ~skip:o ~out:s.de ~n:m;
         if not (Sympoly.deconv_stable ~es:s.es ~out:s.de ~n:m) then
           Sympoly.refold_skip_into ~xs:s.ps ~m ~skip:o ~out:s.de;
-        s.f.(1) <- 1.;
+        let series = ref 1. in
         for j = 1 to m - 1 do
-          s.f.(1) <-
-            s.f.(1)
+          series :=
+            !series
             +. ((if j mod 2 = 1 then 1. else -1.)
                 /. float_of_int (j + 1)
                 *. s.de.(j))
         done;
         let g = off + if o < t then o else o + 1 in
-        s.f.(0) <- s.f.(0) +. (mu.(g) *. p.(g) *. s.f.(1))
+        acc := !acc +. (mu.(g) *. p.(g) *. !series)
       done;
-      out.(off + t) <- s.f.(0)
+      out.(off + t) <- !acc
     end
   done
 
-let comp_into s ~p ~mu ~off ~n ~out =
+let comp_into ~p ~mu ~off ~n ~out =
   for t = 0 to n - 1 do
     (* Reference: (Compose.combine_all (List.map of_load others)).w — a left
        fold of the ⊗ of Eq. 9 from the empty aggregate, in group order.  ⊗ is
        only second-order associative, so the fold order below must match the
        reference list exactly. *)
-    s.f.(0) <- 0.;
-    (* aggregate p *)
-    s.f.(1) <- 0.;
-    (* aggregate w *)
+    let agg_p = ref 0. and agg_w = ref 0. in
     for o = 0 to n - 1 do
       if o <> t then begin
         let g = off + o in
         let bp = p.(g) in
         let bw = mu.(g) *. p.(g) in
-        let ap = s.f.(0) and aw = s.f.(1) in
-        s.f.(0) <- ap +. bp -. (ap *. bp);
-        s.f.(1) <- (aw *. (1. +. (bp /. 2.))) +. (bw *. (1. +. (ap /. 2.)))
+        let ap = !agg_p and aw = !agg_w in
+        agg_p := ap +. bp -. (ap *. bp);
+        agg_w := (aw *. (1. +. (bp /. 2.))) +. (bw *. (1. +. (ap /. 2.)))
       end
     done;
-    out.(off + t) <- s.f.(1)
+    out.(off + t) <- !agg_w
   done
 
 (* ------------------------------------------------------------------ *)
-(* Flat maximum cycle ratio *)
+(* Flat maximum cycle ratio
+
+   The period is the maximum over the HSDF's cycles of (Σ weights) / (Σ
+   tokens), where an edge weighs its source node's actor's execution time.
+   A cycle is therefore summarised by its form: per-actor edge counts [c]
+   and its token count [d], with ratio (Σ_a c_a·t_a) / d.  Each graph keeps
+   a fixed set of forms, found at construction; a call starts Dinkelbach's
+   critical-cycle iteration at the best form's ratio, so one probe that
+   finds no cycle above it certifies the answer. *)
 
 type graph = {
   nnodes : int;
+  nedges : int;
+  nactors : int;  (* 1 + the largest actor index weighting an edge *)
   src : int array;
   dst : int array;
   wactor : int array;  (* actor index weighting each edge (its source node) *)
-  delay : float array;  (* pre-converted to float; >= 0 by construction *)
-  zero_delay_cycle : bool;  (* topology-invariant, hoisted out of the search *)
+  delay : int array;  (* >= 0 by construction *)
+  cyclic : bool;  (* topology-only, so decided once *)
+  zero_delay_cycle : bool;  (* topology-only, so decided once *)
+  forms : int array;  (* form k's per-actor counts at [k * nactors ..] *)
+  form_tokens : int array;  (* form k's token count, >= 1 *)
   source_name : string;  (* for error messages *)
 }
-
-let graph ~nnodes ~name edges =
-  let ne = Array.length edges in
-  let src = Array.make (Int.max 1 ne) 0
-  and dst = Array.make (Int.max 1 ne) 0
-  and wactor = Array.make (Int.max 1 ne) 0
-  and delay = Array.make (Int.max 1 ne) 0. in
-  Array.iteri
-    (fun e (u, v, a, d) ->
-      if d < 0 then invalid_arg "Contention.Kernel.graph: negative delay";
-      if u < 0 || u >= nnodes || v < 0 || v >= nnodes then
-        invalid_arg "Contention.Kernel.graph: edge endpoint out of range";
-      src.(e) <- u;
-      dst.(e) <- v;
-      wactor.(e) <- a;
-      delay.(e) <- float_of_int d)
-    edges;
-  (* Once per graph: Sdf.Mcm recomputes it per period call, but the answer
-     only depends on topology. *)
-  let zero_delay_cycle = Sdf.Mcm.zero_delay_cycle ~nodes:nnodes edges in
-  {
-    nnodes;
-    src;
-    dst;
-    wactor;
-    delay;
-    zero_delay_cycle;
-    source_name = name;
-  }
-
-let num_edges g = Array.length g.src
 
 let reserve_graph s g =
   s.dist <- grow s.dist g.nnodes;
   s.par <- grow_int s.par g.nnodes;
-  s.wshift <- grow s.wshift (num_edges g)
-
-(* One positive-cycle probe at lambda = s.f.(4), result in s.b.(0).
-   Bit-identical to Sdf.Mcm.has_positive_cycle over the shifted edges
-   (relaxation tolerance 1e-12, round bound, edge order). *)
-let probe s g ~exec ~exec_off =
-  let ne = num_edges g in
-  for e = 0 to ne - 1 do
-    s.wshift.(e) <- exec.(exec_off + g.wactor.(e)) -. (s.f.(4) *. g.delay.(e))
-  done;
-  for v = 0 to g.nnodes - 1 do
-    s.dist.(v) <- 0.
-  done;
-  s.b.(0) <- true;
-  (* changed *)
-  s.i.(0) <- 0;
-  (* round *)
-  while s.b.(0) && s.i.(0) <= g.nnodes do
-    s.b.(0) <- false;
-    s.i.(0) <- s.i.(0) + 1;
-    for e = 0 to ne - 1 do
-      let candidate = s.dist.(g.src.(e)) +. s.wshift.(e) in
-      if candidate > s.dist.(g.dst.(e)) +. 1e-12 then begin
-        s.dist.(g.dst.(e)) <- candidate;
-        s.b.(0) <- true
-      end
-    done
-  done
+  s.wshift <- grow s.wshift g.nedges;
+  s.counts <- grow_int s.counts g.nactors
 
 let no_cycle_msg g =
   Printf.sprintf "Sdf.Hsdf.period: graph %S has no cycle (unbounded rate)"
     g.source_name
 
-(* Positive-cycle probe at lambda = s.f.(4) with parent tracking: when a
-   positive cycle exists (s.b.(0)), a witness cycle is extracted from the
-   relaxation parents and its exact ratio (sum of weights over sum of
-   delays) is written to s.f.(5).  The standard Bellman-Ford argument
-   guarantees that a node still relaxed after [nnodes] rounds has a parent
-   chain longer than [nnodes], so walking [nnodes] parents lands inside a
-   cycle, and every parent-graph cycle has strictly positive shifted
-   weight — hence a ratio strictly above lambda. *)
-let probe_extract s g ~exec ~exec_off =
-  let ne = num_edges g in
-  for e = 0 to ne - 1 do
-    s.wshift.(e) <- exec.(exec_off + g.wactor.(e)) -. (s.f.(4) *. g.delay.(e))
+(* A probe found a cycle above [lambda] but no witness above it: the probe's
+   tolerance no longer covers its roundoff. *)
+let no_witness g lambda =
+  invalid_arg
+    (Printf.sprintf
+       "Contention.Kernel.period_into: graph %S: no witness cycle improves on \
+        %.17g"
+       g.source_name lambda)
+
+(* (Σ_a c_a·t_a) / d for the counts at [counts.(coff ..)], summed in actor
+   order — the one way every returned period is computed, so it is a pure
+   function of the cycle and the execution times.  On integral times the
+   sum is exact and the quotient is the correctly rounded rational. *)
+let[@inline] cycle_ratio g ~counts ~coff ~tokens ~exec ~exec_off =
+  let sum = ref 0. in
+  for a = 0 to g.nactors - 1 do
+    sum := !sum +. (float_of_int counts.(coff + a) *. exec.(exec_off + a))
+  done;
+  !sum /. float_of_int tokens
+
+(* One Bellman-Ford positive-cycle probe at [lambda], recording relaxation
+   parents.  Returns a node still relaxed after [nnodes] rounds — a parent
+   chain from it reaches a cycle whose shifted weight exceeds the
+   tolerance — or -1 when a round relaxes nothing: then no cycle's shifted
+   weight exceeds its length times [tol], so none has a ratio above
+   [lambda] beyond that slack. *)
+let[@inline] probe s g ~exec ~exec_off ~lambda ~tol =
+  for e = 0 to g.nedges - 1 do
+    s.wshift.(e) <-
+      exec.(exec_off + g.wactor.(e)) -. (lambda *. float_of_int g.delay.(e))
   done;
   for v = 0 to g.nnodes - 1 do
     s.dist.(v) <- 0.;
     s.par.(v) <- -1
   done;
-  s.b.(0) <- true;
-  s.i.(0) <- 0;
-  s.i.(1) <- -1;
-  (* witness: last node relaxed *)
-  while s.b.(0) && s.i.(0) <= g.nnodes do
-    s.b.(0) <- false;
-    s.i.(0) <- s.i.(0) + 1;
-    for e = 0 to ne - 1 do
+  let changed = ref true and round = ref 0 and last = ref (-1) in
+  while !changed && !round <= g.nnodes do
+    changed := false;
+    incr round;
+    for e = 0 to g.nedges - 1 do
       let candidate = s.dist.(g.src.(e)) +. s.wshift.(e) in
-      if candidate > s.dist.(g.dst.(e)) +. 1e-12 then begin
+      if candidate > s.dist.(g.dst.(e)) +. tol then begin
         s.dist.(g.dst.(e)) <- candidate;
         s.par.(g.dst.(e)) <- e;
-        s.b.(0) <- true;
-        s.i.(1) <- g.dst.(e)
+        changed := true;
+        last := g.dst.(e)
       end
     done
   done;
-  if s.b.(0) then begin
-    s.i.(2) <- s.i.(1);
-    for _ = 1 to g.nnodes do
-      s.i.(2) <- g.src.(s.par.(s.i.(2)))
-    done;
-    s.f.(5) <- 0.;
-    (* weight sum *)
-    s.f.(6) <- 0.;
-    (* delay sum; >= 1 — zero-delay cycles were rejected up front *)
-    s.i.(1) <- s.i.(2);
-    s.b.(1) <- true;
-    while s.b.(1) do
-      let e = s.par.(s.i.(1)) in
-      s.f.(5) <- s.f.(5) +. exec.(exec_off + g.wactor.(e));
-      s.f.(6) <- s.f.(6) +. g.delay.(e);
-      s.i.(1) <- g.src.(e);
-      if s.i.(1) = s.i.(2) then s.b.(1) <- false
-    done;
-    s.f.(5) <- s.f.(5) /. s.f.(6)
-  end
+  if !changed then !last else -1
 
-(* Dinkelbach (critical-cycle) iteration: starting from lambda = 0, repeatedly
-   jump to the ratio of a witness positive cycle until no positive cycle
-   remains.  On success (s.b.(2)) the converged lambda in s.f.(7) equals the
-   maximum cycle ratio to within Bellman-Ford's relaxation fuzz: it IS some
-   cycle's ratio (a lower bound up to roundoff) and the final probe certifies
-   no cycle beats it.  Bails out (s.b.(2) false) on a numerical stall or
-   failure to converge; callers then fall back to uncertified search. *)
-let mcr_estimate s g ~exec ~exec_off =
-  s.f.(7) <- 0.;
-  s.b.(2) <- true;
-  s.i.(3) <- 0;
-  s.b.(3) <- true;
-  while s.b.(3) do
-    s.f.(4) <- s.f.(7);
-    probe_extract s g ~exec ~exec_off;
-    if not s.b.(0) then s.b.(3) <- false
-    else if s.f.(5) <= s.f.(7) then begin
-      (* The witness ratio did not improve: roundoff territory, and the
-         no-cycle-above-lambda certificate does not hold.  Bail out. *)
-      s.b.(3) <- false;
-      s.b.(2) <- false
-    end
-    else begin
-      s.f.(7) <- s.f.(5);
-      s.i.(3) <- s.i.(3) + 1;
-      if s.i.(3) > 64 then begin
-        s.b.(3) <- false;
-        s.b.(2) <- false
-      end
-    end
-  done
+(* The witness cycle behind [probe]'s node [last]: walking [nnodes] parents
+   lands on a cycle of the parent graph, whose edges are counted per actor
+   into [s.counts].  Every parent-graph cycle has positive shifted weight,
+   so its ratio lies above the probe's lambda.  Returns the cycle's token
+   count, or 0 when the walk leaves the parent graph (no witness). *)
+let witness s g last =
+  for a = 0 to g.nactors - 1 do
+    s.counts.(a) <- 0
+  done;
+  let v = ref last in
+  for _ = 1 to g.nnodes do
+    if !v >= 0 then v := if s.par.(!v) < 0 then -1 else g.src.(s.par.(!v))
+  done;
+  if !v < 0 then 0
+  else begin
+    let start = !v and tokens = ref 0 and closed = ref false in
+    while not !closed do
+      let e = s.par.(!v) in
+      s.counts.(g.wactor.(e)) <- s.counts.(g.wactor.(e)) + 1;
+      tokens := !tokens + g.delay.(e);
+      v := g.src.(e);
+      closed := !v = start
+    done;
+    !tokens
+  end
 
 let period_into s g ~exec ~exec_off ~out ~out_idx =
   reserve_graph s g;
-  let ne = num_edges g in
-  for e = 0 to ne - 1 do
+  let total = ref 0. in
+  for e = 0 to g.nedges - 1 do
     let w = exec.(exec_off + g.wactor.(e)) in
     if w < 0. then invalid_arg "Sdf.Mcm: negative weight or delay";
-    (* A non-finite weight would pin the bisection bounds at infinity. *)
     if not (w -. w = 0.) then
-      invalid_arg (Printf.sprintf "Sdf.Mcm: non-finite edge weight %g" w)
+      invalid_arg (Printf.sprintf "Sdf.Mcm: non-finite edge weight %g" w);
+    total := !total +. w
   done;
-  if ne = 0 then invalid_arg (no_cycle_msg g);
+  (* An edgeless graph is acyclic; a zero-delay cycle makes a graph cyclic,
+     so these two checks keep the order the errors were always raised in. *)
+  if not g.cyclic then invalid_arg (no_cycle_msg g);
   if g.zero_delay_cycle then
     invalid_arg "Sdf.Mcm.max_cycle_ratio: zero-delay cycle (deadlock)";
-  (* total_weight, folded in edge order like the reference. *)
-  s.f.(0) <- 0.;
-  for e = 0 to ne - 1 do
-    s.f.(0) <- s.f.(0) +. exec.(exec_off + g.wactor.(e))
-  done;
-  s.f.(4) <- -1.;
-  probe s g ~exec ~exec_off;
-  if not s.b.(0) then invalid_arg (no_cycle_msg g);
-  (* A certified ratio estimate first: probes of the Lawler search landing
-     outside its guard band have a provable outcome and are skipped, leaving
-     only the handful of probes near the answer to run for real.  The guard
-     dwarfs the Bellman-Ford relaxation fuzz (edges x ulp of the largest
-     longest-path distance, itself bounded by the total weight), so every
-     predicted outcome equals what the probe would have computed and the
-     bisection trajectory — hence the result — is bit-identical to the
-     reference, just cheaper. *)
-  mcr_estimate s g ~exec ~exec_off;
-  let certified = s.b.(2) in
-  let mcr = s.f.(7) in
-  (* Fuzz scales with ulp of the largest longest-path distance (bounded by
-     the total weight) times the round count; the factor below keeps two to
-     three orders of magnitude of margin over that while leaving only the
-     final ~10 probes to run for real. *)
-  let guard = (s.f.(0) +. Float.abs mcr +. 2.) *. 1e-11 in
-  (* Lawler binary search: lo in f.(1), hi in f.(2), epsilon 1e-9.  Past
-     ~2^23 the bracket cannot shrink below epsilon (the midpoint rounds onto
-     a bound first), so the search also stops, as the reference does, once
-     the midpoint no longer moves (b.(4) clears). *)
-  s.f.(1) <- 0.;
-  s.f.(2) <- s.f.(0) +. 1.;
-  s.b.(4) <- true;
-  while s.b.(4) && s.f.(2) -. s.f.(1) > 1e-9 do
-    s.f.(4) <- 0.5 *. (s.f.(1) +. s.f.(2));
-    if s.f.(4) <= s.f.(1) || s.f.(4) >= s.f.(2) then s.b.(4) <- false
-    else begin
-      if certified && s.f.(4) > mcr +. guard then s.b.(0) <- false
-      else if certified && s.f.(4) < mcr -. guard then s.b.(0) <- true
-      else probe s g ~exec ~exec_off;
-      if s.b.(0) then s.f.(1) <- s.f.(4) else s.f.(2) <- s.f.(4)
+  (* The probe's roundoff grows with its longest-path distances, which the
+     total weight bounds, so its relaxation tolerance scales with it: an
+     absolute one is finer than float resolution once weights pass ~1e3,
+     and rounding would then fake relaxations. *)
+  let tol = 1e-12 *. Float.max 1. !total in
+  let lambda = ref neg_infinity in
+  for k = 0 to Array.length g.form_tokens - 1 do
+    let r =
+      cycle_ratio g ~counts:g.forms ~coff:(k * g.nactors)
+        ~tokens:g.form_tokens.(k) ~exec ~exec_off
+    in
+    if r > !lambda then begin
+      lambda := r;
+      s.binding <- k
     end
   done;
-  out.(out_idx) <- 0.5 *. (s.f.(1) +. s.f.(2))
+  (* Dinkelbach: while a probe finds a cycle above lambda, jump to that
+     cycle's ratio.  Every jump strictly raises lambda through simple
+     cycles, so the iteration ends, on a cycle no probe can beat. *)
+  let certified = ref false in
+  while not !certified do
+    let last = probe s g ~exec ~exec_off ~lambda:!lambda ~tol in
+    if last < 0 then certified := true
+    else begin
+      let tokens = witness s g last in
+      let r =
+        if tokens = 0 then neg_infinity
+        else cycle_ratio g ~counts:s.counts ~coff:0 ~tokens ~exec ~exec_off
+      in
+      if not (r > !lambda) then no_witness g !lambda;
+      lambda := r;
+      s.binding <- -1;
+      s.tokens <- tokens
+    end
+  done;
+  out.(out_idx) <- !lambda
+
+let graph ~nnodes ~name ~seeds edges =
+  let nedges = Array.length edges in
+  let src = Array.make nedges 0
+  and dst = Array.make nedges 0
+  and wactor = Array.make nedges 0
+  and delay = Array.make nedges 0 in
+  Array.iteri
+    (fun e (u, v, a, d) ->
+      if d < 0 then invalid_arg "Contention.Kernel.graph: negative delay";
+      if u < 0 || u >= nnodes || v < 0 || v >= nnodes then
+        invalid_arg "Contention.Kernel.graph: edge endpoint out of range";
+      if a < 0 then invalid_arg "Contention.Kernel.graph: negative actor index";
+      src.(e) <- u;
+      dst.(e) <- v;
+      wactor.(e) <- a;
+      delay.(e) <- d)
+    edges;
+  let nactors = Array.fold_left (fun m a -> Int.max m (a + 1)) 0 wactor in
+  let zero_delay_cycle = Sdf.Mcm.zero_delay_cycle ~nodes:nnodes edges in
+  let g =
+    {
+      nnodes;
+      nedges;
+      nactors;
+      src;
+      dst;
+      wactor;
+      delay;
+      cyclic = zero_delay_cycle;
+      zero_delay_cycle;
+      forms = [||];
+      form_tokens = [||];
+      source_name = name;
+    }
+  in
+  (* Some cycle, if there is one: with every edge weighing 1, every cycle is
+     positive at lambda = 0. *)
+  let s = scratch () and out = [| 0. |] in
+  reserve_graph s g;
+  let last = probe s g ~exec:(Array.make nactors 1.) ~exec_off:0 ~lambda:0. ~tol:0. in
+  if zero_delay_cycle || last < 0 then g
+  else begin
+    let tokens = witness s g last in
+    if tokens = 0 then no_witness g 0.;
+    let with_forms forms =
+      {
+        g with
+        cyclic = true;
+        forms = Array.concat (List.map fst forms);
+        form_tokens = Array.of_list (List.map snd forms);
+      }
+    in
+    let cycle = (Array.sub s.counts 0 nactors, tokens) in
+    (* The forms are the certified critical cycles at the seeds; the search
+       for the first one starts from the cycle just found. *)
+    let critical forms t =
+      period_into s (with_forms forms) ~exec:t ~exec_off:0 ~out ~out_idx:0;
+      if s.binding >= 0 then List.nth forms s.binding
+      else (Array.sub s.counts 0 nactors, s.tokens)
+    in
+    let add forms t =
+      let c = critical (if forms = [] then [ cycle ] else forms) t in
+      if List.mem c forms then forms else forms @ [ c ]
+    in
+    with_forms (if seeds = [] then [ cycle ] else List.fold_left add [] seeds)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Incremental per-processor symmetric-polynomial state *)

@@ -1,17 +1,18 @@
 (** Zero-allocation estimator kernel.
 
-    Flat-array re-implementations of the waiting-time estimators and of the
-    maximum-cycle-ratio period engine, evaluating entirely over preallocated
-    scratch buffers: once a {!scratch} has grown to a workload's high-water
-    mark, calls perform {e no} heap allocation (minor or major).  The
+    Flat-array re-implementations of the waiting-time estimators and the
+    period engine, evaluating entirely over preallocated scratch buffers:
+    once a {!scratch} has grown to a workload's high-water mark, calls
+    perform {e no} heap allocation (minor or major).  The waiting-time
     evaluators reproduce the reference implementations' floating-point
     operation sequences exactly — same fold orders, same parenthesisation,
-    same guarded deconvolutions — so results are {e bit-identical} to the
-    list-based {!Wcrt}/{!Approx}/{!Compose}/{!Exact} and {!Sdf.Mcm} paths.
-    {!Analysis} builds the group layout and drives these evaluators — the
-    only production Figure-4 pass and period engine; their reference is the
-    list-based [Check.Oracle.reference].  See DESIGN §11 for the memory
-    layout and the boxing rules the code obeys.
+    same guarded deconvolutions — so waits are {e bit-identical} to the
+    list-based {!Wcrt}/{!Approx}/{!Compose}/{!Exact} paths.  The period
+    engine returns the exact ratio of a certified critical cycle
+    ({!period_into}).  {!Analysis} builds the group layout and drives these
+    evaluators — the only production Figure-4 pass and period engine; their
+    reference is the list-based [Check.Oracle.reference].  See DESIGN §11
+    for the memory layout and the boxing rules the code obeys.
 
     Group members are passed as parallel [(array, offset, count)] slices
     rather than records or lists, and results are written into caller arrays:
@@ -20,9 +21,10 @@
 
 type scratch
 (** Growable private buffers: symmetric-polynomial bases, compaction
-    buffers, Bellman-Ford distances, shifted weights, and the float/int/bool
-    registers the loops accumulate in.  Not thread-safe — use one per domain
-    ({!Analysis.shared_workspace} wraps one in domain-local storage). *)
+    buffers, Bellman-Ford distances, shifted weights, relaxation parents and
+    the witness cycle's per-actor counts.  Not thread-safe — use one per
+    domain ({!Analysis.shared_workspace} wraps one in domain-local
+    storage). *)
 
 val scratch : unit -> scratch
 
@@ -66,7 +68,6 @@ val exact_into :
 (** {!Exact.waiting_time}: the full Eq. 4 series with guarded removal. *)
 
 val comp_into :
-  scratch ->
   p:float array ->
   mu:float array ->
   off:int ->
@@ -77,21 +78,36 @@ val comp_into :
     order (⊗ is only second-order associative, so the order matters and
     matches the reference list exactly). *)
 
-(** {1 Flat maximum cycle ratio} *)
+(** {1 Flat maximum cycle ratio}
+
+    The period of an HSDF expansion is its maximum cycle ratio: over the
+    cycles, the sum of the edge weights (an edge weighs its source node's
+    actor's execution time) over the sum of the tokens.  A cycle's {e form}
+    is its per-actor edge counts [c] and its token count [d]; its ratio at
+    execution times [t] is [(Σ_a c_a·t_a) / d]. *)
 
 type graph
 (** An HSDF expansion flattened for the period search: edge endpoint arrays,
-    the actor index weighting each edge, delays pre-converted to float, and
-    the zero-delay-cycle verdict hoisted out of the per-call path (it only
-    depends on topology).  Immutable and safe to share across domains. *)
+    the actor index weighting each edge, and the delays; the topology-only
+    verdicts (has a cycle, has a zero-delay cycle); and a fixed set of cycle
+    forms found at construction.  Immutable and safe to share across
+    domains. *)
 
-val graph : nnodes:int -> name:string -> (int * int * int * int) array -> graph
-(** [graph ~nnodes ~name edges] with edges [(src, dst, actor, delay)];
-    [name] is the source graph's name, used in error messages.
-    @raise Invalid_argument on a negative delay or an endpoint out of
-    range. *)
-
-val num_edges : graph -> int
+val graph :
+  nnodes:int ->
+  name:string ->
+  seeds:float array list ->
+  (int * int * int * int) array ->
+  graph
+(** [graph ~nnodes ~name ~seeds edges] with edges [(src, dst, actor,
+    delay)]; [name] is the source graph's name, used in error messages.
+    The forms are the certified critical cycles at the per-actor execution
+    times [seeds] ({!Analysis.prepare} passes the isolation times); with no
+    seeds, an arbitrary cycle.  The set never changes
+    afterwards, so {!period_into} is a pure function of the graph and the
+    execution times.
+    @raise Invalid_argument on a negative delay or actor index, an endpoint
+    out of range, or, as {!period_into}, a seed it rejects. *)
 
 val period_into :
   scratch ->
@@ -101,21 +117,23 @@ val period_into :
   out:float array ->
   out_idx:int ->
   unit
-(** Lawler's binary search for the maximum cycle ratio with per-actor
-    execution times read at [exec.(exec_off + actor)], writing the period to
-    [out.(out_idx)].  Bit-identical to {!Sdf.Hsdf.period_of_expansion}
-    (epsilon 1e-9, relaxation tolerance 1e-12, same probe and relaxation
-    sequences) without its per-probe tuple-array allocation.  A certified
-    Dinkelbach (critical-cycle) estimate decides the probes that land far
-    from the answer without running them — the probe {e outcomes}, hence the
-    bisection trajectory and the result, are unchanged; only the handful of
-    probes near the ratio run for real.
+(** The maximum cycle ratio with per-actor execution times read at
+    [exec.(exec_off + actor)], written to [out.(out_idx)].
 
-    Like {!Sdf.Mcm.max_cycle_ratio}, the bisection also stops once the
-    midpoint no longer moves: past ~2^23 the bracket cannot shrink to 1e-9.
-    @raise Invalid_argument exactly as the reference, with its messages:
-    negative or non-finite weights, an empty or cycle-free graph, or a
-    zero-delay cycle. *)
+    Dinkelbach's critical-cycle iteration, started at the best of the
+    graph's forms: a Bellman-Ford probe at the current ratio either finds
+    no cycle above it, which certifies it, or yields a witness cycle whose
+    higher ratio becomes the next one.  The result is always a cycle's ratio
+    [(Σ_a c_a·t_a) / d], summed in actor order: on integral execution times
+    it is the correctly rounded rational maximum cycle ratio
+    ({!Sdf.Hsdf.period_rational}), and it lies within 1e-9 relative of the
+    bisection of {!Sdf.Hsdf.period_of_expansion}.  The probe's relaxation
+    tolerance is [1e-12 · max 1 W], [W] the total edge weight, so that it
+    stays above the probe's roundoff at any scale.
+    @raise Invalid_argument with the messages of {!Sdf.Mcm}: negative or
+    non-finite weights, an edgeless or cycle-free graph, or a zero-delay
+    cycle; and, naming the graph, when a witness cycle fails to improve on
+    the current ratio (a probe defeated by roundoff). *)
 
 (** {1 Incremental group state}
 

@@ -353,79 +353,106 @@ let check_rows_bitwise ~what local (reply : Protocol.estimate_reply) =
       then Alcotest.failf "%s: throughput of %s differs" what name)
     local reply.rows
 
+(* What one scenario client saw; asserted on the main domain once both
+   clients are joined.  Alcotest logs every check through one shared
+   formatter, which two domains must not drive at once. *)
+type observations = {
+  digest : string;
+  procs : int;
+  first : Protocol.estimate_reply;
+  second : Protocol.estimate_reply;
+  readmit : Protocol.verdict;  (* A again, at 0.999 of its solo throughput *)
+  pushes : (string * Protocol.verdict) list;  (* admits until a victim *)
+}
+
 (* One client's session: upload, estimate twice (second must be cached and
    identical), admit with a floor just under the achieved throughput, push a
-   second app in until someone is rejected as a victim, release, stats.
-   Runs concurrently with the other client on a distinct session and a
-   distinct estimator (hence distinct cache keys, so cached=false then
-   cached=true is deterministic per client). *)
+   second app in until someone is rejected as a victim, release.  Runs
+   concurrently with the other client on a distinct session and a distinct
+   estimator (hence distinct cache keys, so cached=false then cached=true is
+   deterministic per client).  It makes no Alcotest call: an error reply
+   fails it with [Failure], which [Domain.join] re-raises. *)
 let client_scenario ~port ~session ~estimator w () =
-  with_client port (fun c ->
-      unwrap (Serve.Client.ping c);
-      let payload = Exp.Workload.to_string w in
-      let up = unwrap (Serve.Client.upload c ~payload) in
+  let get = function Ok v -> v | Error msg -> failwith msg in
+  let c = get (Serve.Client.connect ~port ()) in
+  Fun.protect
+    ~finally:(fun () -> Serve.Client.close c)
+    (fun () ->
+      get (Serve.Client.ping c);
+      let up = get (Serve.Client.upload c ~payload:(Exp.Workload.to_string w)) in
       let digest = up.Protocol.digest in
-      Alcotest.(check string) "digest" (Serve.Store.digest_of w) digest;
-      Alcotest.(check int) "procs" w.Exp.Workload.procs up.Protocol.procs;
-      let e1 = unwrap (Serve.Client.estimate c ~digest ~estimator ()) in
-      if e1.Protocol.cached then
-        Alcotest.fail "first estimate claims to be cached";
-      let e2 = unwrap (Serve.Client.estimate c ~digest ~estimator ()) in
-      if not e2.Protocol.cached then
-        Alcotest.fail "second estimate missed the cache";
-      check_rows_bitwise ~what:"cached reply" (local_rows w estimator) e2;
-      check_rows_bitwise ~what:"first reply" (local_rows w estimator) e1;
+      let first = get (Serve.Client.estimate c ~digest ~estimator ()) in
+      let second = get (Serve.Client.estimate c ~digest ~estimator ()) in
       (* Admission: A alone is comfortable; pin its requirement just below
          what it achieves alone, then admitting the others must eventually
          reject a candidate because A would become a victim. *)
       let tp_a =
         match
-          Serve.Client.admit c ~session ~digest ~app:"A" ~min_throughput:0. ()
+          get (Serve.Client.admit c ~session ~digest ~app:"A" ~min_throughput:0. ())
         with
-        | Ok (Protocol.Admitted { throughput; _ }) -> throughput
-        | Ok _ -> Alcotest.fail "A rejected from an empty session"
-        | Error e -> Alcotest.failf "admit A: %s" e
+        | Protocol.Admitted { throughput; _ } -> throughput
+        | _ -> failwith "A rejected from an empty session"
       in
-      unwrap (Serve.Client.release c ~session ~app:"A" ());
-      (match
-         Serve.Client.admit c ~session ~digest ~app:"A"
-           ~min_throughput:(tp_a *. 0.999) ()
-       with
-      | Ok (Protocol.Admitted _) -> ()
-      | Ok _ -> Alcotest.fail "A rejected at its own solo throughput"
-      | Error e -> Alcotest.failf "re-admit A: %s" e);
-      let rec push_until_victim = function
-        | [] -> Alcotest.fail "no admission ever named A as victim"
+      get (Serve.Client.release c ~session ~app:"A" ());
+      let readmit =
+        get
+          (Serve.Client.admit c ~session ~digest ~app:"A"
+             ~min_throughput:(tp_a *. 0.999) ())
+      in
+      let rec push acc = function
+        | [] -> List.rev acc
         | app :: rest -> (
-            match
-              Serve.Client.admit c ~session ~digest ~app ~min_throughput:0. ()
-            with
-            | Ok (Protocol.Rejected_victim { victim; estimated; required }) ->
-                Alcotest.(check string) "victim is A" "A" victim;
-                if estimated >= required then
-                  Alcotest.fail "victim estimate not below its requirement"
-            | Ok (Protocol.Admitted _) -> push_until_victim rest
-            | Ok (Protocol.Rejected_candidate _) -> push_until_victim rest
-            | Error e -> Alcotest.failf "admit %s: %s" app e)
+            let v =
+              get (Serve.Client.admit c ~session ~digest ~app ~min_throughput:0. ())
+            in
+            match v with
+            | Protocol.Rejected_victim _ -> List.rev ((app, v) :: acc)
+            | _ -> push ((app, v) :: acc) rest)
       in
-      push_until_victim [ "B"; "C" ];
-      unwrap (Serve.Client.release c ~session ~app:"A" ()))
+      let pushes = push [] [ "B"; "C" ] in
+      get (Serve.Client.release c ~session ~app:"A" ());
+      { digest; procs = up.Protocol.procs; first; second; readmit; pushes })
+
+let check_observations w estimator o =
+  Alcotest.(check string) "digest" (Serve.Store.digest_of w) o.digest;
+  Alcotest.(check int) "procs" w.Exp.Workload.procs o.procs;
+  if o.first.Protocol.cached then
+    Alcotest.fail "first estimate claims to be cached";
+  if not o.second.Protocol.cached then
+    Alcotest.fail "second estimate missed the cache";
+  check_rows_bitwise ~what:"cached reply" (local_rows w estimator) o.second;
+  check_rows_bitwise ~what:"first reply" (local_rows w estimator) o.first;
+  (match o.readmit with
+  | Protocol.Admitted _ -> ()
+  | _ -> Alcotest.fail "A rejected at its own solo throughput");
+  let rec victims = function
+    | [] -> Alcotest.fail "no admission ever named A as victim"
+    | [ (_, Protocol.Rejected_victim { victim; estimated; required }) ] ->
+        Alcotest.(check string) "victim is A" "A" victim;
+        if estimated >= required then
+          Alcotest.fail "victim estimate not below its requirement"
+    | (_, (Protocol.Admitted _ | Protocol.Rejected_candidate _)) :: rest ->
+        victims rest
+    | (app, _) :: _ -> Alcotest.failf "admit %s: unexpected verdict" app
+  in
+  victims o.pushes
 
 let test_integration () =
   let w = small_workload () in
   with_server (fun server port ->
       (* Two concurrent clients on separate sessions and estimators. *)
-      let doms =
-        [
-          Domain.spawn
-            (client_scenario ~port ~session:"alpha"
-               ~estimator:(Contention.Analysis.Order 2) w);
-          Domain.spawn
-            (client_scenario ~port ~session:"beta"
-               ~estimator:(Contention.Analysis.Order 4) w);
-        ]
+      let clients =
+        List.map
+          (fun (session, estimator) ->
+            (estimator, Domain.spawn (client_scenario ~port ~session ~estimator w)))
+          [
+            ("alpha", Contention.Analysis.Order 2);
+            ("beta", Contention.Analysis.Order 4);
+          ]
       in
-      List.iter Domain.join doms;
+      List.iter
+        (fun (estimator, d) -> check_observations w estimator (Domain.join d))
+        clients;
       with_client port (fun c ->
           let s = unwrap (Serve.Client.stats c) in
           Alcotest.(check int) "one workload stored" 1 s.Protocol.workloads;
