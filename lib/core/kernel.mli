@@ -103,9 +103,9 @@ val graph :
     delay)]; [name] is the source graph's name, used in error messages.
     The forms are the certified critical cycles at the per-actor execution
     times [seeds] ({!Analysis.prepare} passes the isolation times); with no
-    seeds, an arbitrary cycle.  The set never changes
-    afterwards, so {!period_into} is a pure function of the graph and the
-    execution times.
+    seeds, an arbitrary cycle.  The set never changes afterwards, so
+    {!period_into} is a pure function of the graph and the execution
+    times.
     @raise Invalid_argument on a negative delay or actor index, an endpoint
     out of range, or, as {!period_into}, a seed it rejects. *)
 
