@@ -1,8 +1,9 @@
-(* Benchmark and reproduction harness.
+(* Reproduction harness: regenerates every table and figure of
+   EXPERIMENTS.md.
 
-   Running this executable regenerates every table and figure of the paper's
-   evaluation (Section 5) on the substitute substrate, then times the pieces
-   with Bechamel micro-benchmarks:
+   Running this executable reproduces the paper's evaluation (Section 5) on
+   the substitute substrate, then times the pieces with Bechamel
+   micro-benchmarks:
 
      FIG5    normalized periods, all 10 applications concurrent
      TABLE1  mean inaccuracy over all 1023 use-cases + complexity
@@ -12,85 +13,64 @@
      ABLATION-ITERATION  single-pass vs fixed-point refinement
      ABLATION-ENGINE     state-space vs HSDF/MCM vs exact-rational backends
      ABLATION-STOCHASTIC Section 6 variable execution times vs replicated sim
+     ABLATION-CALIBRATION re-estimation on measured periods (Section 6)
      ABLATION-DENSITY    accuracy vs per-node utilisation (fewer processors)
+     SCENARIO            expected periods under a usage model
+     SEEDS               Table 1 on freshly generated workloads
      CAPACITY            buffer/throughput trade-off (references [16]/[20])
      ARBITRATION         FCFS vs fixed priority vs static order ([2])
      TDMA                the preemptive TDMA worst-case baseline ([3])
      EXPLORE             estimator-in-the-loop mapping search
-     SERVE               request throughput of the in-process serve daemon
      AUDIT               serve estimate throughput with the shadow audit
                          off, at 1-in-64 and at 1-in-8 sampling
      CLUSTER             open-loop load against one shard vs the full
                          consistent-hash ring (aggregate cache scaling)
-     ESTIMATOR           batched kernel pass vs the list-based reference
      ADMIT               incremental admission joins/s vs a per-join re-fold
                          at a 1,000-application resident population, plus
                          confidence-margin cost per request
      MICRO   Bechamel OLS estimates for kernels and full-path operations
 
-   Flags:
-     --quick       run only the trajectory sections (SWEEP, ESTIMATOR, SERVE,
-                   AUDIT, CLUSTER, CHECK, ADMIT) — what CI's bench-smoke job
-                   measures
-     --json FILE   write the machine-readable trajectory (schema
-                   "contention-bench/1", see EXPERIMENTS.md) to FILE
+   The workload is fixed: seed 2007, 10 applications on 10 processors, a
+   500,000 time-unit simulation horizon and every use-case.  For another
+   seed or size run `contention experiment --seed/--apps/--horizon`.  The
+   bench takes no argument (any argument exits 2).  It exits 1 when a
+   section's own check fails: the parallel sweep differs from the
+   sequential one, a cluster run reports errors or completes no request,
+   or incremental admission rebuilds or is not faster than the re-fold.
 
-   Environment knobs:
-     CONTENTION_SEED      workload seed            (default 2007)
-     CONTENTION_HORIZON   simulation horizon       (default 500000)
-     CONTENTION_APPS      number of applications   (default 10)
-     CONTENTION_QUOTA     bechamel quota seconds   (default 0.5)
-     CONTENTION_SWEEP     "full" or a divisor N to sample every Nth use-case
+   Environment:
      CONTENTION_JOBS      domains for the use-case sweep (default: recommended
                           domain count - 1; the TIMING section also re-runs
                           the sweep sequentially to report the speedup)
      CONTENTION_TRACE     write a Chrome/Perfetto trace of the whole run to
-                          this file (spans recording is off otherwise)
-     CONTENTION_REV       revision label stamped into the --json output
-                          (default "dev")
-     CONTENTION_CLUSTER_SHARDS    ring size for the CLUSTER section (default 4)
-     CONTENTION_CLUSTER_RATE      offered load in req/s        (default 6000)
-     CONTENTION_CLUSTER_DURATION  open-loop duration seconds   (default 0.5)
-     CONTENTION_CLUSTER_JOBS      workers per shard            (default 2)
-     CONTENTION_CLUSTER_CACHE     estimate-cache entries/shard (default 8)
-     CONTENTION_CLUSTER_DIGESTS   load working-set size        (default 16)
-     CONTENTION_ADMIT_APPS        ADMIT resident population    (default 1000)
-     CONTENTION_ADMIT_CYCLES      ADMIT join/leave cycles      (default 100) *)
+                          this file (spans recording is off otherwise) *)
 
 open Bechamel
 
-let env_int name default =
-  match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with Some v -> float_of_string v | None -> default
-
-let seed = env_int "CONTENTION_SEED" 2007
-let horizon = env_float "CONTENTION_HORIZON" 500_000.
-let num_apps = env_int "CONTENTION_APPS" 10
-let quota = env_float "CONTENTION_QUOTA" 0.5
+let seed = 2007
+let horizon = 500_000.
+let num_apps = 10
+let quota = 0.5
 let trace_file = Sys.getenv_opt "CONTENTION_TRACE"
 let () = if trace_file <> None then Obs.Span.set_enabled true
 
-(* No cmdliner in the bench — two flags do not justify the dependency. *)
-let quick, json_path =
-  let quick = ref false and json = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: rest ->
-        quick := true;
-        parse rest
-    | "--json" :: path :: rest ->
-        json := Some path;
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf "bench: unknown argument %s (expected --quick, --json FILE)\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  (!quick, !json)
+let () =
+  if Array.length Sys.argv > 1 then begin
+    Printf.eprintf
+      "bench: unexpected argument %s (the bench takes none; for another seed \
+       or size run `contention experiment`)\n"
+      Sys.argv.(1);
+    exit 2
+  end
 
-let full = not quick
+(* A section whose own check fails stops the run: CI's bench job gates on
+   the exit status. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 1)
+    fmt
 
 (* All wall-clock deltas below come from the monotonic clock: the bench can
    run for a long time and an NTP step must not bend a timing row. *)
@@ -108,27 +88,14 @@ let workload = Exp.Workload.make ~seed ~num_apps ~procs:10 ()
 (* Figure 5                                                            *)
 
 let () =
-  if full then begin
-    section "FIG5";
-    print_string (Exp.Figures.render_fig5 (Exp.Figures.fig5 ~horizon workload))
-  end
+  section "FIG5";
+  print_string (Exp.Figures.render_fig5 (Exp.Figures.fig5 ~horizon workload))
 
 (* ------------------------------------------------------------------ *)
 (* The sweep behind Table 1 and Figure 6                               *)
 
 let jobs = Exp.Pool.default_jobs ()
-
-let sweep_usecases =
-  let all = Contention.Usecase.all ~napps:num_apps in
-  match Sys.getenv_opt "CONTENTION_SWEEP" with
-  | None | Some "full" -> all
-  | Some divisor ->
-      (* Sample uniformly: a strided slice of the mask list would always
-         contain the same low-index applications. *)
-      let d = int_of_string divisor in
-      let arr = Array.of_list all in
-      Sdfgen.Rng.shuffle (Sdfgen.Rng.create seed) arr;
-      List.filteri (fun i _ -> i mod d = 0) (Array.to_list arr)
+let sweep_usecases = Contention.Usecase.all ~napps:num_apps
 
 let sweep, parallel_wall_s =
   section "SWEEP";
@@ -146,19 +113,7 @@ let sweep, parallel_wall_s =
   let s = Exp.Sweep.run ~horizon ~usecases:sweep_usecases ~progress ~jobs workload in
   (s, elapsed_s t0)
 
-let sweep_json =
-  let n = List.length sweep_usecases in
-  Serve.Json.Obj
-    [
-      ("usecases", Serve.Json.Num (float_of_int n));
-      ("jobs", Serve.Json.Num (float_of_int jobs));
-      ("wall_s", Serve.Json.Num parallel_wall_s);
-      ( "usecases_per_s",
-        Serve.Json.Num (float_of_int n /. Float.max 1e-9 parallel_wall_s) );
-    ]
-
 let () =
-  if full then begin
   section "TABLE1";
   print_string (Exp.Figures.render_table1 (Exp.Figures.table1 sweep));
   section "FIG6";
@@ -174,126 +129,13 @@ let () =
   let sequential = Exp.Sweep.run ~horizon ~usecases:sweep_usecases ~jobs:1 workload in
   let sequential_wall_s = elapsed_s t0 in
   if compare sequential.observations sweep.observations <> 0 then
-    print_endline "  WARNING: sequential and parallel observations differ!";
+    fail "sequential and parallel sweep observations differ";
   Printf.printf
     "\n  sweep wall-clock, sequential (jobs=1) : %.2f s\n\
      \  sweep wall-clock, parallel   (jobs=%d): %.2f s\n\
      \  parallel sweep speedup               : %.2fx\n"
     sequential_wall_s jobs parallel_wall_s
     (sequential_wall_s /. Float.max 1e-9 parallel_wall_s)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The estimator kernel: batched zero-allocation pass vs reference     *)
-
-let estimator_json =
-  section "ESTIMATOR";
-  print_endline
-    "Batched kernel pass (Analysis.estimate_periods_into) against the\n\
-     list-based reference (Check.Oracle.reference): whole-sweep passes over\n\
-     every use-case of the workload, per estimator";
-  let caches = Array.map Contention.Analysis.prepare workload.apps in
-  let prepared = Contention.Analysis.prepare_workload ~caches workload.apps in
-  let ucs = Array.of_list (Contention.Usecase.all ~napps:num_apps) in
-  let n_ucs = Array.length ucs in
-  (* The reference gets its loads and expansions precomputed, as the
-     kernel gets its caches: both timings cover only the per-use-case pass. *)
-  let inputs =
-    Array.map
-      (fun (a : Contention.Analysis.app) ->
-        (a, Contention.Analysis.loads a, Sdf.Hsdf.expand a.graph))
-      workload.apps
-  in
-  let triples =
-    Array.map
-      (fun uc -> List.map (fun i -> inputs.(i)) (Contention.Usecase.to_list uc))
-      ucs
-  in
-  let ws = Contention.Analysis.workspace () in
-  let out = Array.make num_apps 0. in
-  let kernel_pass est =
-    for u = 0 to n_ucs - 1 do
-      ignore
-        (Contention.Analysis.estimate_periods_into ws est prepared
-           ~usecase:ucs.(u) ~out)
-    done
-  in
-  let reference_pass est =
-    for u = 0 to n_ucs - 1 do
-      ignore (Check.Oracle.reference est triples.(u))
-    done
-  in
-  (* Adaptive repetition: one warm pass, then enough timed whole-sweep passes
-     to cover ~0.2 s, so the per-use-case figure is stable on both the 1023
-     use-cases of the full workload and CI's handful. *)
-  let seconds_per_usecase f =
-    f ();
-    let t0 = Obs.Clock.now_ns () in
-    f ();
-    let once = elapsed_s t0 in
-    let reps = Int.max 1 (int_of_float (0.2 /. Float.max 1e-6 once)) in
-    let t0 = Obs.Clock.now_ns () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    elapsed_s t0 /. float_of_int (reps * n_ucs)
-  in
-  let rows = ref [] and per_est = ref [] and speedups = ref [] in
-  List.iter
-    (fun est ->
-      let kernel_s = seconds_per_usecase (fun () -> kernel_pass est) in
-      let reference_s = seconds_per_usecase (fun () -> reference_pass est) in
-      let speedup = reference_s /. Float.max 1e-12 kernel_s in
-      speedups := speedup :: !speedups;
-      let name = Contention.Analysis.estimator_name est in
-      rows :=
-        [
-          name;
-          Printf.sprintf "%.1f" (kernel_s *. 1e6);
-          Printf.sprintf "%.1f" (reference_s *. 1e6);
-          Printf.sprintf "%.2fx" speedup;
-        ]
-        :: !rows;
-      per_est :=
-        Serve.Json.Obj
-          [
-            ("name", Serve.Json.Str name);
-            ("kernel_ns_per_usecase", Serve.Json.Num (kernel_s *. 1e9));
-            ("reference_ns_per_usecase", Serve.Json.Num (reference_s *. 1e9));
-            ( "kernel_usecases_per_s",
-              Serve.Json.Num (1. /. Float.max 1e-12 kernel_s) );
-            ("speedup", Serve.Json.Num speedup);
-          ]
-        :: !per_est)
-    Contention.Analysis.all_paper_estimators;
-  print_string
-    (Repro_stats.Table.render
-       ~header:[ "Estimator"; "Kernel us/uc"; "Reference us/uc"; "Speedup" ]
-       (List.rev !rows));
-  (* Allocation on the warm kernel path, from the GC's own counters.  The
-     only allocation inside the measured window is Gc.minor_words boxing its
-     float return — a constant few words independent of the pass count. *)
-  let alloc_est = Contention.Analysis.Order 2 in
-  kernel_pass alloc_est;
-  let alloc_passes = 10 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to alloc_passes do
-    kernel_pass alloc_est
-  done;
-  let dw = Gc.minor_words () -. w0 in
-  let words_per_uc = dw /. float_of_int (alloc_passes * n_ucs) in
-  let mean_speedup = Repro_stats.Stats.mean !speedups in
-  Printf.printf
-    "\nwarm kernel allocation: %.3f minor words/use-case (%d use-cases)\n\
-     mean speedup over the reference path: %.2fx\n"
-    words_per_uc n_ucs mean_speedup;
-  Serve.Json.Obj
-    [
-      ("usecases", Serve.Json.Num (float_of_int n_ucs));
-      ("per_estimator", Serve.Json.Arr (List.rev !per_est));
-      ("kernel_minor_words_per_usecase", Serve.Json.Num words_per_uc);
-      ("mean_speedup", Serve.Json.Num mean_speedup);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: order of the Equation 5 truncation                        *)
@@ -302,25 +144,21 @@ let full_usecase = Contention.Usecase.full ~napps:num_apps
 let full_apps = Exp.Workload.analysis_apps workload full_usecase
 
 let simulated_full =
-  (* Lazy: only the full-run ablation sections force this simulation. *)
-  lazy
-    (let results, _ =
-       Desim.Engine.run ~horizon ~procs:workload.procs
-         (Exp.Workload.sim_apps workload full_usecase)
-     in
-     Array.map (fun r -> r.Desim.Engine.avg_period) results)
+  let results, _ =
+    Desim.Engine.run ~horizon ~procs:workload.procs
+      (Exp.Workload.sim_apps workload full_usecase)
+  in
+  Array.map (fun r -> r.Desim.Engine.avg_period) results
 
 let mean_err estimated =
-  let simulated = Lazy.force simulated_full in
   Repro_stats.Stats.mean
     (List.mapi
-       (fun i p -> Repro_stats.Stats.abs_pct_error ~reference:simulated.(i) p)
+       (fun i p -> Repro_stats.Stats.abs_pct_error ~reference:simulated_full.(i) p)
        estimated)
 
 let periods est = List.map (fun (r : Contention.Analysis.estimate) -> r.period) (Contention.Analysis.estimate est full_apps)
 
 let () =
-  if full then begin
   section "ABLATION-ORDER";
   print_endline
     "Mean abs % period error on the maximum-contention use-case, by truncation order";
@@ -340,13 +178,11 @@ let () =
   in
   print_string
     (Repro_stats.Table.render ~header:[ "Estimator"; "Err (%)"; "Time (ms)" ] rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: single pass vs fixed-point refinement                     *)
 
 let () =
-  if full then begin
   section "ABLATION-ITERATION";
   print_endline "Fixed-point refinement of blocking probabilities (Order 2)";
   let rows =
@@ -361,13 +197,11 @@ let () =
       [ 1; 2; 3; 5 ]
   in
   print_string (Repro_stats.Table.render ~header:[ "Iterations"; "Err (%)" ] rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: period computation backends                               *)
 
 let () =
-  if full then begin
   section "ABLATION-ENGINE";
   print_endline "Period backend parity on the workload graphs";
   let rows =
@@ -388,13 +222,11 @@ let () =
     (Repro_stats.Table.render
        ~header:[ "App"; "Statespace"; "HSDF/MCM"; "Exact rational"; "Abs diff" ]
        rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: variable execution times (Section 6 extension)            *)
 
 let () =
-  if full then begin
   section "ABLATION-STOCHASTIC";
   print_endline
     "Estimate vs stochastic simulation as execution-time spread grows\n\
@@ -452,13 +284,11 @@ let () =
     (Repro_stats.Table.render
        ~header:[ "Spread"; "Estimated"; "Simulated (95% CI)"; "Err (%)" ]
        rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: run-time calibration (Section 6)                          *)
 
 let () =
-  if full then begin
   section "ABLATION-CALIBRATION";
   print_endline
     "Re-estimating with measured (simulated) periods as the probability\n\
@@ -468,10 +298,7 @@ let () =
      so the calibrated estimate undershoots; the suggestion pays off for\n\
      admission control, where a NEW application is estimated against the\n\
      currently measured system (see Contention.Admission).";
-  let measured =
-    let simulated = Lazy.force simulated_full in
-    List.mapi (fun i a -> (a, simulated.(i))) full_apps
-  in
+  let measured = List.mapi (fun i a -> (a, simulated_full.(i))) full_apps in
   let rows =
     List.map
       (fun est ->
@@ -492,13 +319,11 @@ let () =
     (Repro_stats.Table.render
        ~header:[ "Estimator"; "Plain err (%)"; "Calibrated err (%)" ]
        rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablation: contention density (processor count)                      *)
 
 let () =
-  if full then begin
   section "ABLATION-DENSITY";
   print_endline
     "Accuracy vs contention density: the same six applications squeezed onto\n\
@@ -542,25 +367,21 @@ let () =
        ~header:
          [ "Procs"; "Mean util"; "Worst case"; "Second order"; "Fourth order"; "Exact" ]
        rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Expected performance under a usage model                            *)
 
 let () =
-  if full then begin
   section "SCENARIO";
   print_endline
     "Expected period per application when every application is independently\n\
      active half the time (product-form usage model over the sweep)";
   print_string (Exp.Scenario.render (Exp.Scenario.uniform ~napps:num_apps 0.5) sweep)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: do the conclusions survive a different random workload? *)
 
 let () =
-  if full then begin
   section "SEEDS";
   print_endline
     "Table-1 period inaccuracies on freshly generated workloads (sampled\n\
@@ -587,13 +408,11 @@ let () =
     (Repro_stats.Table.render
        ~header:[ "Seed"; "Worst case"; "Fourth order"; "Second order"; "Composability" ]
        rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Buffer/throughput trade-off (references [16]/[20] of the paper)     *)
 
 let () =
-  if full then begin
   section "CAPACITY";
   let g = workload.apps.(0).Contention.Analysis.graph in
   Printf.printf "Buffer/throughput trade-off for application A (period %.0f unbounded)\n\n"
@@ -638,13 +457,11 @@ let () =
       (Sdf.Capacity.sweep_uniform pipeline ~max_capacity:5)
   in
   print_string (Repro_stats.Table.render ~header:[ "Uniform capacity"; "Period" ] rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Arbitration policies vs the analysis assumption                     *)
 
 let () =
-  if full then begin
   section "ARBITRATION";
   print_endline
     "Simulated periods of the full use-case under FCFS (the paper's model),\n\
@@ -696,13 +513,11 @@ let () =
      with incommensurate rates cannot follow it and stall — the coupling the\n\
      paper's Section 2 holds against static-order analyses, and the reason\n\
      its own approach imposes no ordering."
-  end
 
 (* ------------------------------------------------------------------ *)
 (* TDMA baseline (related work, reference [3])                         *)
 
 let () =
-  if full then begin
   section "TDMA";
   print_endline
     "TDMA (wheel 100, one slice per mapped actor): the preemptive simulation\n\
@@ -736,13 +551,11 @@ let () =
        ~header:
          [ "App"; "Second order"; "RR worst case"; "TDMA simulated"; "TDMA bound" ]
        rows)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Mapping exploration driven by the estimator                         *)
 
 let () =
-  if full then begin
   section "EXPLORE";
   let graphs =
     Array.to_list
@@ -761,78 +574,13 @@ let () =
      %d estimator evaluations in %.2f s\n"
     outcome.initial_score outcome.final_score outcome.moves outcome.evaluations
     (elapsed_s t0)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The serve daemon: request throughput against an in-process server    *)
-
-let serve_json =
-  section "SERVE";
-  let reqs = env_int "CONTENTION_SERVE_REQS" 2_000 in
-  let config =
-    {
-      Serve.Server.default_config with
-      port = Some 0;
-      unix_path = None;
-      jobs = Some 2;
-    }
-  in
-  let server = Serve.Server.start ~config () in
-  let port = Option.get (Serve.Server.tcp_port server) in
-  let fail msg = failwith ("bench serve: " ^ msg) in
-  let client =
-    match Serve.Client.connect ~port () with
-    | Ok c -> c
-    | Error msg -> fail msg
-  in
-  let small = Exp.Workload.make ~seed ~num_apps:3 ~procs:2 () in
-  let digest =
-    match Serve.Client.upload client ~payload:(Exp.Workload.to_string small) with
-    | Ok (up : Serve.Protocol.upload_reply) -> up.digest
-    | Error msg -> fail msg
-  in
-  let time_reqs name f =
-    let t0 = Obs.Clock.now_ns () in
-    for _ = 1 to reqs do
-      match f () with Ok _ -> () | Error msg -> fail msg
-    done;
-    let dt = elapsed_s t0 in
-    let rate = float_of_int reqs /. Float.max 1e-9 dt in
-    Printf.printf "%-28s %8.0f req/s  (%.1f us/req over %d requests)\n" name
-      rate
-      (dt /. float_of_int reqs *. 1e6)
-      reqs;
-    rate
-  in
-  let ping_rate = time_reqs "ping" (fun () -> Serve.Client.ping client) in
-  let estimate_rate =
-    time_reqs "estimate (cached)" (fun () ->
-        Serve.Client.estimate client ~digest
-          ~estimator:(Contention.Analysis.Order 2) ())
-  in
-  (match Serve.Client.stats client with
-  | Ok (s : Serve.Protocol.stats_reply) ->
-      Printf.printf
-        "server counters: %d requests, cache hit rate %.1f%%, p99 latency %.0f us\n"
-        s.requests_total
-        (100. *. Serve.Protocol.cache_hit_rate s)
-        s.latency_p99_us
-  | Error msg -> fail msg);
-  Serve.Client.close client;
-  Serve.Server.stop server;
-  Serve.Json.Obj
-    [
-      ("reqs", Serve.Json.Num (float_of_int reqs));
-      ("ping_req_per_s", Serve.Json.Num ping_rate);
-      ("estimate_req_per_s", Serve.Json.Num estimate_rate);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Shadow-audit overhead on the serve request path                      *)
 
-let audit_json =
+let () =
   section "AUDIT";
-  let reqs = env_int "CONTENTION_SERVE_REQS" 2_000 in
+  let reqs = 2_000 in
   print_endline
     "Estimate throughput as the shadow audit samples none, 1 in 64 and\n\
      1 in 8 of served estimates.  Replays run on a background domain, so\n\
@@ -840,7 +588,6 @@ let audit_json =
      queue submission — the three rates should be close; the gap is the\n\
      audit's request-path overhead (see EXPERIMENTS.md, AUDIT section)";
   let small = Exp.Workload.make ~seed ~num_apps:3 ~procs:2 () in
-  let fail msg = failwith ("bench audit: " ^ msg) in
   let measure audit_sample =
     let config =
       {
@@ -856,12 +603,12 @@ let audit_json =
     let client =
       match Serve.Client.connect ~port () with
       | Ok c -> c
-      | Error msg -> fail msg
+      | Error msg -> fail "audit: %s" msg
     in
     let digest =
       match Serve.Client.upload client ~payload:(Exp.Workload.to_string small) with
       | Ok (up : Serve.Protocol.upload_reply) -> up.digest
-      | Error msg -> fail msg
+      | Error msg -> fail "audit: %s" msg
     in
     let t0 = Obs.Clock.now_ns () in
     for _ = 1 to reqs do
@@ -870,7 +617,7 @@ let audit_json =
           ~estimator:(Contention.Analysis.Order 2) ()
       with
       | Ok _ -> ()
-      | Error msg -> fail msg
+      | Error msg -> fail "audit: %s" msg
     done;
     let dt = elapsed_s t0 in
     Serve.Client.close client;
@@ -883,35 +630,17 @@ let audit_json =
        else Printf.sprintf "estimate (audit 1-in-%d)" audit_sample)
       rate
       (dt /. float_of_int reqs *. 1e6)
-      reqs;
-    rate
+      reqs
   in
-  let off = measure 0 in
-  let sample_64 = measure 64 in
-  let sample_8 = measure 8 in
-  let side rate =
-    Serve.Json.Obj [ ("estimate_req_per_s", Serve.Json.Num rate) ]
-  in
-  Serve.Json.Obj
-    [
-      ("reqs", Serve.Json.Num (float_of_int reqs));
-      ("off", side off);
-      ("sample_64", side sample_64);
-      ("sample_8", side sample_8);
-    ]
+  List.iter measure [ 0; 64; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded cluster: open-loop throughput, single shard vs the ring      *)
 
-let cluster_json =
+let () =
   section "CLUSTER";
-  let shards = env_int "CONTENTION_CLUSTER_SHARDS" 4 in
-  let rate = env_float "CONTENTION_CLUSTER_RATE" 12_000. in
-  let duration = env_float "CONTENTION_CLUSTER_DURATION" 0.5 in
-  let jobs = env_int "CONTENTION_CLUSTER_JOBS" 2 in
-  let cache = env_int "CONTENTION_CLUSTER_CACHE" 8 in
-  let working_set = env_int "CONTENTION_CLUSTER_DIGESTS" 16 in
-  let fail msg = failwith ("bench cluster: " ^ msg) in
+  let shards = 4 and rate = 12_000. and duration = 0.5 in
+  let jobs = 2 and cache = 8 and working_set = 16 in
   Printf.printf
     "Open-loop load (%.0f req/s offered, uniform arrivals over %d digests,\n\
      %.1f s) against one shard, then the full %d-shard ring over unix\n\
@@ -955,7 +684,7 @@ let cluster_json =
                (fun payload ->
                  match Cluster.Router.upload router ~payload with
                  | Ok (up : Serve.Protocol.upload_reply) -> up.digest
-                 | Error msg -> fail msg)
+                 | Error msg -> fail "cluster: %s" msg)
                payloads)
         in
         let config =
@@ -985,93 +714,32 @@ let cluster_json =
   let single = measure "single shard" [ List.hd endpoints ] in
   let multi = measure (Printf.sprintf "%d shards" shards) endpoints in
   List.iter (fun (server, _) -> Serve.Server.stop server) servers;
-  let side (r : Cluster.Loadgen.report) =
-    Serve.Json.Obj
-      [
-        ("req_per_s", Serve.Json.Num r.achieved_rps);
-        ("p50_ms", Serve.Json.Num r.p50_ms);
-        ("p99_ms", Serve.Json.Num r.p99_ms);
-        ("ok", Serve.Json.Num (float_of_int r.ok));
-        ("shed", Serve.Json.Num (float_of_int r.shed));
-        ("errors", Serve.Json.Num (float_of_int r.errors));
-      ]
-  in
-  Serve.Json.Obj
-    [
-      ("shards", Serve.Json.Num (float_of_int shards));
-      ("offered_rps", Serve.Json.Num rate);
-      ("single", side single);
-      ("multi", side multi);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Differential fuzzing throughput and accuracy                        *)
-
-let check_json =
-  section "CHECK";
-  let seeds = env_int "CONTENTION_CHECK_SEEDS" 200 in
-  print_endline
-    "Differential oracle campaign over random small workloads: every seed\n\
-     cross-checks estimators against the simulator, brute force and the\n\
-     metamorphic relations (see `contention check`)";
-  let r = Check.Fuzz.run ~seeds () in
-  print_string (Check.Report.render r);
-  let seeds_per_s = float_of_int r.ran /. Float.max 1e-9 r.elapsed_s in
-  Printf.printf "throughput: %.0f seeds/s (%d seeds in %.2f s)\n" seeds_per_s
-    r.ran r.elapsed_s;
-  Serve.Json.Obj
-    [
-      ("seeds", Serve.Json.Num (float_of_int r.ran));
-      ("seeds_per_s", Serve.Json.Num seeds_per_s);
-    ]
+  List.iter
+    (fun (label, (r : Cluster.Loadgen.report)) ->
+      if r.errors > 0 || r.ok = 0 then
+        fail "cluster: %s reported %d errors and %d completed requests" label
+          r.errors r.ok)
+    [ ("single shard", single); ("the ring", multi) ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental admission at scale                                       *)
 
-let admit_json =
+let () =
   section "ADMIT";
-  let residents = env_int "CONTENTION_ADMIT_APPS" 1_000 in
-  let procs = 4 in
+  let residents = 1_000 and cycles = 100 and procs = 4 in
   Printf.printf
     "Join/leave cycles at a %d-application resident population on %d\n\
      processors: the incremental controller (⊕/⊖ on the aggregates and the\n\
      kernel groups) against a per-join from-scratch re-fold of the same\n\
      state, plus the cost of serving a confidence margin per admit.\n"
     residents procs;
-  (* Small resident applications, drawn like the churn fuzz tier: HSDF
-     isolation periods (random state spaces are unbounded), no saturated
-     actors (no ⊖ inverse), and activation periods inflated so the resident
-     population sums to roughly one utilization per processor — thousands of
-     light features, not thousands of saturating ones. *)
+  (* Small resident applications, drawn as the churn fuzz tier draws them,
+     with activation periods inflated so the resident population sums to
+     roughly one utilization per processor — thousands of light features,
+     not thousands of saturating ones. *)
   let rng = Sdfgen.Rng.create seed in
   let period_slack = Float.max 12. (0.25 *. float_of_int residents) in
-  let params =
-    {
-      Sdfgen.Generator.default_params with
-      actors_min = 2;
-      actors_max = 4;
-      exec_min = 2;
-      exec_max = 20;
-    }
-  in
-  let gen name =
-    let rec draw attempts =
-      let g = Sdfgen.Generator.generate ~params (Sdfgen.Rng.split rng) ~name in
-      let app =
-        Contention.Analysis.app g
-          ~period:(period_slack *. Sdf.Hsdf.period g)
-          ~mapping:(Contention.Mapping.modulo ~procs g)
-      in
-      if
-        attempts < 50
-        && Array.exists
-             (fun (l : Contention.Prob.t) -> l.p >= 1.)
-             (Contention.Analysis.loads app)
-      then draw (attempts + 1)
-      else app
-    in
-    draw 0
-  in
+  let gen name = Check.Fuzz.churn_app rng ~procs ~period_slack ~name in
   let apps = Array.init residents (fun i -> gen (Printf.sprintf "R%d" i)) in
   let extra = gen "EXTRA" in
   let ctl = Contention.Admission.create ~procs () in
@@ -1080,13 +748,12 @@ let admit_json =
       Contention.Admission.try_admit ctl app Contention.Admission.best_effort
     with
     | Contention.Admission.Admitted _ -> ()
-    | _ -> failwith "bench admit: resident rejected"
+    | _ -> fail "admit: %s rejected" app.Contention.Analysis.graph.Sdf.Graph.name
   in
   let t0 = Obs.Clock.now_ns () in
   Array.iter admit apps;
   let ramp_s = elapsed_s t0 in
   (* Steady-state join/leave cycles (LIFO, so ⊖ is the exact inverse). *)
-  let cycles = env_int "CONTENTION_ADMIT_CYCLES" 100 in
   let time_cycles ~refold =
     let t0 = Obs.Clock.now_ns () in
     for _ = 1 to cycles do
@@ -1138,21 +805,10 @@ let admit_json =
     speedup (margin_z_s *. 1e6)
     Contention.Admission.default_margin_spec.Contention.Admission.samples
     (margin_q_s *. 1e6) counters.Contention.Admission.full_rebuilds;
-  Serve.Json.Obj
-    [
-      ("resident_apps", Serve.Json.Num (float_of_int residents));
-      ("ramp_joins_per_s",
-        Serve.Json.Num (float_of_int residents /. Float.max 1e-9 ramp_s));
-      ( "incremental_joins_per_s",
-        Serve.Json.Num (1. /. Float.max 1e-12 incremental_s) );
-      ( "refold_joins_per_s",
-        Serve.Json.Num (1. /. Float.max 1e-12 refold_s) );
-      ("speedup", Serve.Json.Num speedup);
-      ("margin_z_us", Serve.Json.Num (margin_z_s *. 1e6));
-      ("margin_quantile_us", Serve.Json.Num (margin_q_s *. 1e6));
-      ( "full_rebuilds",
-        Serve.Json.Num (float_of_int counters.Contention.Admission.full_rebuilds) );
-    ]
+  if counters.Contention.Admission.full_rebuilds > 0 then
+    fail "admit: %d full rebuilds" counters.Contention.Admission.full_rebuilds;
+  if speedup <= 1. then
+    fail "admit: incremental path not faster than the re-fold (%.2fx)" speedup
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -1240,7 +896,6 @@ let tests =
     ]
 
 let () =
-  if full then begin
   section "MICRO";
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:None ~stabilize:true ()
@@ -1275,40 +930,8 @@ let () =
       rows
   in
   print_string (Repro_stats.Table.render ~header:[ "Benchmark"; "Time/run" ] cells)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Trajectory output                                                   *)
 
 let () =
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let rev =
-        match Sys.getenv_opt "CONTENTION_REV" with Some r -> r | None -> "dev"
-      in
-      let doc =
-        Serve.Json.Obj
-          [
-            ("schema", Serve.Json.Str "contention-bench/1");
-            ("rev", Serve.Json.Str rev);
-            ("seed", Serve.Json.Num (float_of_int seed));
-            ("apps", Serve.Json.Num (float_of_int num_apps));
-            ("horizon", Serve.Json.Num horizon);
-            ("quick", Serve.Json.Bool quick);
-            ("sweep", sweep_json);
-            ("estimator", estimator_json);
-            ("serve", serve_json);
-            ("audit", audit_json);
-            ("cluster", cluster_json);
-            ("check", check_json);
-            ("admit", admit_json);
-          ]
-      in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Serve.Json.to_string doc);
-          output_char oc '\n');
-      Printf.printf "\nwrote %s\n" path);
   (match trace_file with
   | None -> ()
   | Some path ->

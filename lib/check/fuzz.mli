@@ -117,6 +117,19 @@ type churn_result = {
 
 val churn_passed : churn_result -> bool
 
+val churn_app :
+  Sdfgen.Rng.t ->
+  procs:int ->
+  period_slack:float ->
+  name:string ->
+  Contention.Analysis.app
+(** One resident application as the churn stream draws it: a 2–4 actor
+    random graph with execution times in [\[2, 20\]], mapped modulo [procs],
+    its HSDF period times [period_slack] as the activation period (random
+    state spaces are unbounded).  Up to 50 redraws avoid a saturated actor,
+    which would have no ⊖ inverse.  Consumes one {!Sdfgen.Rng.split} of
+    [rng] per draw. *)
+
 val churn : ?config:churn_config -> seed:int -> unit -> churn_result
 (** Run one churn campaign.  Deterministic in [(config, seed)].
     @raise Invalid_argument on a negative event count. *)

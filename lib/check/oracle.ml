@@ -31,6 +31,27 @@ let estimators =
     ("exact", Analysis.Exact);
   ]
 
+let waiting_time_brute_force loads =
+  let arr = Array.of_list loads in
+  let n = Array.length arr in
+  if n > 25 then invalid_arg "Check.Oracle.waiting_time_brute_force: too many actors";
+  let total = ref 0. in
+  for mask = 1 to (1 lsl n) - 1 do
+    let prob = ref 1. and mu_sum = ref 0. and size = ref 0 in
+    for i = 0 to n - 1 do
+      let l = arr.(i) in
+      if mask land (1 lsl i) <> 0 then begin
+        prob := !prob *. l.Prob.p;
+        mu_sum := !mu_sum +. l.Prob.mu;
+        incr size
+      end
+      else prob := !prob *. (1. -. l.Prob.p)
+    done;
+    let s = float_of_int !size in
+    total := !total +. (!prob *. (((2. *. s) -. 1.) /. s) *. !mu_sum)
+  done;
+  !total
+
 let violation property fmt =
   Printf.ksprintf (fun detail -> { property; detail }) fmt
 
@@ -76,7 +97,7 @@ let check_kernel ?(config = default_config) ?exact rng others =
     let acc =
       if n > 6 then acc
       else
-        let bf = Contention.Exact.waiting_time_brute_force others in
+        let bf = waiting_time_brute_force others in
         if rel_close ~tol:1e-6 ex bf then acc
         else
           violation "exact-vs-brute-force"
@@ -214,9 +235,8 @@ let reference est triples =
     triples
 
 (* [got] against [expected], one estimate per app: periods, waits and
-   response times must be [close]. *)
-let agree ?(close = fun a b -> rel_close a b) ~property name path got expected
-    acc =
+   response times must agree to 1e-9 relative. *)
+let agree ~property name path got expected acc =
   let values (e : Analysis.estimate) =
     let named what a =
       List.mapi (fun i v -> (Printf.sprintf "%s.(%d)" what i, v)) (Array.to_list a)
@@ -228,7 +248,7 @@ let agree ?(close = fun a b -> rel_close a b) ~property name path got expected
     (fun acc (g : Analysis.estimate) e ->
       List.fold_left2
         (fun acc (what, gv) (_, ev) ->
-          if close gv ev then acc
+          if rel_close gv ev then acc
           else
             violation property "%s %s %s of %S: %.17g, expected %.17g" name path
               what g.for_app.graph.Sdf.Graph.name gv ev
@@ -238,16 +258,13 @@ let agree ?(close = fun a b -> rel_close a b) ~property name path got expected
 
 (* Every kernel entry point against the list-based reference, for every
    estimator, to 1e-9: one-at-a-time, a second refinement pass, and
-   caller-supplied loads (those the second pass re-bases on) — and the
-   batched entry point bit for bit against one-at-a-time. *)
+   caller-supplied loads (those the second pass re-bases on). *)
 let kernel_agreement apps acc =
   match apps with
   | [] -> acc
   | apps ->
-      let arr = Array.of_list apps in
-      let caches = Array.map Analysis.prepare arr in
-      let prepared = Analysis.prepare_workload ~caches arr in
-      let pairs = List.combine apps (Array.to_list caches) in
+      let caches = List.map Analysis.prepare apps in
+      let pairs = List.combine apps caches in
       let expansions =
         List.map (fun (a : Analysis.app) -> Sdf.Hsdf.expand a.graph) apps
       in
@@ -255,7 +272,6 @@ let kernel_agreement apps acc =
         List.map2 (fun (a, h) l -> (a, l, h)) (List.combine apps expansions) loads
       in
       let isolation = with_loads (List.map Analysis.loads apps) in
-      let napps = Array.length arr in
       List.fold_left
         (fun acc (name, est) ->
           let kernel = Analysis.estimate_prepared est pairs in
@@ -268,24 +284,14 @@ let kernel_agreement apps acc =
           in
           let second = reference est (with_loads rebased) in
           let property = "kernel-engine" in
-          let acc =
-            acc
-            |> agree ~property name "estimate_prepared" kernel first
-            |> agree ~property name "estimate ~iterations:2"
-                 (Analysis.estimate ~iterations:2 est apps)
-                 second
-            |> agree ~property name "estimate_with_loads"
-                 (Analysis.estimate_with_loads est (List.combine apps rebased))
-                 second
-          in
-          if napps >= 30 then acc
-          else
-            agree ~close:Float.equal ~property:"kernel-batch" name
-              "estimate_batch"
-              (List.concat
-                 (Analysis.estimate_batch est prepared
-                    [ Contention.Usecase.full ~napps ]))
-              kernel acc)
+          acc
+          |> agree ~property name "estimate_prepared" kernel first
+          |> agree ~property name "estimate ~iterations:2"
+               (Analysis.estimate ~iterations:2 est apps)
+               second
+          |> agree ~property name "estimate_with_loads"
+               (Analysis.estimate_with_loads est (List.combine apps rebased))
+               second)
         acc estimators
 
 (* Per-processor load groups across the active applications; each entry is

@@ -91,6 +91,15 @@ val check_kernel :
     tests use to prove the oracle catches an injected estimator bug (e.g. a
     dropped [(-1)^(j+1)] sign) without patching the library. *)
 
+val waiting_time_brute_force : Contention.Prob.t list -> float
+(** Equation 4's model by enumeration, the oracle for
+    {!Contention.Exact.waiting_time}: every blocking subset [S] and every
+    choice of the in-service actor.
+    [E(wait | S) = (2|S| - 1)/|S| * sum_(i in S) mu_i] (uniform in-service
+    choice; residual [mu] for the served actor, full [2 mu] for each queued
+    one).  Exponential in the list length.
+    @raise Invalid_argument beyond 25 loads. *)
+
 val reference :
   Contention.Analysis.estimator ->
   (Contention.Analysis.app * Contention.Prob.t array * Sdf.Hsdf.t) list ->
@@ -107,9 +116,8 @@ val kernel_agreement :
   violation list
 (** Differential check against {!reference} on one use-case, for every
     estimator: {!Contention.Analysis.estimate_prepared}, [estimate
-    ~iterations:2] and [estimate_with_loads] must agree with it to 1e-9,
-    and [estimate_batch] with one-at-a-time bit for bit.  Part of
-    {!check}. *)
+    ~iterations:2] and [estimate_with_loads] must agree with it to 1e-9.
+    Part of {!check}. *)
 
 val check : ?config:config -> Case.t -> outcome
 (** Run every level on a case.  Deterministic: the metamorphic RNG is seeded

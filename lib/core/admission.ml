@@ -429,12 +429,13 @@ let release t name =
       Ok ()
 
 let observe t name ~measured_period =
-  if measured_period <= 0. then
-    invalid_arg "Contention.Admission.observe: non-positive period";
+  (* Everything that can refuse runs before the first write. *)
+  if not (Float.is_finite measured_period && measured_period > 0.) then
+    invalid_arg "Contention.Admission.observe: period not finite and positive";
   let e = find t name in
-  e.measured <- Some measured_period;
   let old_loads = e.loads in
   let new_loads = Analysis.loads_at_period e.app ~period:measured_period in
+  e.measured <- Some measured_period;
   e.loads <- new_loads;
   t.observes_n <- t.observes_n + 1;
   (* The kernel groups keep per-member state, so each actor is an O(n)

@@ -119,7 +119,8 @@ val observe : t -> string -> measured_period:float -> unit
     subsequent admission decisions are scored against the system as it
     actually behaves.
     @raise Not_found if the application is not admitted.
-    @raise Invalid_argument on a non-positive period. *)
+    @raise Invalid_argument on a period that is not finite and positive;
+    a refused observation changes nothing. *)
 
 val observed_period : t -> string -> float option
 (** The last recorded measurement, if any.  @raise Not_found as {!observe}. *)

@@ -79,8 +79,8 @@ let app ?period ?procs ?distributions graph ~mapping =
   let isolation_period =
     match period with Some p -> p | None -> Sdf.Statespace.period_exn graph
   in
-  if isolation_period <= 0. then
-    invalid_arg "Contention.Analysis.app: non-positive period";
+  if not (Float.is_finite isolation_period && isolation_period > 0.) then
+    invalid_arg "Contention.Analysis.app: period not finite and positive";
   { graph; mapping; repetition; isolation_period; distributions }
 
 let loads_with_period a period =
@@ -96,7 +96,8 @@ let loads_with_period a period =
 let loads a = loads_with_period a a.isolation_period
 
 let loads_at_period a ~period =
-  if period <= 0. then invalid_arg "Contention.Analysis.loads_at_period: period <= 0";
+  if not (Float.is_finite period && period > 0.) then
+    invalid_arg "Contention.Analysis.loads_at_period: period not finite and positive";
   loads_with_period a period
 
 type estimate = {
@@ -449,18 +450,6 @@ let estimate_periods_into ws est (p : prepared) ~usecase ~out =
     kernel_pass ws est p.papps p.pcaches p.ploads ws.active nactive ~out;
   nactive
 
-let estimate_batch ?workspace:ws est p usecases =
-  let ws = match ws with Some w -> w | None -> shared_workspace () in
-  List.map
-    (fun usecase ->
-      Obs.Span.with_ ~name:"analysis.estimate"
-        ~args:(estimate_args est (Usecase.cardinal usecase))
-        (fun () ->
-          ws.periods <- grow_f ws.periods (Array.length p.papps);
-          let nactive = estimate_periods_into ws est p ~usecase ~out:ws.periods in
-          collect_results ws p.papps p.pcaches ws.active nactive))
-    usecases
-
 let estimate_with_loads est pairs =
   match pairs with
   | [] -> []
@@ -481,7 +470,8 @@ let estimate_calibrated est measured =
   estimate_with_loads est
     (List.map
        (fun (a, period) ->
-         if period <= 0. then
-           invalid_arg "Contention.Analysis.estimate_calibrated: period <= 0";
+         if not (Float.is_finite period && period > 0.) then
+           invalid_arg
+             "Contention.Analysis.estimate_calibrated: period not finite and positive";
          (a, loads_with_period a period))
        measured)

@@ -73,15 +73,17 @@ val app :
     the loads use mean residual lives as blocking times (Section 6 of the
     paper); the per-firing durations themselves are only drawn when
     simulating ({!Desim.Engine.run}'s [firing_time] hook).
-    @raise Invalid_argument on a deadlocking graph, invalid mapping, or a
-    distribution array of the wrong length. *)
+    @raise Invalid_argument on a deadlocking graph, invalid mapping, a
+    distribution array of the wrong length, or a [period] that is not
+    finite and positive. *)
 
 val loads : app -> Prob.t array
 (** Per-actor load descriptors from the isolation period. *)
 
 val loads_at_period : app -> period:float -> Prob.t array
 (** Load descriptors re-based on another period — e.g. a measured one (the
-    Section 6 calibration).  @raise Invalid_argument if it is not positive. *)
+    Section 6 calibration).  @raise Invalid_argument if it is not finite
+    and positive. *)
 
 type estimate = {
   for_app : app;
@@ -170,8 +172,8 @@ val estimate_prepared :
 
     Sweeping the use-cases of one workload evaluates the same applications
     under up to [2^n - 1] activation masks.  [prepared] fixes the workload
-    once; {!estimate_batch} and {!estimate_periods_into} then evaluate many
-    masks against it, sharing one {!workspace} across calls. *)
+    once; {!estimate_periods_into} then evaluates many masks against it,
+    sharing one {!workspace} across calls. *)
 
 type prepared
 (** A fixed workload: applications and their caches, validated once. *)
@@ -180,17 +182,6 @@ val prepare_workload : ?caches:cache array -> app array -> prepared
 (** [prepare_workload apps] runs {!prepare} on each app (or adopts [caches]
     when given, e.g. ones already hoisted by a sweep).
     @raise Invalid_argument on a cache/app mismatch or length mismatch. *)
-
-val estimate_batch :
-  ?workspace:workspace ->
-  estimator ->
-  prepared ->
-  Usecase.t list ->
-  estimate list list
-(** One {!estimate_prepared} per use-case (apps ascending by index, as
-    {!Usecase.to_list}), bit-identical to the one-at-a-time calls but with
-    the workspace shared across the whole batch.  An empty use-case yields
-    [[]]. *)
 
 val estimate_periods_into :
   workspace -> estimator -> prepared -> usecase:Usecase.t -> out:float array -> int
@@ -212,7 +203,7 @@ val estimate_with_loads :
   (app * Prob.t array) list ->
   estimate list
 (** One Figure-4 pass with caller-supplied per-actor loads — the building
-    block behind {!estimate_calibrated} and {!Interval.period_interval}.
+    block behind {!estimate_calibrated}.
     @raise Invalid_argument on a loads array of the wrong length. *)
 
 val estimate_calibrated :
@@ -225,4 +216,5 @@ val estimate_calibrated :
     period instead of its isolation period, and one estimation pass is run
     on top.  Since contention stretches periods, measured-period loads are
     smaller and the estimate tightens towards the observed system.
-    @raise Invalid_argument on a non-positive measured period. *)
+    @raise Invalid_argument on a measured period that is not finite and
+    positive (a simulation that completes no iteration measures NaN). *)

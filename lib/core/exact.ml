@@ -21,24 +21,3 @@ let waiting_time loads =
           acc := !acc +. (Prob.waiting_product l *. !series))
         loads;
       !acc
-
-let waiting_time_brute_force loads =
-  let arr = Array.of_list loads in
-  let n = Array.length arr in
-  if n > 25 then invalid_arg "Contention.Exact.waiting_time_brute_force: too many actors";
-  let total = ref 0. in
-  for mask = 1 to (1 lsl n) - 1 do
-    let prob = ref 1. and mu_sum = ref 0. and size = ref 0 in
-    for i = 0 to n - 1 do
-      let l = arr.(i) in
-      if mask land (1 lsl i) <> 0 then begin
-        prob := !prob *. l.Prob.p;
-        mu_sum := !mu_sum +. l.Prob.mu;
-        incr size
-      end
-      else prob := !prob *. (1. -. l.Prob.p)
-    done;
-    let s = float_of_int !size in
-    total := !total +. (!prob *. (((2. *. s) -. 1.) /. s) *. !mu_sum)
-  done;
-  !total

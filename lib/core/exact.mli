@@ -23,9 +23,3 @@ val series_coefficient : int -> float
 val waiting_time : Prob.t list -> float
 (** Expected waiting time inflicted by the given co-mapped actors on an
     arriving actor.  Empty list: [0.]. *)
-
-val waiting_time_brute_force : Prob.t list -> float
-(** Oracle for tests: enumerates every blocking subset [S] and every choice
-    of the in-service actor.  [E(wait | S) = (2|S| - 1)/|S| * sum_(i in S) mu_i]
-    (uniform in-service choice; residual [mu] for the served actor, full
-    [2 mu] for each queued one).  Exponential in the list length. *)

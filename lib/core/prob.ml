@@ -10,13 +10,15 @@ let make ~p ~mu ~tau =
 let of_actor ~exec_time ~repetitions ~period =
   if exec_time <= 0. then invalid_arg "Contention.Prob.of_actor: exec_time <= 0";
   if repetitions <= 0 then invalid_arg "Contention.Prob.of_actor: repetitions <= 0";
-  if period <= 0. then invalid_arg "Contention.Prob.of_actor: period <= 0";
+  if not (Float.is_finite period && period > 0.) then
+    invalid_arg "Contention.Prob.of_actor: period not finite and positive";
   let p = Float.min 1. (exec_time *. float_of_int repetitions /. period) in
   { p; mu = exec_time /. 2.; tau = exec_time }
 
 let of_distribution ~dist ~repetitions ~period =
   if repetitions <= 0 then invalid_arg "Contention.Prob.of_distribution: repetitions <= 0";
-  if period <= 0. then invalid_arg "Contention.Prob.of_distribution: period <= 0";
+  if not (Float.is_finite period && period > 0.) then
+    invalid_arg "Contention.Prob.of_distribution: period not finite and positive";
   let m = Dist.mean dist in
   let p = Float.min 1. (m *. float_of_int repetitions /. period) in
   { p; mu = Dist.residual dist; tau = m }

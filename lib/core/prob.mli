@@ -23,14 +23,15 @@ val of_actor : exec_time:float -> repetitions:int -> period:float -> t
     fires [repetitions] times per graph iteration of length [period]:
     [p = exec_time * repetitions / period], capped at [1.] (a saturated
     resource), and [mu = exec_time / 2].
-    @raise Invalid_argument if any argument is non-positive. *)
+    @raise Invalid_argument if any argument is non-positive or [period] is
+    not finite. *)
 
 val of_distribution : dist:Dist.t -> repetitions:int -> period:float -> t
 (** Variable execution times (the paper's Section 6 extension): the blocking
     probability uses the mean execution time, and the average blocking time
     becomes the mean residual life [E X² / (2 E X)] instead of [tau / 2].
-    @raise Invalid_argument on an invalid distribution or non-positive
-    [repetitions] or [period]. *)
+    @raise Invalid_argument on an invalid distribution, non-positive
+    [repetitions] or a [period] that is not finite and positive. *)
 
 val waiting_product : t -> float
 (** [mu * p] — the actor's expected contribution to another actor's waiting

@@ -131,13 +131,3 @@ let remove ~xs ~skip es =
   deconvolve_into ~es ~xs ~skip ~out ~n:m;
   if not (deconv_stable ~es ~out ~n:m) then refold_skip_into ~xs ~m ~skip ~out;
   out
-
-let brute_force j xs =
-  if j < 0 then invalid_arg "Contention.Sympoly.brute_force: negative degree";
-  let n = Array.length xs in
-  let rec go idx remaining =
-    if remaining = 0 then 1.
-    else if idx >= n || n - idx < remaining then 0.
-    else (xs.(idx) *. go (idx + 1) (remaining - 1)) +. go (idx + 1) remaining
-  in
-  go 0 j

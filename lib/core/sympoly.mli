@@ -38,10 +38,6 @@ val fold_in : float array -> float -> float array
     [es = all xs] it returns [all (xs + [x])], bit-identical to folding [x]
     last in {!all}.  @raise Invalid_argument on an empty basis. *)
 
-val brute_force : int -> float array -> float
-(** [brute_force j xs]: direct subset-sum definition, exponential; used only
-    by tests as an oracle.  @raise Invalid_argument if [j < 0]. *)
-
 (** {1 Allocation-free primitives}
 
     The building blocks behind {!remove}, shared with {!Kernel} and the

@@ -50,6 +50,17 @@ let check_float ?(eps = 1e-6) msg expected actual =
   if not (float_eq ~eps expected actual) then
     Alcotest.failf "%s: expected %.9g, got %.9g" msg expected actual
 
+(* Periods every period-taking entry point must refuse.  NaN is the one a
+   [period <= 0.] test lets through: a simulation that completes no
+   iteration measures it. *)
+let check_refuses_bad_periods what f =
+  List.iter
+    (fun period ->
+      match f period with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted period %g" what period)
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -1. ]
+
 (* QCheck generator for a list of plausible actor loads. *)
 let load_gen ?(max_actors = 6) () =
   let open QCheck2.Gen in

@@ -195,13 +195,22 @@ let test_observe_measured_periods () =
      per node => composability is exact).  twait(b_i) = mu(a_i)/6 and b0
      fires twice per iteration: Per(B) = 300 + (2*50 + 25 + 50)/6. *)
   Fixtures.check_float ~eps:1e-6 "calibrated period" (300. +. (175. /. 6.)) after;
-  (* Validation. *)
-  (match Admission.observe ctl "A" ~measured_period:0. with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "zero measurement accepted");
-  match Admission.observe ctl "Z" ~measured_period:10. with
+  (* Validation: a refused observation changes nothing, so the later
+     withdraw still takes the incremental path. *)
+  let counters = Admission.counters ctl in
+  Fixtures.check_refuses_bad_periods "observe" (fun measured_period ->
+      Admission.observe ctl "A" ~measured_period);
+  (match Admission.observe ctl "Z" ~measured_period:10. with
   | exception Not_found -> ()
-  | () -> Alcotest.fail "unknown app observed"
+  | () -> Alcotest.fail "unknown app observed");
+  Alcotest.(check bool) "measurement kept" true
+    (Admission.observed_period ctl "A" = Some 600.);
+  Alcotest.(check bool) "counters unchanged" true (Admission.counters ctl = counters);
+  Alcotest.(check bool) "estimate unchanged" true
+    (Float.equal (Admission.estimated_period ctl "B") after);
+  Admission.withdraw ctl "A";
+  Alcotest.(check int) "withdraw stays incremental" 0
+    (Admission.counters ctl).full_rebuilds
 
 let suite = suite @ [ Alcotest.test_case "observe measured periods" `Quick
                         test_observe_measured_periods ]

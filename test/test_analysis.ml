@@ -108,7 +108,11 @@ let test_app_validation () =
   | _ -> Alcotest.fail "deadlocked graph accepted");
   (* Explicit period skips the statespace computation. *)
   let a = Analysis.app ~period:123. (Fixtures.graph_a ()) ~mapping:[| 0; 1; 2 |] in
-  Fixtures.check_float "explicit period" 123. a.isolation_period
+  Fixtures.check_float "explicit period" 123. a.isolation_period;
+  Fixtures.check_refuses_bad_periods "app ?period" (fun period ->
+      Analysis.app ~period (Fixtures.graph_a ()) ~mapping:[| 0; 1; 2 |]);
+  Fixtures.check_refuses_bad_periods "loads_at_period" (fun period ->
+      Analysis.loads_at_period a ~period)
 
 let test_estimator_names () =
   Alcotest.(check string) "wc" "worst-case" (Analysis.estimator_name Analysis.Worst_case);

@@ -32,10 +32,9 @@ let test_calibration_tightens_towards_measurement () =
   Alcotest.(check bool) "surcharge shrinks" true (e600 -. 600. < e300 -. 300. +. 1e-9)
 
 let test_calibrated_validation () =
-  let a, _ = paper_apps () in
-  (match Analysis.estimate_calibrated Analysis.Exact [ (a, 0.) ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero measured period accepted");
+  let a, b = paper_apps () in
+  Fixtures.check_refuses_bad_periods "estimate_calibrated" (fun period ->
+      Analysis.estimate_calibrated Analysis.Exact [ (a, 300.); (b, period) ]);
   Alcotest.(check int) "empty" 0
     (List.length (Analysis.estimate_calibrated Analysis.Exact []))
 

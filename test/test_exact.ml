@@ -37,7 +37,7 @@ let test_brute_force_agreement_fixed () =
     ]
   in
   Fixtures.check_float ~eps:1e-9 "Eq.4 = enumeration"
-    (Exact.waiting_time_brute_force loads)
+    (Check.Oracle.waiting_time_brute_force loads)
     (Exact.waiting_time loads)
 
 (* The central correctness property (substitute for the proofs in the
@@ -47,7 +47,7 @@ let prop_matches_enumeration =
   Fixtures.qcheck_case ~count:500 "Eq.4 = queue enumeration" (Fixtures.load_gen ())
     (fun loads ->
       Fixtures.float_eq ~eps:1e-9
-        (Exact.waiting_time_brute_force loads)
+        (Check.Oracle.waiting_time_brute_force loads)
         (Exact.waiting_time loads))
 
 let prop_non_negative =

@@ -14,12 +14,17 @@ let test_pipeline_overlap () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "0 frames accepted"
 
+(* Strongly connected, consistent rates and a live self-timed execution:
+   what the analysis needs of a graph. *)
+let well_formed g =
+  Sdf.Graph.is_strongly_connected g
+  && Result.is_ok (Sdf.Repetition.compute g)
+  && Sdf.Statespace.is_live g
+
 let test_media_presets_well_formed () =
   Array.iter
     (fun g ->
-      Alcotest.(check bool)
-        (g.Sdf.Graph.name ^ " clean")
-        true (Sdf.Validate.is_clean g);
+      Alcotest.(check bool) (g.Sdf.Graph.name ^ " well formed") true (well_formed g);
       Alcotest.(check bool)
         (g.Sdf.Graph.name ^ " has period")
         true
@@ -37,61 +42,10 @@ let test_h263_multirate () =
   (* 99 block-level firings per frame. *)
   Alcotest.(check (array int)) "repetition" [| 1; 99; 99; 1 |] q
 
-let test_validate_clean_graph () =
-  Alcotest.(check (list int)) "no findings" []
-    (List.map (fun _ -> 0) (Sdf.Validate.check (Fixtures.graph_a ())));
-  Alcotest.(check bool) "is_clean" true (Sdf.Validate.is_clean (Fixtures.graph_a ()))
-
-let test_validate_findings () =
-  let has pred g = List.exists pred (Sdf.Validate.check g) in
-  Alcotest.(check bool) "deadlock found" true
-    (has (function Sdf.Validate.Deadlocks -> true | _ -> false) (Fixtures.deadlocked ()));
-  Alcotest.(check bool) "inconsistency found" true
-    (has
-       (function Sdf.Validate.Inconsistent _ -> true | _ -> false)
-       (Fixtures.inconsistent ()));
-  let chain =
-    Sdf.Graph.create ~name:"chain"
-      ~actors:[| ("x", 1.); ("y", 1.) |]
-      ~channels:[| (0, 1, 1, 1, 0) |]
-  in
-  Alcotest.(check bool) "weak connectivity flagged" true
-    (has (function Sdf.Validate.Not_strongly_connected -> true | _ -> false) chain);
-  let disconnected =
-    Sdf.Graph.create ~name:"disc"
-      ~actors:[| ("x", 1.); ("y", 1.) |]
-      ~channels:[| (0, 0, 1, 1, 1); (1, 1, 1, 1, 1) |]
-  in
-  Alcotest.(check bool) "disconnection flagged" true
-    (has (function Sdf.Validate.Disconnected -> true | _ -> false) disconnected);
-  let starved =
-    Sdf.Graph.create ~name:"starved"
-      ~actors:[| ("x", 1.) |]
-      ~channels:[| (0, 0, 1, 2, 1) |]
-  in
-  Alcotest.(check bool) "starved self-loop flagged" true
-    (has (function Sdf.Validate.Dead_self_loop 0 -> true | _ -> false) starved)
-
-let test_validate_huge_repetition () =
-  let g =
-    Sdf.Graph.create ~name:"big"
-      ~actors:[| ("x", 1.); ("y", 1.) |]
-      ~channels:[| (0, 1, 500, 1, 0); (1, 0, 1, 500, 500) |]
-  in
-  let findings = Sdf.Validate.check ~repetition_limit:100 g in
-  Alcotest.(check bool) "huge repetition flagged" true
-    (List.exists
-       (function Sdf.Validate.Huge_repetition (_, 500) -> true | _ -> false)
-       findings)
-
-let test_finding_printer () =
-  let s = Format.asprintf "%a" Sdf.Validate.pp_finding Sdf.Validate.Deadlocks in
-  Alcotest.(check bool) "mentions deadlock" true (Fixtures.contains ~affix:"deadlock" s)
-
-(* Generated graphs always lint clean. *)
+(* Generated graphs are always well formed. *)
 let prop_generated_clean =
   Fixtures.qcheck_case ~count:60 "generated graphs are clean" Fixtures.graph_gen
-    Sdf.Validate.is_clean
+    well_formed
 
 let suite =
   [
@@ -100,9 +54,5 @@ let suite =
     Alcotest.test_case "media presets" `Quick test_media_presets_well_formed;
     Alcotest.test_case "preset scaling" `Quick test_preset_scaling;
     Alcotest.test_case "h263 multirate" `Quick test_h263_multirate;
-    Alcotest.test_case "clean graph" `Quick test_validate_clean_graph;
-    Alcotest.test_case "findings" `Quick test_validate_findings;
-    Alcotest.test_case "huge repetition" `Quick test_validate_huge_repetition;
-    Alcotest.test_case "finding printer" `Quick test_finding_printer;
     prop_generated_clean;
   ]

@@ -31,7 +31,10 @@ let test_validation () =
   invalid (fun () -> Prob.make ~p:0.5 ~mu:1. ~tau:(-2.));
   invalid (fun () -> Prob.of_actor ~exec_time:0. ~repetitions:1 ~period:10.);
   invalid (fun () -> Prob.of_actor ~exec_time:1. ~repetitions:0 ~period:10.);
-  invalid (fun () -> Prob.of_actor ~exec_time:1. ~repetitions:1 ~period:0.)
+  Fixtures.check_refuses_bad_periods "of_actor" (fun period ->
+      Prob.of_actor ~exec_time:1. ~repetitions:1 ~period);
+  Fixtures.check_refuses_bad_periods "of_distribution" (fun period ->
+      Prob.of_distribution ~dist:(Dist.Constant 1.) ~repetitions:1 ~period)
 
 let test_pp () =
   let s = Format.asprintf "%a" Prob.pp (Prob.make ~p:0.25 ~mu:10. ~tau:20.) in

@@ -135,7 +135,7 @@ let prop_exact_matches_brute_force =
     (fun loads ->
       close
         (Contention.Exact.waiting_time loads)
-        (Contention.Exact.waiting_time_brute_force loads))
+        (Check.Oracle.waiting_time_brute_force loads))
 
 (* --- Monotonicity in a co-mapped actor's load ------------------------ *)
 

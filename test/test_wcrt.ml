@@ -28,7 +28,7 @@ let prop_dominates_composability =
      loads, so only the exact comparison is a law. *)
   Fixtures.qcheck_case "wcrt >= brute-force expectation" (Fixtures.load_gen ())
     (fun loads ->
-      Wcrt.waiting_time loads +. 1e-9 >= Exact.waiting_time_brute_force loads)
+      Wcrt.waiting_time loads +. 1e-9 >= Check.Oracle.waiting_time_brute_force loads)
 
 let prop_additive =
   Fixtures.qcheck_case "additive in contenders"
