@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Compare the repository benchmark on a parent commit and on this checkout.
 
-    python3 .github/perfbench_pairs.py --parent REV --pairs N --out FILE
+    python3 .github/perfbench_pairs.py --parent REV --out FILE
 
 Exports REV with `git archive` into a temporary directory outside the
-checkout, then runs N pairs, one seed per pair (seeds 1..N).  Each pair runs
+checkout, then runs 10 pairs, one seed per pair (seeds 1-10).  Each pair runs
 every workload of BENCHMARK.json once on each side, the side that goes first
-alternating from pair to pair:
+alternating from pair to pair, with BENCHMARK.json's command:
 
-    python3 perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
+    <command> --workload W --seed S --seconds <run_seconds> --trace 0
 
 It prints, per workload and end-to-end metric, both sides' median and
 quartiles and the pairs the change won, and writes the same numbers to FILE
@@ -16,10 +16,10 @@ as {"perfbench": {...}}, the shape of the perfbench block of BENCH_*.json.
 
 Exit status 1 when a run exits non-zero or reports failed ops, or when a
 change median is worse than the parent median by more than the metric's
-`bound` in BENCHMARK.json; 0 otherwise.  When perfbench/ or BENCHMARK.json
-differ between REV and the checkout, the benchmark itself changed: the
-script says so, runs nothing and exits 0, leaving the verdict to the
-benchmark's self-test.
+`bound` in BENCHMARK.json; 0 otherwise.  When the benchmark's `paths` or
+BENCHMARK.json itself differ between REV and the checkout, the benchmark
+itself changed: the script says so, runs nothing and exits 0, leaving the
+verdict to the benchmark's self-test.
 """
 
 import argparse
@@ -33,7 +33,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCHMARK_FILES = ["perfbench", "BENCHMARK.json"]
+PAIRS = 10
 
 
 def git(*args):
@@ -41,11 +41,11 @@ def git(*args):
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
-def benchmark_changed(parent):
-    """True when perfbench/ or BENCHMARK.json differ between the parent
-    commit and the checkout (including uncommitted edits)."""
-    r = subprocess.run(["git", "diff", "--quiet", parent, "--", *BENCHMARK_FILES],
-                       cwd=ROOT)
+def benchmark_changed(spec, parent):
+    """True when the benchmark's paths or BENCHMARK.json differ between the
+    parent commit and the checkout (including uncommitted edits)."""
+    files = [*spec["paths"], "BENCHMARK.json"]
+    r = subprocess.run(["git", "diff", "--quiet", parent, "--", *files], cwd=ROOT)
     return r.returncode != 0
 
 
@@ -55,10 +55,10 @@ def export(parent, into):
     subprocess.run(["tar", "-x", "-C", into], input=archive, check=True)
 
 
-def run(checkout, workload, seed, seconds):
+def run(spec, checkout, workload, seed):
     """One perfbench run: (metric name -> value, or None; problem or None)."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    cmd = [*spec["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
     r = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                        stderr=subprocess.PIPE, text=True)
     try:
@@ -99,32 +99,28 @@ def main():
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--parent", required=True, help="the commit to compare against")
-    p.add_argument("--pairs", type=int, required=True, help="pairs to run, seeds 1..N")
     p.add_argument("--out", required=True, help="where to write the JSON record")
     args = p.parse_args()
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
-    seconds = spec["run_seconds"]
     parent = git("rev-parse", "--short", args.parent + "^{commit}")
     change = git("rev-parse", "--short", "HEAD")
     if git("status", "--porcelain", "--untracked-files=no"):
         change += "+dirty"
     record = {
-        "command": f"python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {seconds} --trace 0",
+        "command": " ".join(spec["command"]) +
+                   f" --workload W --seed S --seconds {spec['run_seconds']} --trace 0",
         "host": f"{platform.machine()} {platform.system()}, {os.cpu_count()} CPUs",
         "parent": parent,
         "change": change,
         "pairs": "alternating parent/change order, one seed per pair",
     }
 
-    if benchmark_changed(parent):
-        print(f"perfbench/ or BENCHMARK.json differ between {parent} and {change}: "
+    if benchmark_changed(spec, parent):
+        print(f"{', '.join(spec['paths'])} or BENCHMARK.json differ between {parent} and {change}: "
               "the benchmark itself changed, so the pairs are not comparable. "
               "perfbench-self-test judges this change.")
         record["benchmark_changed"] = True
@@ -139,12 +135,12 @@ def main():
     try:
         export(parent, tmp)
         sides = {"parent": tmp, "change": ROOT}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(1, PAIRS + 1):
             order = ["parent", "change"] if seed % 2 else ["change", "parent"]
             for w in workloads:
                 got = {}
                 for side in order:
-                    values, problem = run(sides[side], w, seed, seconds)
+                    values, problem = run(spec, sides[side], w, seed)
                     if problem:
                         failures.append(f"{w} seed {seed} {side}: {problem}")
                     got[side] = values
@@ -152,7 +148,7 @@ def main():
                     for m in metrics:
                         for side, values in got.items():
                             samples[w][m["name"]][side].append(values[m["name"]])
-            print(f"pair {seed}/{args.pairs} done ({' then '.join(order)})", flush=True)
+            print(f"pair {seed}/{PAIRS} done ({' then '.join(order)})", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -161,7 +157,7 @@ def main():
               f"{'change median [q1, q3]':>30} {'delta':>8} {'wins':>5} {'bound':>6}")
     print("\n" + header + "\n" + "-" * len(header))
     for w in workloads:
-        block = {"seeds": f"1-{args.pairs}", "metrics": {}}
+        block = {"seeds": f"1-{PAIRS}", "metrics": {}}
         for m in metrics:
             s = samples[w][m["name"]]
             if len(s["parent"]) < 2:
@@ -190,7 +186,7 @@ def main():
             print("  " + msg)
         return 1
     print(f"\nperfbench pairs: ok, no end-to-end metric worse than its bound "
-          f"({parent} -> {change}, {args.pairs} pairs)")
+          f"({parent} -> {change}, {PAIRS} pairs)")
     return 0
 
 
