@@ -11,12 +11,22 @@ alternating from pair to pair, with BENCHMARK.json's command:
     <command> --workload W --seed S --seconds <run_seconds> --trace 0
 
 It prints, per workload and end-to-end metric, both sides' median and
-quartiles and the pairs the change won, and writes the same numbers to FILE
-as {"perfbench": {...}}, the shape of the perfbench block of BENCH_*.json.
+quartiles, the pairs the change won and a verdict, and writes the same
+numbers to FILE as {"perfbench": {...}}, the shape of the perfbench block of
+BENCH_*.json.  The verdict is the first of these that holds:
+
+    worse       the change median is worse than the parent median by more
+                than the metric's `bound`
+    gain        the change wins at least 9 in 10 pairs (ties count for
+                neither side) and the medians differ, in its favour, by
+                more than the parent's q3 - q1
+    unresolved  the parent's (q3 - q1) / median exceeds the bound, and not
+                every change run beats every parent run: the spread is too
+                wide for the bound to tell "same" from "worse"
+    same        otherwise
 
 Exit status 1 when a run exits non-zero or reports failed ops, or when a
-change median is worse than the parent median by more than the metric's
-`bound` in BENCHMARK.json; 0 otherwise.  When the benchmark's `paths` or
+metric is `worse`; 0 otherwise, whatever the other verdicts.  When the benchmark's `paths` or
 BENCHMARK.json itself differ between REV and the checkout, the benchmark
 itself changed: the script says so, runs nothing and exits 0, leaving the
 verdict to the benchmark's self-test.
@@ -95,6 +105,21 @@ def worse_beyond_bound(metric, change, parent):
     return change > parent * (1 + metric["bound"])
 
 
+def verdict(metric, parent_runs, change_runs, par, chg, wins):
+    """The review label of one metric; see the module docstring."""
+    if worse_beyond_bound(metric, chg["median"], par["median"]):
+        return "worse"
+    iqr = par["q3"] - par["q1"]
+    if (wins >= 0.9 * len(parent_runs)
+            and better(metric, chg["median"], par["median"])
+            and abs(chg["median"] - par["median"]) > iqr):
+        return "gain"
+    if (iqr > metric["bound"] * abs(par["median"])
+            and not all(better(metric, c, p) for c in change_runs for p in parent_runs)):
+        return "unresolved"
+    return "same"
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -154,7 +179,8 @@ def main():
 
     record["workloads"] = {}
     header = (f"{'workload':8} {'metric':12} {'parent median [q1, q3]':>30} "
-              f"{'change median [q1, q3]':>30} {'delta':>8} {'wins':>5} {'bound':>6}")
+              f"{'change median [q1, q3]':>30} {'delta':>8} {'wins':>5} {'bound':>6} "
+              f"{'verdict':>10}")
     print("\n" + header + "\n" + "-" * len(header))
     for w in workloads:
         block = {"seeds": f"1-{PAIRS}", "metrics": {}}
@@ -164,17 +190,18 @@ def main():
                 continue
             par, chg = summary(s["parent"]), summary(s["change"])
             wins = sum(better(m, c, q) for q, c in zip(s["parent"], s["change"]))
-            block["metrics"][m["name"]] = {"parent": par, "change": chg, "change_wins": wins}
+            label = verdict(m, s["parent"], s["change"], par, chg, wins)
+            block["metrics"][m["name"]] = {"parent": par, "change": chg,
+                                           "change_wins": wins, "verdict": label}
             delta = chg["median"] / par["median"] - 1 if par["median"] else 0.0
-            regressed = worse_beyond_bound(m, chg["median"], par["median"])
-            if regressed:
+            if label == "worse":
                 failures.append(
                     f"{w} {m['name']}: change median {chg['median']:.6g} {m['unit']} is "
                     f"worse than parent median {par['median']:.6g} by more than the "
                     f"bound {m['bound']:.0%} ({delta:+.1%})")
             print(f"{w:8} {m['name']:12} {cell(par):>30} {cell(chg):>30} "
-                  f"{delta:>+8.1%} {wins:>2}/{len(s['parent']):<2} {m['bound']:>6.0%}"
-                  + ("  WORSE" if regressed else ""))
+                  f"{delta:>+8.1%} {wins:>2}/{len(s['parent']):<2} {m['bound']:>6.0%} "
+                  f"{label:>10}")
         record["workloads"][w] = block
     record["failures"] = failures
     with open(args.out, "w") as f:

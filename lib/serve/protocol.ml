@@ -687,6 +687,22 @@ let stats_reply_of_json json =
 let ok payload = Json.Obj [ ("ok", payload) ]
 let error msg = Json.Obj [ ("error", Json.Str msg) ]
 
+(* An estimate reply line is one of two fixed prefixes, then a body that
+   depends only on the estimator and the rows.  The body is cut from the
+   codec's own encoding, so there is one encoder. *)
+let miss_prefix = {|{"ok":{"cached":false|}
+let hit_prefix = {|{"ok":{"cached":true|}
+
+let estimate_reply_body ~estimator rows =
+  let line =
+    Json.to_string (ok (estimate_reply_to_json { cached = false; estimator; rows }))
+  in
+  let n = String.length miss_prefix in
+  String.sub line n (String.length line - n)
+
+let estimate_reply_line ~cached body =
+  (if cached then hit_prefix else miss_prefix) ^ body
+
 let shed ~queue_depth =
   Json.Obj
     [ ("shed", Json.Obj [ ("queue_depth", Json.Num (float_of_int queue_depth)) ]) ]

@@ -232,6 +232,19 @@ val ok : Json.t -> Json.t
 val error : string -> Json.t
 (** [{"error": message}] *)
 
+val estimate_reply_body : estimator:string -> estimate_row list -> string
+(** The bytes an estimate reply line carries after the value of its
+    ["cached"] member: [,"estimator":…,"results":[…]}}].  They depend only
+    on the estimator name and the rows, so a server stores them once per
+    cache entry.  Cut from the {!estimate_reply_to_json} encoding, so they
+    are the codec's bytes. *)
+
+val estimate_reply_line : cached:bool -> string -> string
+(** [estimate_reply_line ~cached (estimate_reply_body ~estimator rows)] is
+    the whole reply line, byte-equal to
+    [Json.to_string (ok (estimate_reply_to_json { cached; estimator; rows }))]
+    while building and printing nothing. *)
+
 val shed : queue_depth:int -> Json.t
 (** [{"shed": {"queue_depth": N}}] — the backpressure verdict: the server's
     bounded accept queue was full, the request was not served, and the

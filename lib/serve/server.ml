@@ -105,13 +105,23 @@ end
 
 type cache_key = string * Contention.Usecase.t * string
 
+(* An estimate-cache entry: the rows, read by the audit and the hot hook,
+   and the reply's encoded body ({!Protocol.estimate_reply_body}), which a
+   hit answers with.  Immutable, so worker domains share it as is. *)
+type entry = { rows : Protocol.estimate_row list; body : string }
+
 type t = {
   config : config;
   store : Store.t;
-  cache : (cache_key, Protocol.estimate_row list) Lru.t;
+  cache : (cache_key, entry) Lru.t;
   metrics : Metrics.t;
   workers : int;  (* worker-domain count — the pool's capacity *)
   registry : Obs.Metric.registry;
+  (* Per command, its request counter and latency histogram, resolved on
+     the command's first request so a series appears with its first
+     sample. *)
+  m_commands :
+    (string * (Obs.Metric.Counter.t * Obs.Metric.Histogram.t)) list Atomic.t;
   m_active : Obs.Metric.Gauge.t;  (* connections being served right now *)
   m_queue_depth : Obs.Metric.Gauge.t;  (* accepted, waiting for a worker *)
   m_cache_hits : Obs.Metric.Counter.t;
@@ -267,20 +277,32 @@ let note_hot t ~digest ~mask ~name rows =
       end
   | Some _ -> ()
 
+let error_line fmt =
+  Printf.ksprintf (fun msg -> Json.to_string (Protocol.error msg)) fmt
+
+(* Encode [rows] once under the canonical estimator [name] and cache the
+   entry under [key]. *)
+let store_entry t ((_, _, name) as key) rows =
+  let entry = { rows; body = Protocol.estimate_reply_body ~estimator:name rows } in
+  Lru.put t.cache key entry;
+  entry
+
+(* The estimate reply line: a hit writes its entry's stored bytes, a miss
+   estimates, encodes and stores once. *)
 let handle_estimate t ~digest ~usecase ~estimator =
   match Store.find t.store digest with
-  | None -> Protocol.error (Printf.sprintf "unknown workload digest %S" digest)
+  | None -> error_line "unknown workload digest %S" digest
   | Some w -> (
       match resolve_usecase w usecase with
-      | Error msg -> Protocol.error msg
+      | Error msg -> error_line "%s" msg
       | Ok mask ->
           let name = Contention.Analysis.estimator_name estimator in
           let key = (digest, mask, name) in
-          let cached, rows =
+          let cached, { rows; body } =
             match Lru.find t.cache key with
-            | Some rows ->
+            | Some entry ->
                 Obs.Metric.Counter.inc t.m_cache_hits;
-                (true, rows)
+                (true, entry)
             | None ->
                 Obs.Metric.Counter.inc t.m_cache_misses;
                 let caches = prepared_for t ~digest w in
@@ -289,9 +311,7 @@ let handle_estimate t ~digest ~usecase ~estimator =
                     (fun i -> (w.apps.(i), caches.(i)))
                     (Contention.Usecase.to_list mask)
                 in
-                let rows = estimate_rows estimator pairs in
-                Lru.put t.cache key rows;
-                (false, rows)
+                (false, store_entry t key (estimate_rows estimator pairs))
           in
           note_hot t ~digest ~mask ~name rows;
           (* Shadow audit: hand a head-sampled fraction of served estimates
@@ -311,9 +331,7 @@ let handle_estimate t ~digest ~usecase ~estimator =
                      ctx = Obs.Span.current_context ();
                    })
           | _ -> ());
-          Protocol.ok
-            (Protocol.estimate_reply_to_json
-               { Protocol.cached; estimator = name; rows }))
+          Protocol.estimate_reply_line ~cached body)
 
 let handle_explain t ~digest ~usecase ~estimator =
   match Store.find t.store digest with
@@ -370,7 +388,7 @@ let handle_cache_put t ~digest ~mask ~estimator ~rows =
                a positive period and throughput 1/period"
           else begin
             let name = Contention.Analysis.estimator_name est in
-            Lru.put t.cache (digest, mask, name) rows;
+            ignore (store_entry t (digest, mask, name) rows);
             Protocol.ok
               (Json.Obj
                  [ ("installed", Json.Bool true); ("estimator", Json.Str name) ])
@@ -550,41 +568,47 @@ let handle_stats t =
            | Some audit -> Audit.stats audit);
        })
 
+(* The reply line to one request: an estimate's comes back as bytes, every
+   other command encodes its reply tree once. *)
 let dispatch t (request : Protocol.request) =
+  let line = Json.to_string in
   match request with
-  | Protocol.Ping -> Protocol.ok (Json.Obj [ ("pong", Json.Bool true) ])
+  | Protocol.Ping -> line (Protocol.ok (Json.Obj [ ("pong", Json.Bool true) ]))
   | Protocol.Upload { payload } -> (
       match Exp.Workload.of_string payload with
-      | Error msg -> Protocol.error (Printf.sprintf "bad workload: %s" msg)
+      | Error msg -> error_line "bad workload: %s" msg
       | Ok w ->
           let digest = Store.add t.store w in
-          Protocol.ok
-            (Protocol.upload_reply_to_json
-               {
-                 Protocol.digest;
-                 apps = Array.to_list (Exp.Workload.names w);
-                 procs = w.procs;
-               }))
+          line
+            (Protocol.ok
+               (Protocol.upload_reply_to_json
+                  {
+                    Protocol.digest;
+                    apps = Array.to_list (Exp.Workload.names w);
+                    procs = w.procs;
+                  })))
   | Protocol.Estimate { digest; usecase; estimator } ->
       handle_estimate t ~digest ~usecase ~estimator
   | Protocol.Explain { digest; usecase; estimator } ->
-      handle_explain t ~digest ~usecase ~estimator
+      line (handle_explain t ~digest ~usecase ~estimator)
   | Protocol.Admit { session; digest; app; min_throughput; confidence; margin_method }
     ->
-      handle_admit t ~session ~digest ~app ~min_throughput ~confidence
-        ~margin_method
-  | Protocol.Release { session; app } -> handle_release t ~session ~app
+      line
+        (handle_admit t ~session ~digest ~app ~min_throughput ~confidence
+           ~margin_method)
+  | Protocol.Release { session; app } -> line (handle_release t ~session ~app)
   | Protocol.Cache_put { digest; mask; estimator; rows } ->
-      handle_cache_put t ~digest ~mask ~estimator ~rows
-  | Protocol.Stats -> handle_stats t
+      line (handle_cache_put t ~digest ~mask ~estimator ~rows)
+  | Protocol.Stats -> line (handle_stats t)
   | Protocol.Metrics ->
       ignore (refresh_slo_gauges t);
-      Protocol.ok
-        (Protocol.metrics_reply_to_json
-           { Protocol.prometheus = Obs.Prometheus.expose t.registry })
+      line
+        (Protocol.ok
+           (Protocol.metrics_reply_to_json
+              { Protocol.prometheus = Obs.Prometheus.expose t.registry }))
   | Protocol.Shutdown ->
       Atomic.set t.stop_requested true;
-      Protocol.ok (Json.Obj [ ("stopping", Json.Bool true) ])
+      line (Protocol.ok (Json.Obj [ ("stopping", Json.Bool true) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Connection handling                                                 *)
@@ -592,10 +616,14 @@ let dispatch t (request : Protocol.request) =
 (* One journal line: everything needed to reconstruct what this request
    experienced and join it against a merged trace by trace id.  The upload
    payload is a whole workload file, so its digest is taken from the reply
-   rather than the request. *)
+   rather than the request.  The reply is read back from its line: only a
+   journalled request pays for that parse. *)
 let journal_entry t ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s =
   let outcome, payload =
-    match Protocol.classify_reply reply with
+    match
+      Protocol.classify_reply
+        (Result.value (Json.of_string reply) ~default:Json.Null)
+    with
     | Protocol.Reply_ok p -> ("ok", Some p)
     | Protocol.Reply_error _ -> ("error", None)
     | Protocol.Reply_shed _ -> ("shed", None)
@@ -638,6 +666,25 @@ let journal_entry t ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s =
              Option.bind (Json.member "verdict" p) Json.get_str))
     @ [ ("latency_us", Json.Num (latency_s *. 1e6)) ])
 
+let command_metrics t cmd =
+  match List.assoc_opt cmd (Atomic.get t.m_commands) with
+  | Some m -> m
+  | None ->
+      let m =
+        ( Obs.Metric.Counter.v ~registry:t.registry
+            ~help:"Requests served, by command." ~labels:[ ("cmd", cmd) ]
+            "contention_serve_requests_total",
+          Obs.Metric.Histogram.v ~registry:t.registry
+            ~help:"Request latency in seconds, by command."
+            ~labels:[ ("cmd", cmd) ] "contention_serve_request_seconds" )
+      in
+      (* [v] is get-or-create: a domain racing this one resolves the same
+         handles, and a lost update costs one more resolution later. *)
+      let known = Atomic.get t.m_commands in
+      if not (List.mem_assoc cmd known) then
+        ignore (Atomic.compare_and_set t.m_commands known ((cmd, m) :: known));
+      m
+
 (* One request line through the full parse-and-dispatch path, returning the
    reply line.  Shared by the connection workers and exposed as the
    in-process fuzzing entry ({!Check.Wirefuzz}): whatever bytes come in, the
@@ -647,15 +694,10 @@ let handle_line t line =
   let t0 = Obs.Clock.now_ns () in
   let cmd, ctx, digest, reply =
     match Json.of_string line with
-    | Error msg ->
-        ("invalid", None, None, Protocol.error (Printf.sprintf "bad frame: %s" msg))
+    | Error msg -> ("invalid", None, None, error_line "bad frame: %s" msg)
     | Ok json -> (
         match Protocol.request_of_json json with
-        | Error msg ->
-            ( "invalid",
-              None,
-              None,
-              Protocol.error (Printf.sprintf "bad request: %s" msg) )
+        | Error msg -> ("invalid", None, None, error_line "bad request: %s" msg)
         | Ok request -> (
             let cmd = Protocol.cmd_name request in
             (* The trace envelope re-establishes the caller's context here,
@@ -686,29 +728,20 @@ let handle_line t line =
                 ( cmd,
                   ctx,
                   digest,
-                  Protocol.error
-                    (Printf.sprintf "internal error: %s"
-                       (Printexc.to_string e)) )))
+                  error_line "internal error: %s" (Printexc.to_string e) )))
   in
-  let reply_line = Json.to_string reply in
   let latency_s = Obs.Clock.elapsed_s ~since:t0 in
   Metrics.record t.metrics ~cmd ~latency_s;
   Slo.record t.slo ~latency_s;
-  Obs.Metric.Counter.inc
-    (Obs.Metric.Counter.v ~registry:t.registry
-       ~help:"Requests served, by command." ~labels:[ ("cmd", cmd) ]
-       "contention_serve_requests_total");
-  Obs.Metric.Histogram.observe
-    (Obs.Metric.Histogram.v ~registry:t.registry
-       ~help:"Request latency in seconds, by command."
-       ~labels:[ ("cmd", cmd) ] "contention_serve_request_seconds")
-    latency_s;
+  let requests, seconds = command_metrics t cmd in
+  Obs.Metric.Counter.inc requests;
+  Obs.Metric.Histogram.observe seconds latency_s;
   (match t.journal with
   | Some j when Journal.sampled j ~ctx ->
       Journal.record j
         (journal_entry t ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s)
   | _ -> ());
-  reply_line
+  reply
 
 let handle_connection t fd =
   Metrics.incr_connections t.metrics;
@@ -718,9 +751,7 @@ let handle_connection t fd =
        shutting the read side down, which reads as EOF here. *)
     match Wire.read_frame reader with
     | Wire.Eof -> ()
-    | Wire.Too_long ->
-        Wire.write_line fd
-          (Json.to_string (Protocol.error "request line too long"))
+    | Wire.Too_long -> Wire.write_line fd (error_line "request line too long")
     | Wire.Line "" -> serve ()
     | Wire.Line line ->
         Wire.write_line fd (handle_line t line);
@@ -927,6 +958,7 @@ let start ?on_hot ?(config = default_config) () =
       metrics = Metrics.create ();
       workers = jobs;
       registry;
+      m_commands = Atomic.make [];
       m_active;
       m_queue_depth;
       m_shed;

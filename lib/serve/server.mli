@@ -8,9 +8,12 @@
     connection is served by one worker, so a slow or idle client occupies at
     most one worker and cannot stall the others.  Workloads live in a
     content-addressed {!Store}; estimates are memoised in an {!Lru} cache
-    keyed by [(workload digest, use-case mask, estimator name)]; admission
-    state is a named {!Contention.Admission.t} per session, shared across
-    connections so a manager survives reconnects.
+    keyed by [(workload digest, use-case mask, estimator name)], each entry
+    holding its rows and its encoded reply body
+    ({!Protocol.estimate_reply_body}), so a hit writes stored bytes and
+    encodes nothing; admission state is a named {!Contention.Admission.t}
+    per session, shared across connections so a manager survives
+    reconnects.
 
     {!stop} is graceful: listeners close first, in-flight requests finish
     and get their reply, idle connections are torn down (their read side is

@@ -1,6 +1,7 @@
 (* The contention serve daemon: unit tests for the store, the LRU cache,
    the metrics and the protocol codecs, robustness of a live server against
-   malformed input, and the end-to-end integration scenario — two
+   malformed input, the stored reply bytes of cache hits, cache-put
+   entries and evicted keys, and the end-to-end integration scenario — two
    concurrent clients driving upload → estimate (cache hit on the second) →
    admit → reject-victim → release → stats, with the served numbers agreeing
    bit-for-bit with direct Contention.Analysis calls, and a clean shutdown. *)
@@ -305,6 +306,92 @@ let test_non_finite_upload () =
             (Serve.Server.handle_line server request))
         [ "nan"; "inf" ])
 
+(* --- stored reply bytes: hits, cache-put entries, evictions ------------ *)
+
+let request_line r = Json.to_string (Protocol.request_to_json r)
+
+let upload_in_process server w =
+  let reply =
+    Serve.Server.handle_line server
+      (request_line (Protocol.Upload { payload = Exp.Workload.to_string w }))
+  in
+  let up =
+    unwrap
+      (Result.bind
+         (Result.bind (Json.of_string reply) Protocol.unwrap_reply)
+         Protocol.upload_reply_of_json)
+  in
+  up.Protocol.digest
+
+let miss_prefix = {|{"ok":{"cached":false|}
+
+(* A miss's line with its cached flag turned to true. *)
+let as_hit miss =
+  if not (String.starts_with ~prefix:miss_prefix miss) then
+    Alcotest.failf "not an estimate miss: %s" miss;
+  let n = String.length miss_prefix in
+  {|{"ok":{"cached":true|} ^ String.sub miss n (String.length miss - n)
+
+let test_stored_replies () =
+  let w = small_workload () in
+  let estimate digest ?usecase estimator =
+    request_line (Protocol.Estimate { digest; usecase; estimator })
+  in
+  with_server (fun server _port ->
+      let send = Serve.Server.handle_line server in
+      let digest = upload_in_process server w in
+      (* A hit is byte-equal to its key's first miss but for the flag. *)
+      List.iter
+        (fun (usecase, estimator) ->
+          let line = estimate digest ?usecase estimator in
+          let miss = send line in
+          Alcotest.(check string)
+            ("hit of " ^ Contention.Analysis.estimator_name estimator)
+            (as_hit miss) (send line))
+        [
+          (None, Contention.Analysis.Order 2);
+          (Some [ "A"; "C" ], Contention.Analysis.Worst_case);
+          (Some [ "B" ], Contention.Analysis.Composability);
+          (None, Contention.Analysis.Order 4);
+        ];
+      (* A cache-put entry is served as the codec's encoding of its rows. *)
+      let names = Exp.Workload.names w and iso = Exp.Workload.isolation_periods w in
+      let rows =
+        List.mapi
+          (fun i period ->
+            {
+              Protocol.app = names.(i);
+              period;
+              isolation_period = iso.(i);
+              throughput = 1. /. period;
+            })
+          [ 1000.; 0.1; 1e15 ]
+      in
+      let put =
+        send
+          (request_line
+             (Protocol.Cache_put { digest; mask = 7; estimator = "o4"; rows }))
+      in
+      ignore (unwrap (Protocol.unwrap_reply (unwrap (Json.of_string put))));
+      Alcotest.(check string)
+        "cache-put entry served"
+        (Json.to_string
+           (Protocol.ok
+              (Protocol.estimate_reply_to_json
+                 { Protocol.cached = true; estimator = "fourth-order"; rows })))
+        (send (estimate digest (Contention.Analysis.Order 4))));
+  (* An evicted key is estimated and encoded again, to the same bytes. *)
+  with_server ~cache_capacity:1 (fun server _port ->
+      let send = Serve.Server.handle_line server in
+      let digest = upload_in_process server w in
+      let first = send (estimate digest (Contention.Analysis.Order 2)) in
+      (* Two misses: the second evicts the first key. *)
+      ignore (as_hit first : string);
+      ignore (as_hit (send (estimate digest Contention.Analysis.Worst_case)));
+      Alcotest.(check string)
+        "second miss after eviction" first
+        (send (estimate digest (Contention.Analysis.Order 2))))
+
 let test_release_errors () =
   with_server (fun _server port ->
       with_client port (fun c ->
@@ -528,6 +615,7 @@ let suite =
     Alcotest.test_case "estimator names" `Quick test_estimator_names;
     Alcotest.test_case "robustness" `Quick test_robustness;
     Alcotest.test_case "non-finite upload refused" `Quick test_non_finite_upload;
+    Alcotest.test_case "stored reply bytes" `Quick test_stored_replies;
     Alcotest.test_case "admission errors" `Quick test_release_errors;
     Alcotest.test_case "integration" `Quick test_integration;
     Alcotest.test_case "graceful stop, idle client" `Quick

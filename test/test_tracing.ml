@@ -4,8 +4,9 @@
    trace-file round-trip through Cluster.Trace, live propagation across
    two peered in-process servers (client span, serve span and the hot
    cache-put replication span all share one trace id), the sampled
-   request journal with rotation, SLO burn-rate windows under an
-   injected clock, and the shard-labelled Prometheus merge. *)
+   request journal with rotation and a server's per-estimate cache
+   outcome in it, SLO burn-rate windows under an injected clock, and the
+   shard-labelled Prometheus merge. *)
 
 module Json = Serve.Json
 module Protocol = Serve.Protocol
@@ -472,6 +473,68 @@ let test_journal () =
         [ {|{"tag":"second"}|} ]
         (read_lines rotated))
 
+(* A server's journal records each estimate's cache outcome, read back
+   from the reply line it sent. *)
+let test_journal_cache_outcome () =
+  let path = Filename.temp_file "journal" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let config =
+        {
+          Serve.Server.default_config with
+          port = Some 0;
+          jobs = Some 1;
+          journal_path = Some path;
+          journal_sample = 1;
+        }
+      in
+      let server = Serve.Server.start ~config () in
+      let w = Exp.Workload.make ~seed:7 ~num_apps:3 ~procs:2 () in
+      let send r =
+        Serve.Server.handle_line server (Json.to_string (Protocol.request_to_json r))
+      in
+      let digest =
+        Fun.protect
+          ~finally:(fun () -> Serve.Server.stop server)
+          (fun () ->
+            let up = send (Protocol.Upload { payload = Exp.Workload.to_string w }) in
+            let digest =
+              (unwrap
+                 (Result.bind
+                    (Result.bind (Json.of_string up) Protocol.unwrap_reply)
+                    Protocol.upload_reply_of_json))
+                .Protocol.digest
+            in
+            let estimate =
+              Protocol.Estimate
+                { digest; usecase = None; estimator = Contention.Analysis.Order 2 }
+            in
+            ignore (send estimate : string);
+            ignore (send estimate : string);
+            digest)
+      in
+      let estimates =
+        List.filter_map
+          (fun line ->
+            let r = unwrap (Json.of_string line) in
+            match Json.member "cmd" r with
+            | Some (Json.Str "estimate") -> Some r
+            | _ -> None)
+          (read_lines path)
+      in
+      let str name r = Option.bind (Json.member name r) Json.get_str in
+      Alcotest.(check int) "two estimates journalled" 2 (List.length estimates);
+      List.iter2
+        (fun cached r ->
+          Alcotest.(check (option string)) "cmd" (Some "estimate") (str "cmd" r);
+          Alcotest.(check (option string)) "workload" (Some digest) (str "workload" r);
+          Alcotest.(check (option string)) "outcome" (Some "ok") (str "outcome" r);
+          Alcotest.(check (option bool))
+            "cached" (Some cached)
+            (Option.bind (Json.member "cached" r) Json.get_bool))
+        [ false; true ] estimates)
+
 (* --- SLO burn-rate windows ------------------------------------------- *)
 
 let test_slo () =
@@ -636,6 +699,7 @@ let suite =
     Alcotest.test_case "propagation across peered servers" `Slow
       test_cluster_propagation;
     Alcotest.test_case "request journal" `Quick test_journal;
+    Alcotest.test_case "journal cache outcome" `Quick test_journal_cache_outcome;
     Alcotest.test_case "slo burn windows" `Quick test_slo;
     Alcotest.test_case "slo window rollover" `Quick test_slo_rollover;
     Alcotest.test_case "stats carries the slo" `Quick test_stats_slo_wire;

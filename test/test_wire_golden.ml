@@ -15,7 +15,10 @@
    The expected frames live in [wire_frames.golden], one
    [label<TAB>frame] line each.  Long explain frames are pinned by their
    MD5 ([label<TAB>md5:<hex>]).  Every frame that decodes must also
-   re-encode to the same bytes. *)
+   re-encode to the same bytes.
+
+   A second case pins the estimate reply a server assembles from a stored
+   body to the codec's encoding of the same reply. *)
 
 module Json = Serve.Json
 module P = Serve.Protocol
@@ -531,6 +534,43 @@ let fixed add =
         {|{"estimator":"second-order","engine":"mcm","usecase":["A"],"apps":[{"app":"A","isolation_period":1,"period":"x"}]}|} );
     ]
 
+(* --- stored estimate bodies --------------------------------------------- *)
+
+(* A server stores [estimate_reply_body] per cache entry and answers with
+   [estimate_reply_line]: both together must give the codec's bytes. *)
+let test_stored_bodies () =
+  (* Both sides of [add_num]'s switch from "%.0f" to "%.17g". *)
+  let numbers = [| 222.; 1e15 -. 1.; 1e15; 0.1; 5e-324; Float.max_float |] in
+  let num i = numbers.(i mod Array.length numbers) in
+  let row i =
+    {
+      P.app = Printf.sprintf "app \"%d\"" i;
+      period = num i;
+      isolation_period = num (i + 1);
+      throughput = num (i + 2);
+    }
+  in
+  List.iter
+    (fun n ->
+      let rows = List.init n row in
+      List.iter
+        (fun e ->
+          let estimator = A.estimator_name e in
+          let body = P.estimate_reply_body ~estimator rows in
+          List.iter
+            (fun cached ->
+              let want =
+                Json.to_string
+                  (P.ok (P.estimate_reply_to_json { P.cached; estimator; rows }))
+              in
+              let got = P.estimate_reply_line ~cached body in
+              if got <> want then
+                Alcotest.failf "%s, %d rows, cached %b:\n  got  %s\n  want %s"
+                  estimator n cached got want)
+            [ false; true ])
+        A.all_paper_estimators)
+    [ 0; 1; 10 ]
+
 (* --- the comparison ---------------------------------------------------- *)
 
 let frames () =
@@ -571,4 +611,8 @@ let test_golden_frames () =
   in
   compare_from 1 expected got
 
-let suite = [ Alcotest.test_case "golden frames" `Quick test_golden_frames ]
+let suite =
+  [
+    Alcotest.test_case "golden frames" `Quick test_golden_frames;
+    Alcotest.test_case "stored estimate bodies" `Quick test_stored_bodies;
+  ]
