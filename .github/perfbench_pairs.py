@@ -26,10 +26,10 @@ BENCH_*.json.  The verdict is the first of these that holds:
     same        otherwise
 
 Exit status 1 when a run exits non-zero or reports failed ops, or when a
-metric is `worse`; 0 otherwise, whatever the other verdicts.  When the benchmark's `paths` or
-BENCHMARK.json itself differ between REV and the checkout, the benchmark
-itself changed: the script says so, runs nothing and exits 0, leaving the
-verdict to the benchmark's self-test.
+metric is `worse`; 0 otherwise, whatever the other verdicts.  When the
+benchmark's `paths` or BENCHMARK.json itself differ between REV and the
+checkout, the benchmark itself changed: the script says so, runs nothing
+and exits 0, leaving the verdict to the benchmark's self-test.
 """
 
 import argparse
