@@ -729,9 +729,9 @@ let () =
   let residents = 1_000 and cycles = 100 and procs = 4 in
   Printf.printf
     "Join/leave cycles at a %d-application resident population on %d\n\
-     processors: the incremental controller (⊕/⊖ on the aggregates and the\n\
-     kernel groups) against a per-join from-scratch re-fold of the same\n\
-     state, plus the cost of serving a confidence margin per admit.\n"
+     processors: the incremental controller (⊕/⊖ on the per-processor\n\
+     aggregates) against a per-join from-scratch re-fold of the same\n\
+     aggregates, plus the cost of serving a confidence margin per admit.\n"
     residents procs;
   (* Small resident applications, drawn as the churn fuzz tier draws them,
      with activation periods inflated so the resident population sums to
@@ -761,10 +761,8 @@ let () =
       if refold then
         for proc = 0 to procs - 1 do
           (* What a non-incremental manager redoes per join: fold the whole
-             population's aggregates and bases again. *)
-          ignore (Contention.Admission.refolded_aggregate ctl ~proc);
-          Contention.Kernel.Group.recompute
-            (Contention.Admission.group ctl ~proc)
+             population's aggregates again. *)
+          ignore (Contention.Admission.refolded_aggregate ctl ~proc)
         done;
       Contention.Admission.withdraw ctl extra.Contention.Analysis.graph.Sdf.Graph.name
     done;

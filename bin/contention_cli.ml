@@ -810,15 +810,12 @@ let check_cmd =
                churn soak: %d residents, %d events (%d joins, %d leaves, %d \
                observes), %d oracle checks\n\
               \  max p deviation %.3g, max w deviation %.3g\n\
-              \  full rebuilds %d, drift refolds %d, group rebuilds %d, \
-               group drift refolds %d, %d violations\n"
+              \  full rebuilds %d, drift refolds %d, %d violations\n"
               resident r.Check.Fuzz.churn_events r.Check.Fuzz.joins
               r.Check.Fuzz.leaves r.Check.Fuzz.observes r.Check.Fuzz.checks
               r.Check.Fuzz.max_p_err r.Check.Fuzz.max_w_err
               c.Contention.Admission.full_rebuilds
               c.Contention.Admission.drift_refolds
-              c.Contention.Admission.group_rebuilds
-              c.Contention.Admission.group_drift_refolds
               (List.length r.Check.Fuzz.churn_violations);
             List.iter
               (fun (v : Check.Metamorphic.violation) ->
@@ -854,14 +851,6 @@ let check_cmd =
                       ( "drift_refolds",
                         Serve.Json.Num
                           (float_of_int c.Contention.Admission.drift_refolds) );
-                      ( "group_rebuilds",
-                        Serve.Json.Num
-                          (float_of_int c.Contention.Admission.group_rebuilds)
-                      );
-                      ( "group_drift_refolds",
-                        Serve.Json.Num
-                          (float_of_int
-                             c.Contention.Admission.group_drift_refolds) );
                       ( "violations",
                         Serve.Json.Num
                           (float_of_int

@@ -152,7 +152,6 @@ type churn_config = {
   check_every : int;
   w_tolerance : float;  (* re-fold oracle bound on the w-aggregate *)
   refold_bound : float;
-  group_drift_bound : float;
   period_slack : float;
       (* Activation-period inflation for resident draws: a media feature
          idles between activations, so its per-actor utilization is
@@ -172,7 +171,6 @@ let default_churn_config =
        non-LIFO ⊖ residue, which the controller caps at [refold_bound]. *)
     w_tolerance = 0.05;
     refold_bound = 0.05;
-    group_drift_bound = 1e-6;
     period_slack = 12.;
   }
 
@@ -238,8 +236,7 @@ let rel_dev a b =
 (* The re-fold oracle: the maintained per-processor state against a fresh
    fold of the current population.  The p-component of ⊕/⊖ is an exact
    inverse, so it must agree to rounding; the w-component may lag by the
-   drift-bounded ⊖ residue; the kernel bases are guarded, so they must
-   agree to their (much tighter) drift bound. *)
+   drift-bounded ⊖ residue. *)
 let refold_oracle config ctl step (max_p, max_w, acc) =
   let acc = ref acc and max_p = ref max_p and max_w = ref max_w in
   for proc = 0 to config.procs - 1 do
@@ -262,18 +259,6 @@ let refold_oracle config ctl step (max_p, max_w, acc) =
           step proc inc.Contention.Compose.w ref_.Contention.Compose.w
           config.w_tolerance
         :: !acc;
-    let g = Admission.group ctl ~proc in
-    let es = Contention.Kernel.Group.es g in
-    let es_ref = Contention.Kernel.Group.es_reference g in
-    let n = Contention.Kernel.Group.size g in
-    for d = 0 to n do
-      if rel_dev es.(d) es_ref.(d) > 1e-6 then
-        acc :=
-          churn_violation "churn-refold-es"
-            "step %d proc %d degree %d: incremental %.17g vs refold %.17g"
-            step proc d es.(d) es_ref.(d)
-          :: !acc
-    done;
     if Admission.aggregate_drift ctl ~proc > config.refold_bound then
       acc :=
         churn_violation "churn-drift-bound"
@@ -288,8 +273,7 @@ let churn ?(config = default_churn_config) ~seed () =
   if config.events < 0 then invalid_arg "Check.Fuzz.churn: negative events";
   let rng = Sdfgen.Rng.create seed in
   let ctl =
-    Admission.create ~refold_bound:config.refold_bound
-      ~group_drift_bound:config.group_drift_bound ~procs:config.procs ()
+    Admission.create ~refold_bound:config.refold_bound ~procs:config.procs ()
   in
   let resident = ref [] in
   let next_id = ref 0 in

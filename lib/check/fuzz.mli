@@ -69,10 +69,10 @@ val run :
     A different campaign shape for the {e incremental} admission layer:
     instead of independent seeds, one long-lived controller is driven
     through a seeded stream of join/leave/observe events, and every
-    [check_every] events its maintained per-processor state (composability
-    aggregates and {!Contention.Kernel.Group} bases) is compared against a
-    from-scratch re-fold of the population — the oracle the tentpole's
-    "never re-fold on the hot path" claim is tested against. *)
+    [check_every] events its maintained per-processor composability
+    aggregates are compared against a from-scratch re-fold of the
+    population — the oracle for the controller's claim that joins and
+    leaves never refold from scratch. *)
 
 type churn_config = {
   procs : int;
@@ -84,7 +84,6 @@ type churn_config = {
           re-fold — the accumulated non-LIFO ⊖ residue, which the controller
           caps at [refold_bound]. *)
   refold_bound : float;  (** Passed to {!Contention.Admission.create}. *)
-  group_drift_bound : float;
   period_slack : float;
       (** Activation-period inflation for resident draws: a resident feature
           idles between activations, so its per-actor utilization is
@@ -96,8 +95,7 @@ type churn_config = {
 
 val default_churn_config : churn_config
 (** 4 processors, 48 resident, 600 events, a check every 25,
-    [w_tolerance = refold_bound = 0.05], [group_drift_bound = 1e-6],
-    [period_slack = 12]. *)
+    [w_tolerance = refold_bound = 0.05], [period_slack = 12]. *)
 
 type churn_result = {
   churn_events : int;

@@ -33,22 +33,15 @@ type entry = {
   req : requirement;
   mutable loads : Prob.t array;
   mutable measured : float option;
-  mutable ids : int array;  (* per-actor member id in its processor group *)
 }
 
 type t = {
   nprocs : int;
   aggregates : Compose.t array;  (* one per processor, all admitted actors *)
-  groups : Kernel.Group.t array;
-      (* one per processor: the same population with its symmetric-polynomial
-         basis maintained incrementally (⊕ on admit, ⊖ on withdraw, O(n)
-         update on observe), backing the Eq. 4 estimators of
-         {!estimated_period_via} without per-query rebuilds *)
   refold_bound : float;
   agg_drift : float array;
       (* per-processor accumulated second-order ⊖ error of the w-aggregate;
          a refold is forced when it crosses [refold_bound] *)
-  mutable next_id : int;
   mutable entries : (string * entry) list;
   mutable joins : int;
   mutable leaves : int;
@@ -58,19 +51,15 @@ type t = {
   mutable drift_refolds : int;
 }
 
-let create ?(refold_bound = 0.05) ?(group_drift_bound = 1e-6) ~procs () =
+let create ?(refold_bound = 0.05) ~procs () =
   if procs < 1 then invalid_arg "Contention.Admission.create: procs < 1";
   if not (refold_bound > 0.) then
     invalid_arg "Contention.Admission.create: non-positive refold bound";
   {
     nprocs = procs;
     aggregates = Array.make procs Compose.empty;
-    groups =
-      Array.init procs (fun _ ->
-          Kernel.Group.create ~drift_bound:group_drift_bound ());
     refold_bound;
     agg_drift = Array.make procs 0.;
-    next_id = 0;
     entries = [];
     joins = 0;
     leaves = 0;
@@ -92,10 +81,8 @@ let counters t =
     incremental_ops = t.incremental_ops;
     full_rebuilds = t.full_rebuilds;
     drift_refolds = t.drift_refolds;
-    group_rebuilds =
-      Array.fold_left (fun acc g -> acc + Kernel.Group.rebuilds g) 0 t.groups;
-    group_drift_refolds =
-      Array.fold_left (fun acc g -> acc + Kernel.Group.drift_refolds g) 0 t.groups;
+    group_rebuilds = 0;
+    group_drift_refolds = 0;
   }
 
 (* Per-actor response times of [e] when the per-processor aggregates are
@@ -266,34 +253,7 @@ let add_loads aggregates (e : entry) =
 
 let entry_of app req =
   ( app.Analysis.graph.Sdf.Graph.name,
-    { app; req; loads = Analysis.loads app; measured = None; ids = [||] } )
-
-(* Keep the per-processor incremental groups in lockstep with [entries]. *)
-let groups_admit t (e : entry) =
-  e.ids <-
-    Array.mapi
-      (fun actor (l : Prob.t) ->
-        let id = t.next_id in
-        t.next_id <- t.next_id + 1;
-        Kernel.Group.add t.groups.(e.app.Analysis.mapping.(actor)) ~id ~p:l.p
-          ~mu:l.mu ~tau:l.tau;
-        id)
-      e.loads
-
-let groups_withdraw t (e : entry) =
-  Array.iteri
-    (fun actor id ->
-      Kernel.Group.remove t.groups.(e.app.Analysis.mapping.(actor)) ~id)
-    e.ids;
-  e.ids <- [||]
-
-let groups_update t (e : entry) =
-  Array.iteri
-    (fun actor (l : Prob.t) ->
-      Kernel.Group.update
-        t.groups.(e.app.Analysis.mapping.(actor))
-        ~id:e.ids.(actor) ~p:l.p ~mu:l.mu ~tau:l.tau)
-    e.loads
+    { app; req; loads = Analysis.loads app; measured = None } )
 
 (* One processor's aggregate refolded from the population in insertion
    order — O(resident actors), not O(n²). *)
@@ -367,7 +327,6 @@ let try_admit ?margin t app req =
         in
         Array.blit tentative 0 t.aggregates 0 t.nprocs;
         t.entries <- (name, candidate) :: t.entries;
-        groups_admit t candidate;
         t.joins <- t.joins + 1;
         t.incremental_ops <- t.incremental_ops + Array.length candidate.loads;
         Admitted { margin }
@@ -394,7 +353,6 @@ let withdraw t name =
      w, and the accumulated error is traded for a refold at the bound. *)
   let lifo = match t.entries with (n, _) :: _ -> n = name | [] -> false in
   t.entries <- List.remove_assoc name t.entries;
-  groups_withdraw t e;
   t.leaves <- t.leaves + 1;
   let invertible = Array.for_all (fun (l : Prob.t) -> l.p < 1.) e.loads in
   if invertible then begin
@@ -438,9 +396,6 @@ let observe t name ~measured_period =
   e.measured <- Some measured_period;
   e.loads <- new_loads;
   t.observes_n <- t.observes_n + 1;
-  (* The kernel groups keep per-member state, so each actor is an O(n)
-     deconvolve/refold delta. *)
-  groups_update t e;
   let invertible = Array.for_all (fun (l : Prob.t) -> l.p < 1.) old_loads in
   if invertible then begin
     (* Re-base each actor incrementally: ⊖ the old contribution, ⊕ the new
@@ -480,31 +435,6 @@ let margin_for t spec name =
   let period = period_under cache t.entries t.aggregates e in
   compute_margin cache t.entries t.aggregates ~nprocs:t.nprocs e ~period spec
 
-let estimated_period_via t est name =
-  match (est : Analysis.estimator) with
-  | Analysis.Composability ->
-      (* The aggregate/inverse path IS the composability estimator. *)
-      estimated_period t name
-  | _ ->
-      let e = find t name in
-      let g = e.app.Analysis.graph in
-      let response =
-        Array.init (Sdf.Graph.num_actors g) (fun actor ->
-            let group = t.groups.(e.app.Analysis.mapping.(actor)) in
-            let excluding = Some e.ids.(actor) in
-            let waiting =
-              match est with
-              | Analysis.Worst_case -> Kernel.Group.wc_waiting group ~excluding
-              | Analysis.Order m -> Kernel.Group.order_waiting group ~order:m ~excluding
-              | Analysis.Exact -> Kernel.Group.exact_waiting group ~excluding
-              | Analysis.Composability -> assert false
-            in
-            (Sdf.Graph.actor g actor).exec_time +. waiting)
-      in
-      Analysis.period_with (Analysis.prepare e.app) ~response_times:response
-
-let estimated_throughput_via t est name = 1. /. estimated_period_via t est name
-
 (* ------------------------------------------------------------------ *)
 (* Introspection for the churn oracle *)
 
@@ -523,7 +453,3 @@ let refolded_aggregate t ~proc =
 let aggregate_drift t ~proc =
   check_proc t proc "aggregate_drift";
   t.agg_drift.(proc)
-
-let group t ~proc =
-  check_proc t proc "group";
-  t.groups.(proc)

@@ -8,15 +8,14 @@
     admitted application is pushed below its own requirement.
 
     The controller is {e fully incremental}: joins are ⊕, leaves are ⊖, and
-    {!observe} re-bases each actor with an O(n) update — both on the
-    composability aggregates and on the per-processor {!Kernel.Group}
-    symmetric-polynomial bases behind {!estimated_period_via}.  Neither path
-    performs a from-scratch refold on join/leave; the two sanctioned
-    exceptions are a guarded rebuild when a deconvolution cancels and a
-    {e drift-triggered} refold when the accumulated inverse error crosses a
-    bound (⊗ is only second-order associative, so non-LIFO ⊖ leaves an
-    O(p²/4) residue in the w-aggregate).  {!counters} exposes both so tests
-    can pin them.
+    {!observe} re-bases each actor with ⊖ of its old load and ⊕ of its new
+    one, all on the one aggregate per processor.  No path refolds from
+    scratch on join/leave; the two sanctioned exceptions are a full rebuild
+    when a saturated (P = 1) actor, which has no inverse, leaves or is
+    re-based, and a {e drift-triggered} refold of one processor when the
+    accumulated inverse error crosses a bound (⊗ is only second-order
+    associative, so non-LIFO ⊖ leaves an O(p²/4) residue in the
+    w-aggregate).  {!counters} exposes both so tests can pin them.
 
     On request ({!try_admit}'s [?margin], {!margin_for}), the point estimate
     is wrapped in a {!Margin.t} confidence interval — see DESIGN §15.
@@ -67,21 +66,20 @@ type counters = {
   drift_refolds : int;
       (** Per-processor aggregate refolds forced by the ⊖ drift bound. *)
   group_rebuilds : int;
-      (** {!Kernel.Group} guard fallbacks across all processors. *)
-  group_drift_refolds : int;
-      (** {!Kernel.Group} drift-bound refolds across all processors. *)
+      (** Always 0.  Kept only because the repository benchmark
+          (perfbench) still reads it; it goes when that benchmark next
+          changes. *)
+  group_drift_refolds : int;  (** Always 0, as [group_rebuilds]. *)
 }
 
 type t
 (** Mutable controller state: admitted applications plus one load aggregate
-    and one incremental kernel group per processor. *)
+    and its ⊖ drift estimate per processor. *)
 
-val create :
-  ?refold_bound:float -> ?group_drift_bound:float -> procs:int -> unit -> t
+val create : ?refold_bound:float -> procs:int -> unit -> t
 (** [refold_bound] caps the accumulated non-LIFO ⊖ error on a processor's
-    w-aggregate before it is refolded from the population (default [0.05]);
-    [group_drift_bound] is passed to {!Kernel.Group.create}.
-    @raise Invalid_argument if [procs < 1] or a bound is non-positive. *)
+    w-aggregate before it is refolded from the population (default [0.05]).
+    @raise Invalid_argument if [procs < 1] or the bound is non-positive. *)
 
 val procs : t -> int
 val admitted : t -> (string * Analysis.app * requirement) list
@@ -137,20 +135,6 @@ val margin_for : t -> margin_spec -> string -> Margin.t
     later for auditing.  @raise Not_found if not admitted;
     @raise Invalid_argument on an invalid spec. *)
 
-val estimated_period_via : t -> Analysis.estimator -> string -> float
-(** {!estimated_period} with the estimator of your choice.  The controller
-    maintains one incremental {!Kernel.Group} per processor alongside the
-    composability aggregates — admissions are ⊕, withdrawals ⊖, and
-    {!observe} re-bases each actor with an O(n) update — so the Eq. 4
-    estimators ([Exact], [Order m], [Worst_case]) answer straight from the
-    maintained symmetric-polynomial bases without re-analysing the
-    population.  [Composability] is the aggregate path of
-    {!estimated_period} itself.
-    @raise Not_found if not admitted.
-    @raise Invalid_argument if [Order m] with [m < 2]. *)
-
-val estimated_throughput_via : t -> Analysis.estimator -> string -> float
-
 (** {1 Introspection}
 
     Read-only views the churn suite's re-fold oracle compares the
@@ -167,7 +151,3 @@ val refolded_aggregate : t -> proc:int -> Compose.t
 val aggregate_drift : t -> proc:int -> float
 (** The accumulated non-LIFO ⊖ error estimate on one processor, in
     [[0, refold_bound]]. *)
-
-val group : t -> proc:int -> Kernel.Group.t
-(** The incremental kernel group of one processor (for {!Kernel.Group.es}
-    vs {!Kernel.Group.es_reference} comparisons). *)

@@ -9,7 +9,7 @@ let waiting_time loads =
       let n = Array.length ps in
       (* Guarded removal by index ({!Sympoly.remove}): the plain deconvolution
          cancels catastrophically when one load dominates a degree, and the
-         by-value [Sympoly.without] could not recompute. *)
+         guard recomputes from the elements it is given. *)
       let acc = ref 0. in
       List.iteri
         (fun i (l : Prob.t) ->

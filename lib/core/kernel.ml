@@ -427,262 +427,3 @@ let graph ~nnodes ~name ~seeds edges =
     in
     with_forms (if seeds = [] then [ cycle ] else List.fold_left add [] seeds)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental per-processor symmetric-polynomial state *)
-
-module Group = struct
-  type t = {
-    mutable n : int;
-    mutable ids : int array;
-    mutable ps : float array;
-    mutable mus : float array;
-    mutable taus : float array;
-    mutable es : float array;  (* degrees 0..n valid *)
-    mutable sc1 : float array;  (* basis minus the excluded member *)
-    mutable sc2 : float array;  (* basis minus excluded and contender *)
-    mutable xs : float array;  (* compaction buffer for fallbacks *)
-    drift_bound : float;
-    mutable drift : float;  (* accumulated deconvolution error estimate *)
-    mutable rebuilds : int;  (* guard fallbacks on the state path *)
-    mutable drift_refolds : int;  (* refolds forced by the drift bound *)
-  }
-
-  let create ?(capacity = 8) ?(drift_bound = 1e-6) () =
-    if not (drift_bound > 0.) then
-      invalid_arg "Contention.Kernel.Group.create: non-positive drift bound";
-    let c = Int.max 2 capacity in
-    {
-      n = 0;
-      ids = Array.make c 0;
-      ps = Array.make c 0.;
-      mus = Array.make c 0.;
-      taus = Array.make c 0.;
-      es = (let e = Array.make (c + 1) 0. in e.(0) <- 1.; e);
-      sc1 = Array.make (c + 1) 0.;
-      sc2 = Array.make (c + 1) 0.;
-      xs = Array.make (c + 1) 0.;
-      drift_bound;
-      drift = 0.;
-      rebuilds = 0;
-      drift_refolds = 0;
-    }
-
-  let size g = g.n
-  let es g = g.es
-  let drift g = g.drift
-  let rebuilds g = g.rebuilds
-  let drift_refolds g = g.drift_refolds
-
-  let grow_int a n = if Array.length a < n then (
-    let b = Array.make (Int.max n (2 * Array.length a)) 0 in
-    Array.blit a 0 b 0 (Array.length a); b)
-    else a
-
-  let grow_keep a n =
-    if Array.length a < n then (
-      let b = Array.make (Int.max n (2 * Array.length a)) 0. in
-      Array.blit a 0 b 0 (Array.length a);
-      b)
-    else a
-
-  let reserve g n =
-    g.ids <- grow_int g.ids n;
-    g.ps <- grow_keep g.ps n;
-    g.mus <- grow_keep g.mus n;
-    g.taus <- grow_keep g.taus n;
-    g.es <- grow_keep g.es (n + 1);
-    g.sc1 <- grow_keep g.sc1 (n + 1);
-    g.sc2 <- grow_keep g.sc2 (n + 1);
-    g.xs <- grow_keep g.xs (n + 1)
-
-  let index_of g id =
-    let rec go i = if i >= g.n then -1 else if g.ids.(i) = id then i else go (i + 1) in
-    go 0
-
-  let mem g id = index_of g id >= 0
-
-  (* Rebuild es from the member list — the O(n²) reference the deltas are
-     checked against, and the fallback when a removal cancels.  Exact in the
-     member list, so it zeroes the drift accumulator. *)
-  let recompute g =
-    for j = 0 to g.n do
-      g.es.(j) <- 0.
-    done;
-    g.es.(0) <- 1.;
-    for i = 0 to g.n - 1 do
-      let x = g.ps.(i) in
-      for j = i + 1 downto 1 do
-        g.es.(j) <- g.es.(j) +. (x *. g.es.(j - 1))
-      done
-    done;
-    g.drift <- 0.
-
-  let es_reference g =
-    let out = Array.make (g.n + 1) 0. in
-    out.(0) <- 1.;
-    for i = 0 to g.n - 1 do
-      let x = g.ps.(i) in
-      for j = i + 1 downto 1 do
-        out.(j) <- out.(j) +. (x *. out.(j - 1))
-      done
-    done;
-    out
-
-  let add g ~id ~p ~mu ~tau =
-    if not (p >= 0. && p <= 1.) then
-      invalid_arg "Contention.Kernel.Group.add: probability outside [0,1]";
-    if mem g id then invalid_arg "Contention.Kernel.Group.add: duplicate id";
-    reserve g (g.n + 1);
-    g.ids.(g.n) <- id;
-    g.ps.(g.n) <- p;
-    g.mus.(g.n) <- mu;
-    g.taus.(g.n) <- tau;
-    (* ⊕: one O(n) reconvolution step, es := es ⊛ (1 + p·z). *)
-    for j = g.n + 1 downto 1 do
-      g.es.(j) <- g.es.(j) +. (p *. g.es.(j - 1))
-    done;
-    g.n <- g.n + 1
-
-  (* ⊖: guarded O(n) deconvolution of member [i]'s probability, with the
-     O(n²) recompute fallback of {!Sympoly.remove}.  Returns [true] when the
-     guard fired and sc1 was rebuilt exactly from the member list. *)
-  let deconvolve_member g i =
-    Sympoly.deconvolve_into ~es:g.es ~xs:g.ps ~skip:i ~out:g.sc1 ~n:g.n;
-    let stable = Sympoly.deconv_stable ~es:g.es ~out:g.sc1 ~n:g.n in
-    if not stable then
-      Sympoly.refold_skip_into ~xs:g.ps ~m:g.n ~skip:i ~out:g.sc1;
-    not stable
-
-  (* Account one state-changing deconvolution: a guard fallback leaves an
-     exact basis (rebuilds++, drift := 0); an unguarded deconvolution keeps
-     relative error O(n·ulp), which we accumulate pessimistically and trade
-     for one exact O(n²) refold once it crosses [drift_bound]. *)
-  let account_state_deconv g ~fell_back =
-    if fell_back then begin
-      g.rebuilds <- g.rebuilds + 1;
-      g.drift <- 0.
-    end
-    else begin
-      g.drift <- g.drift +. (float_of_int (g.n + 1) *. epsilon_float);
-      if g.drift > g.drift_bound then begin
-        recompute g;
-        g.drift_refolds <- g.drift_refolds + 1
-      end
-    end
-
-  let remove g ~id =
-    let i = index_of g id in
-    if i < 0 then invalid_arg "Contention.Kernel.Group.remove: unknown id";
-    let fell_back = deconvolve_member g i in
-    (* sc1 now holds the basis without member i; it becomes the new es. *)
-    let last = g.n - 1 in
-    g.ids.(i) <- g.ids.(last);
-    g.ps.(i) <- g.ps.(last);
-    g.mus.(i) <- g.mus.(last);
-    g.taus.(i) <- g.taus.(last);
-    g.n <- last;
-    for j = 0 to last do
-      g.es.(j) <- g.sc1.(j)
-    done;
-    g.es.(last + 1) <- 0.;
-    account_state_deconv g ~fell_back
-
-  let update g ~id ~p ~mu ~tau =
-    if not (p >= 0. && p <= 1.) then
-      invalid_arg "Contention.Kernel.Group.update: probability outside [0,1]";
-    let i = index_of g id in
-    if i < 0 then invalid_arg "Contention.Kernel.Group.update: unknown id";
-    (* Replace = deconvolve the old probability, refold the new one: the O(n)
-       delta of the issue's incremental Eq. 4 state. *)
-    let fell_back = deconvolve_member g i in
-    g.ps.(i) <- p;
-    g.mus.(i) <- mu;
-    g.taus.(i) <- tau;
-    for j = 0 to g.n - 1 do
-      g.es.(j) <- g.sc1.(j)
-    done;
-    g.es.(g.n) <- 0.;
-    for j = g.n downto 1 do
-      g.es.(j) <- g.es.(j) +. (p *. g.es.(j - 1))
-    done;
-    account_state_deconv g ~fell_back
-
-  (* Expected wait inflicted by the group on one observer.  [excluding] is
-     the observer's own member index for an admitted actor (its load must not
-     block itself), or -1 for an outside candidate.  Uses the maintained
-     basis: one guarded deconvolution for the observer, one per contender —
-     O(n) each, never an O(n²) rebuild unless a guard fires. *)
-  let series_waiting g ~excluding ~max_degree_of =
-    let m = if excluding >= 0 then g.n - 1 else g.n in
-    if m = 0 then 0.
-    else begin
-      (* Contenders, compacted; their basis in sc1. *)
-      let base =
-        if excluding >= 0 then begin
-          (* Query path: the fallback rebuilds sc1 exactly but leaves es
-             untouched, so it is not a state rebuild. *)
-          let (_ : bool) = deconvolve_member g excluding in
-          g.sc1
-        end
-        else g.es
-      in
-      for i = 0 to g.n - 1 do
-        if i <> excluding then
-          g.xs.(if excluding >= 0 && i > excluding then i - 1 else i) <- g.ps.(i)
-      done;
-      let max_degree = max_degree_of m in
-      let acc = ref 0. in
-      for o = 0 to m - 1 do
-        Sympoly.deconvolve_into ~es:base ~xs:g.xs ~skip:o ~out:g.sc2
-          ~n:(max_degree + 1);
-        if not (Sympoly.deconv_stable ~es:base ~out:g.sc2 ~n:(max_degree + 1))
-        then
-          Sympoly.refold_trunc_into ~xs:g.xs ~m ~skip:o ~k:max_degree ~out:g.sc2;
-        let series = ref 1. in
-        for j = 1 to max_degree do
-          series :=
-            !series
-            +. ((if j mod 2 = 1 then 1. else -1.)
-                /. float_of_int (j + 1)
-                *. g.sc2.(j))
-        done;
-        let gi = if excluding >= 0 && o >= excluding then o + 1 else o in
-        acc := !acc +. (g.mus.(gi) *. g.ps.(gi) *. !series)
-      done;
-      !acc
-    end
-
-  let exact_waiting g ~excluding:id =
-    let t = match id with None -> -1 | Some id -> index_of g id in
-    (match id with
-    | Some id when t < 0 ->
-        invalid_arg
-          (Printf.sprintf "Contention.Kernel.Group.exact_waiting: unknown id %d" id)
-    | _ -> ());
-    series_waiting g ~excluding:t ~max_degree_of:(fun m -> m - 1)
-
-  let order_waiting g ~order ~excluding:id =
-    if order < 2 then invalid_arg "Contention.Approx.waiting_time: order < 2";
-    let t = match id with None -> -1 | Some id -> index_of g id in
-    (match id with
-    | Some id when t < 0 ->
-        invalid_arg
-          (Printf.sprintf "Contention.Kernel.Group.order_waiting: unknown id %d" id)
-    | _ -> ());
-    series_waiting g ~excluding:t ~max_degree_of:(fun m ->
-        Int.min (order - 1) (m - 1))
-
-  let wc_waiting g ~excluding:id =
-    let t = match id with None -> -1 | Some id -> index_of g id in
-    (match id with
-    | Some id when t < 0 ->
-        invalid_arg
-          (Printf.sprintf "Contention.Kernel.Group.wc_waiting: unknown id %d" id)
-    | _ -> ());
-    let acc = ref 0. in
-    for i = 0 to g.n - 1 do
-      if i <> t then acc := !acc +. g.taus.(i)
-    done;
-    !acc
-end

@@ -134,79 +134,3 @@ val period_into :
     non-finite weights, an edgeless or cycle-free graph, or a zero-delay
     cycle; and, naming the graph, when a witness cycle fails to improve on
     the current ratio (a probe defeated by roundoff). *)
-
-(** {1 Incremental group state}
-
-    A mutable per-processor population of loads with its elementary
-    symmetric-polynomial basis [e_0..e_n] maintained {e incrementally}: ⊕
-    (member joins) is one O(n) reconvolution, ⊖ (member leaves) and a
-    blocking-probability change are one guarded O(n) deconvolution
-    ({!Sympoly.remove}'s guard, falling back to the O(n²) rebuild on
-    cancellation) — instead of recomputing the O(n·m) basis per change.
-    This backs the ⊕/⊖ admission path ({!Admission}): waiting-time queries
-    evaluate Eq. 4 directly from the maintained basis. *)
-module Group : sig
-  type t
-
-  val create : ?capacity:int -> ?drift_bound:float -> unit -> t
-  (** [drift_bound] caps the accumulated deconvolution-error estimate before
-      the basis is refolded exactly (default [1e-6]); see {!drift}.
-      @raise Invalid_argument on a non-positive bound. *)
-
-  val size : t -> int
-
-  val es : t -> float array
-  (** The maintained basis; degrees [0..size] are valid.  Exposed for tests
-      and diagnostics — treat as read-only. *)
-
-  val es_reference : t -> float array
-  (** A fresh from-scratch O(n²) fold of the current member list — the
-      oracle the churn suite compares the maintained basis against.  Does
-      not mutate the group. *)
-
-  val drift : t -> float
-  (** Accumulated error estimate of the maintained basis: each unguarded
-      state deconvolution (⊖ or update) adds [(size+1)·ulp]; exact refolds
-      (guard fallback, {!recompute}, the drift-bound refold) reset it. *)
-
-  val rebuilds : t -> int
-  (** State-path guard fallbacks: removals/updates whose deconvolution
-      cancelled and was replaced by an exact O(n²) refold.  The churn suite
-      pins this below a storm threshold. *)
-
-  val drift_refolds : t -> int
-  (** Exact refolds forced by {!drift} crossing the create-time bound. *)
-
-  val mem : t -> int -> bool
-
-  val add : t -> id:int -> p:float -> mu:float -> tau:float -> unit
-  (** ⊕ member [id].  @raise Invalid_argument on a duplicate id or
-      [p] outside [0,1]. *)
-
-  val remove : t -> id:int -> unit
-  (** ⊖ member [id] (guarded deconvolution).  @raise Invalid_argument on an
-      unknown id. *)
-
-  val update : t -> id:int -> p:float -> mu:float -> tau:float -> unit
-  (** Replace member [id]'s load: deconvolve the old probability, refold the
-      new one — the O(n) delta for a re-based blocking probability (e.g.
-      {!Admission.observe}'s run-time calibration).
-      @raise Invalid_argument as {!add}/{!remove}. *)
-
-  val recompute : t -> unit
-  (** Rebuild the basis from the member list in O(n²) — the reference the
-      incremental path is validated against. *)
-
-  val exact_waiting : t -> excluding:int option -> float
-  (** Expected wait (full Eq. 4) the group inflicts on an observer:
-      [excluding:(Some id)] for an admitted member (its own load does not
-      block it), [None] for an outside candidate.  O(n) per contender from
-      the maintained basis.  @raise Invalid_argument on an unknown id. *)
-
-  val order_waiting : t -> order:int -> excluding:int option -> float
-  (** Order-m truncation of {!exact_waiting}.
-      @raise Invalid_argument if [order < 2] or on an unknown id. *)
-
-  val wc_waiting : t -> excluding:int option -> float
-  (** Worst case: sum of the (other) members' execution times. *)
-end

@@ -25,29 +25,6 @@ let up_to k xs =
     xs;
   e
 
-let without es x =
-  let n = Array.length es - 1 in
-  let e' = Array.make n 0. in
-  if n > 0 then begin
-    e'.(0) <- 1.;
-    for j = 1 to n - 1 do
-      e'.(j) <- es.(j) -. (x *. e'.(j - 1))
-    done
-  end
-  else if n = 0 then ()
-  else invalid_arg "Contention.Sympoly.without: empty polynomial";
-  e'
-
-let fold_in es x =
-  let n = Array.length es in
-  if n = 0 then invalid_arg "Contention.Sympoly.fold_in: empty polynomial";
-  let e' = Array.make (n + 1) 0. in
-  Array.blit es 0 e' 0 n;
-  for j = n downto 1 do
-    e'.(j) <- e'.(j) +. (x *. e'.(j - 1))
-  done;
-  e'
-
 (* ------------------------------------------------------------------ *)
 (* Allocation-free primitives shared with {!Kernel}.  Every function below
    takes arrays plus integer indices (never raw floats) so callers on the

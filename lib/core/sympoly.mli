@@ -12,31 +12,16 @@ val up_to : int -> float array -> float array
 (** [up_to k xs] is [[| e_0; ...; e_min(k,n) |]] in O(n·k) time — the
     truncation used by the m-th order approximation. *)
 
-val without : float array -> float -> float array
-(** [without es x_i] removes element [x_i] (by value) from the polynomial
-    basis:
-    given [es = all xs] it returns [all (xs minus one occurrence of x_i)]
-    in O(n) time by deconvolution: [e'_j = e_j - x_i * e'_(j-1)].
-    Raw primitive: well-conditioned for [|x_i| <= 1] (probabilities) as long
-    as the remaining coefficients keep a comparable magnitude, but the
-    subtraction cancels catastrophically when they do not (removing an
-    [x_i ~ 1] whose co-elements are tiny).  {!remove} is the guarded form
-    that detects this and recomputes. *)
-
 val remove : xs:float array -> skip:int -> float array -> float array
 (** [remove ~xs ~skip es] is [all (xs minus the element at skip)] given
-    [es = all xs]: the O(n) deconvolution of {!without}, guarded — when a
-    running coefficient turns negative or has lost eight decimal digits to
+    [es = all xs]: the O(n) deconvolution [e'_j = e_j - x e'_(j-1)],
+    guarded.  The raw recurrence cancels catastrophically when the removed
+    element is near 1 and its co-elements are tiny; when a running
+    coefficient turns negative or has lost eight decimal digits to
     cancellation ([e'_j < 1e-8 e_j]), the result is recomputed from [xs]
     directly (O(n²), bit-identical to [all] of the remaining elements).
-    This is the ⊖ of the incremental estimator state; {!fold_in} is its ⊕.
     @raise Invalid_argument if [skip] is out of range or [es] was not built
     from [xs]. *)
-
-val fold_in : float array -> float -> float array
-(** [fold_in es x] extends the basis by one element in O(n): given
-    [es = all xs] it returns [all (xs + [x])], bit-identical to folding [x]
-    last in {!all}.  @raise Invalid_argument on an empty basis. *)
 
 (** {1 Allocation-free primitives}
 
@@ -55,7 +40,9 @@ val deconvolve_into :
 val deconv_stable : es:float array -> out:float array -> n:int -> bool
 (** Whether a {!deconvolve_into} result is trustworthy: no coefficient in
     degrees [1..n-1] went negative or fell below [1e-8] of the corresponding
-    full-basis coefficient (eight decimal digits lost to cancellation). *)
+    full-basis coefficient (eight decimal digits lost to cancellation).
+    Degrees where both coefficients are at most [1e-12] are underflow, not
+    cancellation, and pass. *)
 
 val refold_skip_into :
   xs:float array -> m:int -> skip:int -> out:float array -> unit

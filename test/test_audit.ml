@@ -25,7 +25,17 @@ let test_drift_steady () =
     if Audit.Drift.observe d 0.03 then Alcotest.fail "alarm on a steady stream"
   done;
   Alcotest.(check bool) "not flagged" false (Audit.Drift.flagged d);
-  Alcotest.(check int) "no alarms" 0 (Audit.Drift.alarms d)
+  Alcotest.(check int) "no alarms" 0 (Audit.Drift.alarms d);
+  (* Nor is stationary noise: 2,000 errors uniform in 0.03 ± 0.02 at the
+     default delta and lambda.  The slack delta in each cumulative sum is
+     what keeps the noise from adding up to an alarm; without it in the
+     upward sum this stream alarms 4 times. *)
+  let d = Audit.Drift.create () in
+  let rng = Sdfgen.Rng.create 1 in
+  for i = 1 to 2_000 do
+    if Audit.Drift.observe d (0.01 +. Sdfgen.Rng.float rng 0.04) then
+      Alcotest.failf "alarm at sample %d of a stationary stream" i
+  done
 
 let test_drift_shift_up () =
   let d = Audit.Drift.create ~delta:0. ~lambda:0.5 ~min_samples:5 () in

@@ -184,16 +184,18 @@ let buggy_exact loads =
       let ps = Array.of_list (List.map (fun (l : Contention.Prob.t) -> l.p) loads) in
       let es = Contention.Sympoly.all ps in
       let n = Array.length ps in
-      List.fold_left
-        (fun acc (l : Contention.Prob.t) ->
-          let others = Contention.Sympoly.without es l.p in
+      let acc = ref 0. in
+      List.iteri
+        (fun i (l : Contention.Prob.t) ->
+          let others = Contention.Sympoly.remove ~xs:ps ~skip:i es in
           let series = ref 1. in
           for j = 1 to n - 1 do
             let coeff = (if j mod 2 = 1 then -1. else 1.) /. float_of_int (j + 1) in
             series := !series +. (coeff *. others.(j))
           done;
-          acc +. (Contention.Prob.waiting_product l *. !series))
-        0. loads
+          acc := !acc +. (Contention.Prob.waiting_product l *. !series))
+        loads;
+      !acc
 
 let test_oracle_catches_injected_bug () =
   let violations =

@@ -1,7 +1,7 @@
 (* Churn-heavy soak tier: long seeded join/leave/observe streams against the
    incremental admission controller, cross-checked by the from-scratch
-   re-fold oracle ({!Check.Fuzz.churn}), plus the {!Kernel.Group}
-   deconvolution edge cases and the admission-level metamorphic relations.
+   re-fold oracle ({!Check.Fuzz.churn}), plus the admission-level
+   metamorphic relations.
 
    The soak scale is environment-tunable so CI can run a reduced PR budget
    and the full population nightly:
@@ -10,7 +10,6 @@
      CHURN_SEED    campaign seed                (default 1) *)
 
 open Contention
-module Group = Kernel.Group
 
 let env_int name default =
   match Option.bind (Sys.getenv_opt name) int_of_string_opt with
@@ -41,15 +40,10 @@ let check_campaign name (r : Check.Fuzz.churn_result) =
      the hot path (the dense quick config charges ~p·P/4 per non-LIFO ⊖
      across ~3 actors per leave, so one refold per few leaves is the
      expected ceiling there). *)
-  let refolds = c.Admission.drift_refolds + c.Admission.group_drift_refolds in
   Alcotest.(check bool)
     (name ^ ": refolds below storm threshold")
     true
-    (refolds <= r.Check.Fuzz.churn_events / 4);
-  Alcotest.(check bool)
-    (name ^ ": guard rebuilds below storm threshold")
-    true
-    (c.Admission.group_rebuilds <= r.Check.Fuzz.churn_events / 4)
+    (c.Admission.drift_refolds <= r.Check.Fuzz.churn_events / 4)
 
 let test_churn_quick () =
   let r = Check.Fuzz.churn ~seed:11 () in
@@ -75,9 +69,9 @@ let test_churn_deterministic () =
   in
   Alcotest.(check bool) "same seed, same campaign" true (run () = run ())
 
-(* Adversarial seeds: campaigns that historically pushed the deconvolution
-   guard hardest (observe-heavy re-basing on a near-full population).  Kept
-   alongside the corpus replays as regression pins. *)
+(* Adversarial seeds: observe-heavy re-basing on a near-full population,
+   checked every 10 events.  Kept alongside the corpus replays as regression
+   pins of the ⊖ drift bound. *)
 let test_churn_adversarial_seeds () =
   List.iter
     (fun seed ->
@@ -122,79 +116,6 @@ let test_churn_soak () =
     (r.Check.Fuzz.joins >= resident);
   Alcotest.(check bool) "w deviation within refold bound" true
     (r.Check.Fuzz.max_w_err <= config.Check.Fuzz.w_tolerance)
-
-(* --- Kernel.Group deconvolution edge cases ------------------------------ *)
-
-let agree ?(eps = 1e-9) name g =
-  let es = Group.es g and ref_ = Group.es_reference g in
-  for d = 0 to Group.size g do
-    if
-      Float.abs (es.(d) -. ref_.(d))
-      > eps *. Float.max 1.0 (Float.abs ref_.(d))
-    then
-      Alcotest.failf "%s: degree %d: incremental %.17g vs reference %.17g"
-        name d es.(d) ref_.(d)
-  done
-
-let test_group_near_one_removal () =
-  (* Removing a near-saturated probability from a basis whose co-elements
-     are orders of magnitude smaller cancels the subtraction e_j - x·e'_(j-1)
-     almost completely: the guard must fall back to an exact refold instead
-     of amplifying the cancellation. *)
-  let g = Group.create () in
-  Group.add g ~id:0 ~p:(1. -. 1e-12) ~mu:5. ~tau:10.;
-  Group.add g ~id:1 ~p:1e-9 ~mu:2. ~tau:4.;
-  Group.add g ~id:2 ~p:2e-9 ~mu:3. ~tau:6.;
-  Group.remove g ~id:0;
-  Alcotest.(check int) "size" 2 (Group.size g);
-  agree "after near-1 removal" g;
-  Alcotest.(check bool) "guard or drift refold fired" true
-    (Group.rebuilds g + Group.drift_refolds g >= 1);
-  (* The surviving basis keeps answering waits. *)
-  Alcotest.(check bool) "wait finite" true
-    (Float.is_finite (Group.exact_waiting g ~excluding:None))
-
-let test_group_empty_refill () =
-  let g = Group.create () in
-  let add id p = Group.add g ~id ~p ~mu:1. ~tau:2. in
-  add 0 0.2;
-  add 1 0.5;
-  add 2 0.8;
-  Group.remove g ~id:1;
-  Group.remove g ~id:0;
-  Group.remove g ~id:2;
-  Alcotest.(check int) "empty" 0 (Group.size g);
-  Fixtures.check_float "empty basis is the unit" 1. (Group.es g).(0);
-  Fixtures.check_float "empty group inflicts no wait" 0.
-    (Group.exact_waiting g ~excluding:None);
-  (* Refill after total drain: no stale state survives. *)
-  add 3 0.4;
-  add 4 0.6;
-  Alcotest.(check int) "refilled" 2 (Group.size g);
-  agree "after drain and refill" g;
-  Fixtures.check_float ~eps:1e-12 "e1 = p3 + p4" 1. (Group.es g).(1)
-
-let test_group_update_is_remove_add () =
-  let fill g =
-    Group.add g ~id:0 ~p:0.25 ~mu:2. ~tau:4.;
-    Group.add g ~id:1 ~p:0.5 ~mu:3. ~tau:6.;
-    Group.add g ~id:2 ~p:0.75 ~mu:4. ~tau:8.
-  in
-  let a = Group.create () and b = Group.create () in
-  fill a;
-  fill b;
-  Group.update a ~id:1 ~p:0.6 ~mu:3.5 ~tau:7.;
-  Group.remove b ~id:1;
-  Group.add b ~id:1 ~p:0.6 ~mu:3.5 ~tau:7.;
-  let ea = Group.es a and eb = Group.es b in
-  for d = 0 to Group.size a do
-    Fixtures.check_float ~eps:1e-9
-      (Printf.sprintf "degree %d" d)
-      eb.(d) ea.(d)
-  done;
-  Fixtures.check_float ~eps:1e-9 "same wait"
-    (Group.exact_waiting b ~excluding:(Some 0))
-    (Group.exact_waiting a ~excluding:(Some 0))
 
 (* --- admission-level metamorphic relations ------------------------------ *)
 
@@ -258,11 +179,6 @@ let suite =
       test_churn_deterministic;
     Alcotest.test_case "adversarial seeds" `Quick test_churn_adversarial_seeds;
     Alcotest.test_case "soak (CHURN_APPS residents)" `Slow test_churn_soak;
-    Alcotest.test_case "group near-1 removal" `Quick
-      test_group_near_one_removal;
-    Alcotest.test_case "group drain and refill" `Quick test_group_empty_refill;
-    Alcotest.test_case "group update = remove;add" `Quick
-      test_group_update_is_remove_add;
     Alcotest.test_case "meta join-leave round-trip" `Quick
       test_meta_join_leave_roundtrip;
     Alcotest.test_case "meta churn-order independence" `Quick

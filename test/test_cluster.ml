@@ -572,10 +572,17 @@ let test_loadgen_burst () =
       | _ -> Alcotest.fail "report JSON does not round-trip")
 
 let test_loadgen_saturation () =
-  (* One worker, queue bound 1, but four connections' worth of demand: the
-     overflow must surface as shed verdicts (and possibly timeouts), never
-     as unbounded queueing or a dead server. *)
+  (* One worker, queue bound 1.  A raw connection that never sends a
+     newline holds the worker, so the first router dial waits in the accept
+     queue and every further dial is shed — on every run, not only when the
+     arrivals happen to overlap.  Once the server has shed one, the holder
+     hangs up and the queued connection is served. *)
   let server = start_server ~jobs:1 ~max_queue:1 () in
+  let registry = Serve.Server.metrics_registry server in
+  let metric name () = Option.value ~default:0. (gauge_value registry name) in
+  let active = metric "contention_serve_active_connections" in
+  let server_sheds = metric "contention_serve_shed_total" in
+  let port = Option.get (Serve.Server.tcp_port server) in
   let router =
     Router.create ~pool_size:8 ~timeout:0.5 [ tcp_endpoint server ]
   in
@@ -593,14 +600,32 @@ let test_loadgen_saturation () =
     (fun () ->
       let w = small_workload ~seed:200 () in
       let digest =
-        (unwrap (Router.upload router ~payload:(Exp.Workload.to_string w)))
-          .Protocol.digest
+        let c = unwrap (Serve.Client.connect ~port ()) in
+        Fun.protect
+          ~finally:(fun () -> Serve.Client.close c)
+          (fun () ->
+            (unwrap
+               (Serve.Client.upload c ~payload:(Exp.Workload.to_string w)))
+              .Protocol.digest)
       in
-      (* Demand must overlap for the pool to open extra connections at all:
-         with one fast worker and sparse arrivals a single pooled connection
-         absorbs everything and nothing ever queues.  Eight threads at
-         2000 req/s guarantee concurrent checkouts, so dials pile into the
-         bounded accept queue and overflow into sheds. *)
+      poll ~what:"upload connection released" (fun () -> active () = 0.);
+      let holder = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect holder (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      poll ~what:"worker held" (fun () -> active () = 1.);
+      let release =
+        Thread.create
+          (fun () ->
+            (* Bounded: the holder goes within ~5 s whatever happens. *)
+            let rec wait n =
+              if server_sheds () < 1. && n > 0 then begin
+                Unix.sleepf 0.001;
+                wait (n - 1)
+              end
+            in
+            wait 5_000;
+            Unix.close holder)
+          ()
+      in
       let config =
         {
           Loadgen.rate = 2000.;
@@ -614,9 +639,12 @@ let test_loadgen_saturation () =
         }
       in
       let report =
-        Loadgen.run
-          ~registry:(Obs.Metric.create_registry ())
-          config ~router ~digests:[| digest |]
+        Fun.protect
+          ~finally:(fun () -> Thread.join release)
+          (fun () ->
+            Loadgen.run
+              ~registry:(Obs.Metric.create_registry ())
+              config ~router ~digests:[| digest |])
       in
       if report.Loadgen.shed = 0 then
         Alcotest.fail "saturation produced no shed verdicts";
@@ -629,7 +657,6 @@ let test_loadgen_saturation () =
          itself be shed — which is the backpressure working, not a
          failure. *)
       close_router ();
-      let port = Option.get (Serve.Server.tcp_port server) in
       let rec probe_stats attempts =
         let c = unwrap (Serve.Client.connect ~port ()) in
         let r =

@@ -1,5 +1,5 @@
 (* The zero-allocation estimator kernel (lib/core/kernel.ml): flat evaluators
-   against the list-based reference paths, the incremental group basis, the
+   against the list-based reference paths, the flat maximum cycle ratio, the
    batched engine entry points, and the warm-path allocation budget. *)
 
 open Contention
@@ -51,118 +51,6 @@ let prop_evaluators_bit_match =
       Kernel.comp_into ~p ~mu ~off:0 ~n ~out;
       List.iteri (fun t _ -> check (Compose.waiting_time (others loads t)) t) loads;
       !ok)
-
-(* ------------------------------------------------------------------ *)
-(* Incremental group state *)
-
-let fill_group loads =
-  let g = Kernel.Group.create () in
-  List.iteri
-    (fun i (l : Prob.t) -> Kernel.Group.add g ~id:i ~p:l.p ~mu:l.mu ~tau:l.tau)
-    loads;
-  g
-
-let prop_group_incremental_updates =
-  (* k random single-member changes via the O(n) deconvolve/refold delta must
-     leave the same basis as the O(n²) rebuild. *)
-  Fixtures.qcheck_case "incremental updates = recompute"
-    QCheck2.Gen.(pair (Fixtures.load_gen ~max_actors:8 ()) (int_range 0 1_000_000))
-    (fun (loads, salt) ->
-      let n = List.length loads in
-      n = 0
-      ||
-      let g = fill_group loads in
-      let rng = Sdfgen.Rng.create salt in
-      for _ = 1 to 6 do
-        Kernel.Group.update g ~id:(Sdfgen.Rng.int rng n)
-          ~p:(Sdfgen.Rng.float rng 1.)
-          ~mu:(1. +. Sdfgen.Rng.float rng 50.)
-          ~tau:(2. +. Sdfgen.Rng.float rng 100.)
-      done;
-      let incremental = Array.sub (Kernel.Group.es g) 0 (n + 1) in
-      Kernel.Group.recompute g;
-      let rebuilt = Array.sub (Kernel.Group.es g) 0 (n + 1) in
-      Array.for_all2 (fun a b -> Fixtures.float_eq ~eps:1e-9 a b) incremental rebuilt)
-
-let prop_group_remove =
-  (* ⊖ half the members: waits must match a group built from the survivors. *)
-  Fixtures.qcheck_case "remove = rebuild from survivors"
-    (Fixtures.load_gen ~max_actors:8 ())
-    (fun loads ->
-      let n = List.length loads in
-      n < 2
-      ||
-      let g = fill_group loads in
-      List.iteri
-        (fun i _ -> if i mod 2 = 1 then Kernel.Group.remove g ~id:i)
-        loads;
-      let survivors = List.filteri (fun i _ -> i mod 2 = 0) loads in
-      let fresh = Kernel.Group.create () in
-      List.iteri
-        (fun k (l : Prob.t) ->
-          Kernel.Group.add fresh ~id:(2 * k) ~p:l.p ~mu:l.mu ~tau:l.tau)
-        survivors;
-      let close a b = Fixtures.float_eq ~eps:1e-9 a b in
-      Kernel.Group.size g = List.length survivors
-      && close
-           (Kernel.Group.exact_waiting g ~excluding:None)
-           (Kernel.Group.exact_waiting fresh ~excluding:None)
-      && close
-           (Kernel.Group.order_waiting g ~order:2 ~excluding:None)
-           (Kernel.Group.order_waiting fresh ~order:2 ~excluding:None)
-      && close
-           (Kernel.Group.wc_waiting g ~excluding:None)
-           (Kernel.Group.wc_waiting fresh ~excluding:None))
-
-let prop_group_waiting_matches_lists =
-  (* Queries from the maintained basis agree with the list kernels, both for
-     an admitted member (excluding itself) and for an outside observer. *)
-  Fixtures.qcheck_case "group waits = list kernels"
-    (Fixtures.load_gen ~max_actors:8 ())
-    (fun loads ->
-      let n = List.length loads in
-      n = 0
-      ||
-      let g = fill_group loads in
-      let close a b = Fixtures.float_eq ~eps:1e-9 a b in
-      let per_member =
-        List.for_all
-          (fun t ->
-            let rest = others loads t in
-            let excluding = Some t in
-            close (Kernel.Group.exact_waiting g ~excluding) (Exact.waiting_time rest)
-            && close
-                 (Kernel.Group.order_waiting g ~order:4 ~excluding)
-                 (Approx.waiting_time ~order:4 rest)
-            && close (Kernel.Group.wc_waiting g ~excluding) (Wcrt.waiting_time rest))
-          (List.init n Fun.id)
-      in
-      per_member
-      && close (Kernel.Group.exact_waiting g ~excluding:None) (Exact.waiting_time loads)
-      && close (Kernel.Group.wc_waiting g ~excluding:None) (Wcrt.waiting_time loads))
-
-let test_group_errors () =
-  let g = Kernel.Group.create () in
-  Kernel.Group.add g ~id:1 ~p:0.5 ~mu:10. ~tau:20.;
-  (match Kernel.Group.add g ~id:1 ~p:0.2 ~mu:1. ~tau:2. with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "duplicate id accepted");
-  (match Kernel.Group.add g ~id:2 ~p:1.5 ~mu:1. ~tau:2. with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "p > 1 accepted");
-  (match Kernel.Group.remove g ~id:9 with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "unknown id removed");
-  (match Kernel.Group.order_waiting g ~order:1 ~excluding:None with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "order 1 accepted");
-  (match Kernel.Group.exact_waiting g ~excluding:(Some 9) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown exclusion accepted");
-  Alcotest.(check bool) "member" true (Kernel.Group.mem g 1);
-  Kernel.Group.remove g ~id:1;
-  Alcotest.(check int) "emptied" 0 (Kernel.Group.size g);
-  Fixtures.check_float "empty wait" 0. (Kernel.Group.exact_waiting g ~excluding:None)
 
 (* ------------------------------------------------------------------ *)
 (* Flat maximum cycle ratio *)
@@ -528,10 +416,6 @@ let test_warm_path_allocates_nothing () =
 let suite =
   [
     prop_evaluators_bit_match;
-    prop_group_incremental_updates;
-    prop_group_remove;
-    prop_group_waiting_matches_lists;
-    Alcotest.test_case "group errors" `Quick test_group_errors;
     Alcotest.test_case "graph validation" `Quick test_graph_validation;
     Alcotest.test_case "period known values" `Quick test_period_known_value;
     Alcotest.test_case "period terminates at scale" `Quick
