@@ -85,12 +85,21 @@ let counters t =
     group_drift_refolds = 0;
   }
 
+(* Eq. 8 divides by 1 - p, so ⊖ of a load this close to saturation
+   amplifies the rounding of the aggregate's P by more than 1e8 and keeps no
+   trustworthy digit of the rest: withdrawing a 1 - 1e-12 load from
+   co-residents of 1e-9 leaves 1e-4 in p and a negative w.  Such a load is
+   treated as saturated (P = 1, where the inverse does not exist at all). *)
+let near_saturation = 1e-8
+
+let invertible (l : Prob.t) = 1. -. l.p >= near_saturation
+
 (* Per-actor response times of [e] when the per-processor aggregates are
    [aggregates] and the admitted population is [entries]; each actor's
    waiting time is the aggregate minus its own contribution (the
-   O(1)-per-actor inverse path, Eq. 8-9).  The inverse is undefined for a
-   saturated actor (P = 1, noted in the paper); those fall back to folding
-   the other co-mapped actors directly. *)
+   O(1)-per-actor inverse path, Eq. 8-9).  A (near-)saturated actor has no
+   usable inverse; those fall back to folding the other co-mapped actors
+   directly. *)
 let responses_under entries aggregates (e : entry) =
   let g = e.app.Analysis.graph in
   let fold_others proc actor =
@@ -111,9 +120,10 @@ let responses_under entries aggregates (e : entry) =
   in
   Array.init (Sdf.Graph.num_actors g) (fun actor ->
       let proc = e.app.Analysis.mapping.(actor) in
-      let own = Compose.of_load e.loads.(actor) in
+      let load = e.loads.(actor) in
       let rest =
-        if own.Compose.p < 1. then Compose.remove ~total:aggregates.(proc) own
+        if invertible load then
+          Compose.remove ~total:aggregates.(proc) (Compose.of_load load)
         else fold_others proc actor
       in
       (Sdf.Graph.actor g actor).exec_time +. rest.Compose.w)
@@ -354,8 +364,7 @@ let withdraw t name =
   let lifo = match t.entries with (n, _) :: _ -> n = name | [] -> false in
   t.entries <- List.remove_assoc name t.entries;
   t.leaves <- t.leaves + 1;
-  let invertible = Array.for_all (fun (l : Prob.t) -> l.p < 1.) e.loads in
-  if invertible then begin
+  if Array.for_all invertible e.loads then begin
     for actor = Array.length e.loads - 1 downto 0 do
       let proc = e.app.Analysis.mapping.(actor) in
       let l = e.loads.(actor) in
@@ -373,8 +382,9 @@ let withdraw t name =
     drift_check t
   end
   else begin
-    (* A saturated actor has no inverse (Eq. 8 needs P <> 1); rebuild the
-       aggregates from the remaining population instead. *)
+    (* A (near-)saturated actor has no usable inverse (Eq. 8 needs
+       P <> 1); rebuild the aggregates from the remaining population
+       instead. *)
     rebuild_aggregates t;
     t.full_rebuilds <- t.full_rebuilds + 1
   end
@@ -396,8 +406,7 @@ let observe t name ~measured_period =
   e.measured <- Some measured_period;
   e.loads <- new_loads;
   t.observes_n <- t.observes_n + 1;
-  let invertible = Array.for_all (fun (l : Prob.t) -> l.p < 1.) old_loads in
-  if invertible then begin
+  if Array.for_all invertible old_loads then begin
     (* Re-base each actor incrementally: ⊖ the old contribution, ⊕ the new
        one — the aggregates never see a from-scratch refold on this path. *)
     Array.iteri

@@ -11,8 +11,9 @@
     {!observe} re-bases each actor with ⊖ of its old load and ⊕ of its new
     one, all on the one aggregate per processor.  No path refolds from
     scratch on join/leave; the two sanctioned exceptions are a full rebuild
-    when a saturated (P = 1) actor, which has no inverse, leaves or is
-    re-based, and a {e drift-triggered} refold of one processor when the
+    when a saturated actor leaves or is re-based (P = 1 has no inverse, and
+    within 1e-8 of 1 the inverse keeps no trustworthy digit), and a
+    {e drift-triggered} refold of one processor when the
     accumulated inverse error crosses a bound (⊗ is only second-order
     associative, so non-LIFO ⊖ leaves an O(p²/4) residue in the
     w-aggregate).  {!counters} exposes both so tests can pin them.
@@ -61,8 +62,8 @@ type counters = {
   incremental_ops : int;
       (** O(n) ⊕/⊖/update steps on the composability aggregates. *)
   full_rebuilds : int;
-      (** From-scratch aggregate rebuilds forced by a saturated (P = 1)
-          actor — the only non-incremental path left. *)
+      (** From-scratch aggregate rebuilds forced by a saturated
+          (1 - P < 1e-8) actor — the only non-incremental path left. *)
   drift_refolds : int;
       (** Per-processor aggregate refolds forced by the ⊖ drift bound. *)
   group_rebuilds : int;

@@ -1,7 +1,7 @@
 (* Churn-heavy soak tier: long seeded join/leave/observe streams against the
    incremental admission controller, cross-checked by the from-scratch
-   re-fold oracle ({!Check.Fuzz.churn}), plus the admission-level
-   metamorphic relations.
+   re-fold oracle ({!Check.Fuzz.churn}), plus a processor group losing a
+   near-saturated member and the admission-level metamorphic relations.
 
    The soak scale is environment-tunable so CI can run a reduced PR budget
    and the full population nightly:
@@ -117,6 +117,67 @@ let test_churn_soak () =
   Alcotest.(check bool) "w deviation within refold bound" true
     (r.Check.Fuzz.max_w_err <= config.Check.Fuzz.w_tolerance)
 
+(* --- a processor group losing a near-saturated member ------------------- *)
+
+(* A self-looped one-actor application on processor 0 with load [p]. *)
+let single_load ~name ~tau ~p =
+  let g =
+    Sdf.Graph.create ~name ~actors:[| (name ^ "0", tau) |]
+      ~channels:[| (0, 0, 1, 1, 1) |]
+  in
+  Analysis.app g ~period:(tau /. p) ~mapping:[| 0 |]
+
+let test_group_near_one_removal () =
+  (* Eq. 8 divides by 1 - p: withdrawing a near-saturated member from a
+     group whose co-residents are orders of magnitude lighter amplifies the
+     rounding of the aggregate's P by ~1e12.  The controller must rebuild
+     instead of keeping the amplified residue (the incremental rest came out
+     at p = 1e-4 and a negative w), in either admission order. *)
+  let heavy = single_load ~name:"H" ~tau:10. ~p:(1. -. 1e-12) in
+  let light1 = single_load ~name:"L1" ~tau:4. ~p:1e-9 in
+  let light2 = single_load ~name:"L2" ~tau:6. ~p:2e-9 in
+  let admit t app =
+    match Admission.try_admit t app Admission.best_effort with
+    | Admission.Admitted _ -> ()
+    | _ -> Alcotest.fail "best-effort admission refused"
+  in
+  let survivors = Admission.create ~procs:1 () in
+  List.iter (admit survivors) [ light1; light2 ];
+  let light_wait =
+    (Compose.combine
+       (Compose.of_load (Analysis.loads light1).(0))
+       (Compose.of_load (Analysis.loads light2).(0)))
+      .Compose.w
+  in
+  List.iter
+    (fun (order, members) ->
+      let t = Admission.create ~procs:1 () in
+      List.iter (admit t) members;
+      Fixtures.check_float ~eps:1e-12
+        (order ^ ": heavy waits on the light pair")
+        (10. +. light_wait)
+        (Admission.estimated_period t "H");
+      Admission.withdraw t "H";
+      Alcotest.(check int) (order ^ ": size") 2
+        (List.length (Admission.admitted t));
+      let agg = Admission.aggregate t ~proc:0
+      and ref_ = Admission.refolded_aggregate t ~proc:0 in
+      Fixtures.check_float ~eps:1e-12 (order ^ ": p = refold") ref_.Compose.p
+        agg.Compose.p;
+      Fixtures.check_float ~eps:1e-12 (order ^ ": w = refold") ref_.Compose.w
+        agg.Compose.w;
+      Alcotest.(check int) (order ^ ": rebuilt") 1
+        (Admission.counters t).Admission.full_rebuilds;
+      List.iter
+        (fun name ->
+          Fixtures.check_float ~eps:1e-12
+            (Printf.sprintf "%s: %s period = survivors alone" order name)
+            (Admission.estimated_period survivors name)
+            (Admission.estimated_period t name))
+        [ "L1"; "L2" ])
+    [ ("heavy first", [ heavy; light1; light2 ]);
+      ("heavy last", [ light1; light2; heavy ]) ]
+
 (* --- admission-level metamorphic relations ------------------------------ *)
 
 (* Same draw as {!Check.Fuzz.churn}'s residents: HSDF-expansion isolation
@@ -179,6 +240,8 @@ let suite =
       test_churn_deterministic;
     Alcotest.test_case "adversarial seeds" `Quick test_churn_adversarial_seeds;
     Alcotest.test_case "soak (CHURN_APPS residents)" `Slow test_churn_soak;
+    Alcotest.test_case "group near-1 removal" `Quick
+      test_group_near_one_removal;
     Alcotest.test_case "meta join-leave round-trip" `Quick
       test_meta_join_leave_roundtrip;
     Alcotest.test_case "meta churn-order independence" `Quick
