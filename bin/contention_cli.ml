@@ -412,8 +412,8 @@ let inspect_cmd =
         Format.printf "%a@." Sdf.Graph.pp g;
         Printf.printf "repetition vector: [%s]\n"
           (String.concat "; " (Array.to_list (Array.map string_of_int a.repetition)));
-        Printf.printf "period: %.2f (statespace) / %.2f (HSDF+MCM)\n"
-          (Sdf.Statespace.period_exn g) (Sdf.Hsdf.period g);
+        Printf.printf "period: %.2f (served) / %.2f (HSDF+MCM)\n"
+          a.isolation_period (Sdf.Hsdf.period g);
         (match Sdf.Metrics.analyse g with
         | None -> print_endline "metrics: graph deadlocks"
         | Some m ->

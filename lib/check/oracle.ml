@@ -177,19 +177,26 @@ let check_kernel ?(config = default_config) ?exact rng others =
 (* ------------------------------------------------------------------ *)
 (* Case level                                                          *)
 
+(* The served isolation period against the references: the HSDF bisection
+   within the period contract's 1e-9, self-timed execution (the one that does
+   not go through [Sdf.Hsdf.expand]) within its time scaling's 1e-6, and on
+   integer times the exact rational period bit for bit. *)
 let engine_agreement (a : Analysis.app) acc =
-  let ss = a.isolation_period in
-  let mcm = Sdf.Hsdf.period a.graph in
-  let mp = Maxplus.period a.graph in
-  let pair acc na va nb vb =
-    if rel_close ~tol:1e-6 va vb then acc
-    else
-      violation "engine-disagreement" "graph %S: %s period %.17g, %s %.17g"
-        a.graph.Sdf.Graph.name na va nb vb
-      :: acc
+  let g = a.graph and served = a.isolation_period in
+  let differs acc name v =
+    violation "engine-disagreement" "graph %S: served period %.17g, %s %.17g"
+      g.Sdf.Graph.name served name v
+    :: acc
   in
-  let acc = pair acc "state-space" ss "mcm" mcm in
-  pair acc "state-space" ss "max-plus" mp
+  let near acc ~tol name v =
+    if rel_close ~tol served v then acc else differs acc name v
+  in
+  let acc = near acc ~tol:1e-9 "mcm" (Sdf.Hsdf.period g) in
+  let acc = near acc ~tol:1e-6 "state-space" (Sdf.Statespace.period_exn g) in
+  if Array.for_all Float.is_integer (Sdf.Graph.exec_times g) then
+    let exact = Sdf.Rational.to_float (Sdf.Hsdf.period_rational g) in
+    if Float.equal served exact then acc else differs acc "rational" exact
+  else acc
 
 (* The list-based Figure-4 pass: per-processor contender lists built by
    prepending during an ascending (app, actor) scan, {!Analysis.waiting_time_for}

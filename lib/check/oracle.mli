@@ -5,9 +5,12 @@
     values, so any reported violation is a real bug (or a tolerance to
     justify), not drift:
 
-    {e Isolation periods} — the three independent throughput engines
-    (self-timed state space, HSDF + maximum cycle ratio, max-plus
-    eigenvalue) must agree on every application graph.
+    {e Isolation periods} — the period each application is served with
+    ({!Contention.Kernel.period_into}'s critical cycle) must match, on every
+    application graph, the HSDF maximum-cycle-ratio bisection within 1e-9
+    relative, self-timed state-space execution within 1e-6 (its time
+    scaling), and on integer execution times the exact rational period bit
+    for bit.
 
     {e Waiting-time kernels} — per actor, against the co-mapped loads:
     - Eq. 4 equals the exponential brute-force enumeration (≤ 6 contenders);

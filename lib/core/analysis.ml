@@ -57,6 +57,17 @@ type app = {
   distributions : Dist.t array option;
 }
 
+(* The HSDF expansion of [graph] flattened for {!Kernel.period_into}: an edge
+   weighs its source node's actor's execution time, and the cycle forms are
+   seeded with the critical cycle at [exec], the graph's own times. *)
+let kernel_graph graph ~exec =
+  let h = Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand graph) in
+  let edge (e : Sdf.Hsdf.edge) =
+    (e.from_node, e.to_node, h.nodes.(e.from_node).Sdf.Hsdf.actor, e.delay)
+  in
+  Kernel.graph ~nnodes:(Sdf.Hsdf.num_nodes h) ~name:graph.Sdf.Graph.name
+    ~seeds:[ exec ] (Array.map edge h.edges)
+
 let app ?period ?procs ?distributions graph ~mapping =
   (match procs with
   | Some procs -> Mapping.validate ~procs graph mapping
@@ -77,7 +88,20 @@ let app ?period ?procs ?distributions graph ~mapping =
   in
   let repetition = Sdf.Repetition.compute_exn graph in
   let isolation_period =
-    match period with Some p -> p | None -> Sdf.Statespace.period_exn graph
+    match period with
+    | Some p -> p
+    | None ->
+        let exec = Sdf.Graph.exec_times graph in
+        let g = kernel_graph graph ~exec in
+        if Kernel.deadlocks g then
+          invalid_arg
+            (Printf.sprintf "Contention.Analysis.app: graph %S deadlocks"
+               graph.Sdf.Graph.name);
+        (* The seeding just certified the critical cycle at [exec]: one
+           probe confirms it. *)
+        let out = [| 0. |] in
+        Kernel.period_into (Kernel.scratch ()) g ~exec ~exec_off:0 ~out ~out_idx:0;
+        out.(0)
   in
   if not (Float.is_finite isolation_period && isolation_period > 0.) then
     invalid_arg "Contention.Analysis.app: period not finite and positive";
@@ -133,24 +157,8 @@ let prepare a =
       let cached_loads =
         Obs.Span.with_ ~name:"analysis.loads" (fun () -> loads a)
       in
-      let h =
-        Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand a.graph)
-      in
-      (* The period search reads the expansion as flat edge arrays; an edge
-         weighs its source node's actor's response time.  Its cycle forms
-         are seeded with the critical cycle at the isolation times. *)
-      let edge (e : Sdf.Hsdf.edge) =
-        (e.from_node, e.to_node, h.nodes.(e.from_node).Sdf.Hsdf.actor, e.delay)
-      in
       let cached_exec = Sdf.Graph.exec_times a.graph in
-      {
-        cached_loads;
-        cached_exec;
-        mcr =
-          Kernel.graph ~nnodes:(Sdf.Hsdf.num_nodes h)
-            ~name:a.graph.Sdf.Graph.name ~seeds:[ cached_exec ]
-            (Array.map edge h.edges);
-      })
+      { cached_loads; cached_exec; mcr = kernel_graph a.graph ~exec:cached_exec })
 
 let estimate_args est n () =
   [ ("estimator", estimator_name est); ("apps", string_of_int n) ]

@@ -12,10 +12,11 @@
       the graph's HSDF expansion with response times as execution times.
 
     Every entry point below runs this as one pass over flat, preallocated
-    arrays ({!Kernel}), and every contended period, here and in
-    {!Admission}, {!Explain} and {!Tdma}, comes from {!Kernel.period_into}:
-    the exact ratio of the application's critical cycle, certified by one
-    probe when the cycle is among the forms {!prepare} seeds.  Their
+    arrays ({!Kernel}), and every period, the isolation period of {!app}
+    and every contended one here and in {!Admission}, {!Explain} and
+    {!Tdma}, comes from {!Kernel.period_into}: the exact ratio of the
+    application's critical cycle, certified by one probe when the cycle is
+    among the forms {!prepare} seeds.  Their
     reference is the list-based pass [Check.Oracle.reference]: waits agree
     with it bit for bit, periods within its bisection's 1e-9 relative. *)
 
@@ -63,8 +64,11 @@ val app :
   Sdf.Graph.t ->
   mapping:Mapping.t ->
   app
-(** Wrap a graph and its mapping.  The isolation period is computed with
-    {!Sdf.Statespace} unless [period] is given.  When [procs] is given the
+(** Wrap a graph and its mapping.  Unless [period] is given, the isolation
+    period is the maximum cycle ratio of the graph's HSDF expansion at its
+    own execution times, by {!Kernel.period_into}, the engine of every
+    contended period: the exact ratio of the critical cycle, so on integer
+    times the correctly rounded rational period.  When [procs] is given the
     mapping is validated against it; without it, processor ids must still
     be non-negative.
 
@@ -73,9 +77,9 @@ val app :
     the loads use mean residual lives as blocking times (Section 6 of the
     paper); the per-firing durations themselves are only drawn when
     simulating ({!Desim.Engine.run}'s [firing_time] hook).
-    @raise Invalid_argument on a deadlocking graph, invalid mapping, a
-    distribution array of the wrong length, or a [period] that is not
-    finite and positive. *)
+    @raise Invalid_argument on a deadlocking graph (the message names it),
+    an invalid mapping, a distribution array of the wrong length, or a
+    [period] that is not finite and positive. *)
 
 val loads : app -> Prob.t array
 (** Per-actor load descriptors from the isolation period. *)

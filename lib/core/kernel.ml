@@ -309,6 +309,8 @@ let witness s g last =
     !tokens
   end
 
+let deadlocks g = g.zero_delay_cycle
+
 let period_into s g ~exec ~exec_off ~out ~out_idx =
   reserve_graph s g;
   let total = ref 0. in

@@ -102,12 +102,17 @@ val graph :
 (** [graph ~nnodes ~name ~seeds edges] with edges [(src, dst, actor,
     delay)]; [name] is the source graph's name, used in error messages.
     The forms are the certified critical cycles at the per-actor execution
-    times [seeds] ({!Analysis.prepare} passes the isolation times); with no
+    times [seeds] ({!Analysis.app} and {!Analysis.prepare} pass the graph's
+    own times, so the isolation period is the first form's ratio); with no
     seeds, an arbitrary cycle.  The set never changes afterwards, so
     {!period_into} is a pure function of the graph and the execution
     times.
     @raise Invalid_argument on a negative delay or actor index, an endpoint
     out of range, or, as {!period_into}, a seed it rejects. *)
+
+val deadlocks : graph -> bool
+(** Whether the graph has a zero-delay cycle, which {!period_into} refuses:
+    the source graph deadlocks. *)
 
 val period_into :
   scratch ->

@@ -10,6 +10,57 @@ let test_isolation_periods () =
   Fixtures.check_float "Per(A)" 300. a.isolation_period;
   Fixtures.check_float "Per(B)" 300. b.isolation_period
 
+(* Isolation periods have no time scaling to fall out of: a two-actor ring
+   is served 2 tau far below and far above any fixed resolution. *)
+let test_isolation_period_range () =
+  List.iter
+    (fun tau ->
+      let g = Fixtures.pipeline ~tau0:tau ~tau1:tau () in
+      let a = Analysis.app g ~mapping:[| 0; 1 |] in
+      if not (Float.equal a.isolation_period (2. *. tau)) then
+        Alcotest.failf "tau %g: isolation period %.17g" tau a.isolation_period)
+    [ 1e-7; 2e9 ]
+
+(* A channel with three initial tokens lets the ring overlap three deep, so
+   y's own firing (no auto-concurrency) binds. *)
+let test_three_token_ring () =
+  let g =
+    Sdf.Graph.create ~name:"deep"
+      ~actors:[| ("x", 4.); ("y", 9.) |]
+      ~channels:[| (0, 1, 1, 1, 0); (1, 0, 1, 1, 3) |]
+  in
+  let a = Analysis.app g ~mapping:[| 0; 1 |] in
+  Fixtures.check_float ~eps:1e-12 "served" 9. a.isolation_period;
+  Fixtures.check_float "statespace" 9. (Sdf.Statespace.period_exn g);
+  Fixtures.check_float ~eps:1e-9 "hsdf" 9. (Sdf.Hsdf.period g)
+
+(* Non-integer times are served exactly: with every time an integer plus a
+   multiple of 2^-30, the graph scaled by 2^30 has integer times and an
+   exact rational period, which scales back without rounding. *)
+let prop_non_integer_isolation_exact =
+  let gen =
+    QCheck2.Gen.(
+      pair Fixtures.graph_gen (array_size (return 6) (int_bound ((1 lsl 30) - 1))))
+  in
+  Fixtures.qcheck_case ~count:300 "non-integer isolation periods exact" gen
+    (fun (g, fractions) ->
+      let times =
+        Array.mapi
+          (fun i t -> t +. Float.ldexp (float_of_int fractions.(i mod 6)) (-30))
+          (Sdf.Graph.exec_times g)
+      in
+      let g = Sdf.Graph.with_exec_times g times in
+      let a = Analysis.app g ~mapping:(Array.make (Sdf.Graph.num_actors g) 0) in
+      let scaled =
+        Sdf.Graph.with_exec_times g (Array.map (fun t -> Float.ldexp t 30) times)
+      in
+      let exact =
+        Float.ldexp (Sdf.Rational.to_float (Sdf.Hsdf.period_rational scaled)) (-30)
+      in
+      Float.abs (a.isolation_period -. exact) <= 1e-12 *. exact
+      || QCheck2.Test.fail_reportf "served %.17g, exact %.17g" a.isolation_period
+           exact)
+
 let test_loads_match_paper () =
   let a, b = paper_apps () in
   let la = Analysis.loads a and lb = Analysis.loads b in
@@ -104,9 +155,11 @@ let test_app_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative processor accepted");
   (match Analysis.app (Fixtures.deadlocked ()) ~mapping:[| 0; 0 |] with
-  | exception Invalid_argument _ -> ()
+  | exception Invalid_argument msg ->
+      if not (Fixtures.contains ~affix:{|graph "dead"|} msg) then
+        Alcotest.failf "deadlock refusal does not name the graph: %s" msg
   | _ -> Alcotest.fail "deadlocked graph accepted");
-  (* Explicit period skips the statespace computation. *)
+  (* An explicit period skips the isolation period computation. *)
   let a = Analysis.app ~period:123. (Fixtures.graph_a ()) ~mapping:[| 0; 1; 2 |] in
   Fixtures.check_float "explicit period" 123. a.isolation_period;
   Fixtures.check_refuses_bad_periods "app ?period" (fun period ->
@@ -167,6 +220,9 @@ let prop_waits_below_worst_case =
 let suite =
   [
     Alcotest.test_case "isolation periods" `Quick test_isolation_periods;
+    Alcotest.test_case "isolation period range" `Quick test_isolation_period_range;
+    Alcotest.test_case "three-token ring" `Quick test_three_token_ring;
+    prop_non_integer_isolation_exact;
     Alcotest.test_case "paper loads" `Quick test_loads_match_paper;
     Alcotest.test_case "paper example (probabilistic)" `Quick
       test_paper_example_all_probabilistic;

@@ -306,6 +306,30 @@ let test_non_finite_upload () =
             (Serve.Server.handle_line server request))
         [ "nan"; "inf" ])
 
+(* A deadlocked graph refuses the whole upload, and the reply says which of
+   the workload's graphs it was. *)
+let test_deadlocked_upload () =
+  with_server (fun server _port ->
+      let stuck =
+        Sdf.Graph.create ~name:"stuck"
+          ~actors:[| ("s0", 1.); ("s1", 1.) |]
+          ~channels:[| (0, 1, 1, 1, 0); (1, 0, 1, 1, 0) |]
+      in
+      let payload =
+        "# contention-workload procs=2 seed=7\n"
+        ^ Sdf.Text.to_string_many [ Fixtures.pipeline (); stuck ]
+      in
+      let reply =
+        Serve.Server.handle_line server
+          (Json.to_string (Protocol.request_to_json (Protocol.Upload { payload })))
+      in
+      match Json.of_string reply with
+      | Ok (Json.Obj [ ("error", Json.Str msg) ])
+        when Fixtures.contains ~affix:{|graph "stuck"|} msg
+             && not (Fixtures.contains ~affix:{|"pipe"|} msg) ->
+          ()
+      | _ -> Alcotest.failf "expected an error naming \"stuck\", got %s" reply)
+
 (* --- stored reply bytes: hits, cache-put entries, evictions ------------ *)
 
 let request_line r = Json.to_string (Protocol.request_to_json r)
@@ -615,6 +639,8 @@ let suite =
     Alcotest.test_case "estimator names" `Quick test_estimator_names;
     Alcotest.test_case "robustness" `Quick test_robustness;
     Alcotest.test_case "non-finite upload refused" `Quick test_non_finite_upload;
+    Alcotest.test_case "deadlocked upload names the graph" `Quick
+      test_deadlocked_upload;
     Alcotest.test_case "stored reply bytes" `Quick test_stored_replies;
     Alcotest.test_case "admission errors" `Quick test_release_errors;
     Alcotest.test_case "integration" `Quick test_integration;
