@@ -57,10 +57,31 @@ type app = {
   distributions : Dist.t array option;
 }
 
+(* The HSDF expansion has a node per firing of one iteration, an edge per
+   token a firing produces and one more per node chaining an actor's
+   firings, so a channel's rates alone can make it run to billions.  A
+   graph whose expansion would pass this many nodes and edges is refused
+   before any of it is allocated. *)
+let max_expansion = 1_000_000
+
 (* The HSDF expansion of [graph] flattened for {!Kernel.period_into}: an edge
    weighs its source node's actor's execution time, and the cycle forms are
    seeded with the critical cycle at [exec], the graph's own times. *)
-let kernel_graph graph ~exec =
+let kernel_graph graph ~repetition ~exec =
+  (* Summed in floats, which no rate can overflow. *)
+  let size =
+    Array.fold_left
+      (fun n (c : Sdf.Graph.channel) ->
+        n +. (float_of_int repetition.(c.src) *. float_of_int c.produce))
+      (2. *. Array.fold_left (fun n q -> n +. float_of_int q) 0. repetition)
+      graph.Sdf.Graph.channels
+  in
+  if size > float_of_int max_expansion then
+    invalid_arg
+      (Printf.sprintf
+         "Contention.Analysis: graph %S expands to %.0f HSDF nodes and edges, \
+          above the limit of %d"
+         graph.Sdf.Graph.name size max_expansion);
   let h = Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand graph) in
   let edge (e : Sdf.Hsdf.edge) =
     (e.from_node, e.to_node, h.nodes.(e.from_node).Sdf.Hsdf.actor, e.delay)
@@ -92,7 +113,7 @@ let app ?period ?procs ?distributions graph ~mapping =
     | Some p -> p
     | None ->
         let exec = Sdf.Graph.exec_times graph in
-        let g = kernel_graph graph ~exec in
+        let g = kernel_graph graph ~repetition ~exec in
         if Kernel.deadlocks g then
           invalid_arg
             (Printf.sprintf "Contention.Analysis.app: graph %S deadlocks"
@@ -158,7 +179,7 @@ let prepare a =
         Obs.Span.with_ ~name:"analysis.loads" (fun () -> loads a)
       in
       let cached_exec = Sdf.Graph.exec_times a.graph in
-      { cached_loads; cached_exec; mcr = kernel_graph a.graph ~exec:cached_exec })
+      { cached_loads; cached_exec; mcr = kernel_graph a.graph ~repetition:a.repetition ~exec:cached_exec })
 
 let estimate_args est n () =
   [ ("estimator", estimator_name est); ("apps", string_of_int n) ]

@@ -77,8 +77,9 @@ val app :
     the loads use mean residual lives as blocking times (Section 6 of the
     paper); the per-firing durations themselves are only drawn when
     simulating ({!Desim.Engine.run}'s [firing_time] hook).
-    @raise Invalid_argument on a deadlocking graph (the message names it),
-    an invalid mapping, a distribution array of the wrong length, or a
+    @raise Invalid_argument on a deadlocking graph or one whose HSDF
+    expansion would pass 1,000,000 nodes and edges (the message names it;
+    the expansion is refused before it is built), an invalid mapping, a distribution array of the wrong length, or a
     [period] that is not finite and positive. *)
 
 val loads : app -> Prob.t array
@@ -139,6 +140,9 @@ type cache
     appears in. *)
 
 val prepare : app -> cache
+(** @raise Invalid_argument, naming the graph, when its HSDF expansion
+    would pass 1,000,000 nodes and edges — which an app made with a given
+    [period] has not been checked for. *)
 
 val period_with : cache -> response_times:float array -> float
 (** The period of the cache's application with [response_times] as

@@ -3,15 +3,16 @@ type assignment = (Sdf.Graph.t * Mapping.t) list
 let apps_of ~procs assignment =
   List.map (fun (g, m) -> Analysis.app ~procs g ~mapping:m) assignment
 
-let score ?(estimator = Analysis.Order 2) ~procs assignment =
-  let apps = apps_of ~procs assignment in
-  let estimates = Analysis.estimate estimator apps in
+let mean_ratio estimates =
   let ratios =
     List.map
       (fun (r : Analysis.estimate) -> r.period /. r.for_app.isolation_period)
       estimates
   in
   List.fold_left ( +. ) 0. ratios /. float_of_int (List.length ratios)
+
+let score ?(estimator = Analysis.Order 2) ~procs assignment =
+  mean_ratio (Analysis.estimate estimator (apps_of ~procs assignment))
 
 type outcome = {
   assignment : assignment;
@@ -23,10 +24,21 @@ type outcome = {
 
 let improve ?(estimator = Analysis.Order 2) ?(max_moves = 32) ~procs assignment =
   if max_moves < 0 then invalid_arg "Contention.Explore.improve: negative max_moves";
+  (* An application's isolation period and cache depend on its graph, not
+     on its mapping: prepare each once, and let every candidate re-map it.
+     The scores are bit-identical to [score]'s. *)
+  let prepared =
+    List.map (fun a -> (a, Analysis.prepare a)) (apps_of ~procs assignment)
+  in
   let evaluations = ref 0 in
-  let eval a =
+  let eval candidate =
     incr evaluations;
-    score ~estimator ~procs a
+    mean_ratio
+      (Analysis.estimate_prepared estimator
+         (List.map2
+            (fun ((a : Analysis.app), cache) (g, m) ->
+              (Analysis.app ~period:a.isolation_period ~procs g ~mapping:m, cache))
+            prepared candidate))
   in
   let initial_score = eval assignment in
   (* All (application, actor, target processor) moves that change the

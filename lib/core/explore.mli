@@ -34,7 +34,10 @@ val improve :
   outcome
 (** Steepest descent: each round scores every (actor, target processor) move
     and applies the best strictly-improving one, stopping at a local optimum
-    or after [max_moves] (default [32]) accepted moves. *)
+    or after [max_moves] (default [32]) accepted moves.  Each application is
+    prepared once ({!Analysis.prepare}: isolation period, loads, HSDF
+    expansion), since none of it depends on the mapping; a candidate is
+    scored exactly as {!score} would score it. *)
 
 val initial : procs:int -> Sdf.Graph.t list -> assignment
 (** A sensible starting point: the modulo mapping for every application. *)

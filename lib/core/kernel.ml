@@ -327,10 +327,11 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
   if g.zero_delay_cycle then
     invalid_arg "Sdf.Mcm.max_cycle_ratio: zero-delay cycle (deadlock)";
   (* The probe's roundoff grows with its longest-path distances, which the
-     total weight bounds, so its relaxation tolerance scales with it: an
+     total weight bounds, so its relaxation tolerance is relative to it: an
      absolute one is finer than float resolution once weights pass ~1e3,
-     and rounding would then fake relaxations. *)
-  let tol = 1e-12 *. Float.max 1. !total in
+     where rounding would fake relaxations, and coarser than the gap
+     between competing cycles once they fall below ~1e-3. *)
+  let tol = 1e-12 *. !total in
   let lambda = ref neg_infinity in
   for k = 0 to Array.length g.form_tokens - 1 do
     let r =

@@ -133,8 +133,9 @@ val period_into :
     it is the correctly rounded rational maximum cycle ratio
     ({!Sdf.Hsdf.period_rational}), and it lies within 1e-9 relative of the
     bisection of {!Sdf.Hsdf.period_of_expansion}.  The probe's relaxation
-    tolerance is [1e-12 · max 1 W], [W] the total edge weight, so that it
-    stays above the probe's roundoff at any scale.
+    tolerance is [1e-12 · W], [W] the total edge weight, so that it stays
+    above the probe's roundoff, and below the gap between competing cycles,
+    at any scale.
     @raise Invalid_argument with the messages of {!Sdf.Mcm}: negative or
     non-finite weights, an edgeless or cycle-free graph, or a zero-delay
     cycle; and, naming the graph, when a witness cycle fails to improve on

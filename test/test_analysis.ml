@@ -11,7 +11,10 @@ let test_isolation_periods () =
   Fixtures.check_float "Per(B)" 300. b.isolation_period
 
 (* Isolation periods have no time scaling to fall out of: a two-actor ring
-   is served 2 tau far below and far above any fixed resolution. *)
+   is served 2 tau far below and far above any fixed resolution.  Nor does
+   the period search have an absolute tolerance: on a ring with two tokens
+   whose actors' own firings are 1e-13 apart at 1e-7, the slower actor's
+   firing binds, whichever actor it is. *)
 let test_isolation_period_range () =
   List.iter
     (fun tau ->
@@ -19,7 +22,20 @@ let test_isolation_period_range () =
       let a = Analysis.app g ~mapping:[| 0; 1 |] in
       if not (Float.equal a.isolation_period (2. *. tau)) then
         Alcotest.failf "tau %g: isolation period %.17g" tau a.isolation_period)
-    [ 1e-7; 2e9 ]
+    [ 1e-7; 2e9 ];
+  let fast = 1e-7 and slow = 1e-7 +. 1e-13 in
+  List.iter
+    (fun (tx, ty) ->
+      let g =
+        Sdf.Graph.create ~name:"close"
+          ~actors:[| ("x", tx); ("y", ty) |]
+          ~channels:[| (0, 1, 1, 1, 0); (1, 0, 1, 1, 2) |]
+      in
+      let a = Analysis.app g ~mapping:[| 0; 1 |] in
+      if not (Float.equal a.isolation_period slow) then
+        Alcotest.failf "x %.17g, y %.17g: isolation period %.17g" tx ty
+          a.isolation_period)
+    [ (fast, slow); (slow, fast) ]
 
 (* A channel with three initial tokens lets the ring overlap three deep, so
    y's own firing (no auto-concurrency) binds. *)
@@ -159,6 +175,24 @@ let test_app_validation () =
       if not (Fixtures.contains ~affix:{|graph "dead"|} msg) then
         Alcotest.failf "deadlock refusal does not name the graph: %s" msg
   | _ -> Alcotest.fail "deadlocked graph accepted");
+  (* A graph whose HSDF expansion would not fit is refused by name before
+     any of it is built, for its firings (1e8 of y) or its tokens alone (two
+     firings, 2e8 edges); with a given period, by [prepare]. *)
+  List.iter
+    (fun (p, c) ->
+      let g =
+        Sdf.Graph.create ~name:"huge" ~actors:[| ("x", 1.); ("y", 1.) |]
+          ~channels:[| (0, 1, p, c, 0); (1, 0, c, p, p) |]
+      in
+      List.iter
+        (fun f ->
+          match f () with
+          | exception Invalid_argument msg
+            when Fixtures.contains ~affix:{|graph "huge" expands|} msg -> ()
+          | _ -> Alcotest.failf "%d:%d expansion not refused by name" p c)
+        [ (fun () -> ignore (Analysis.app g ~mapping:[| 0; 1 |]));
+          (fun () -> ignore (Analysis.prepare (Analysis.app ~period:1. g ~mapping:[| 0; 1 |]))) ])
+    [ (100_000_000, 1); (100_000_000, 100_000_000) ];
   (* An explicit period skips the isolation period computation. *)
   let a = Analysis.app ~period:123. (Fixtures.graph_a ()) ~mapping:[| 0; 1; 2 |] in
   Fixtures.check_float "explicit period" 123. a.isolation_period;

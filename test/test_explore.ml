@@ -64,6 +64,16 @@ let prop_improve_monotone =
       in
       outcome.final_score <= outcome.initial_score +. 1e-9)
 
+(* improve prepares each application once, yet scores exactly as score. *)
+let prop_improve_scores_as_score =
+  Fixtures.qcheck_case ~count:10 "improve scores as score"
+    QCheck2.Gen.(pair Fixtures.graph_gen Fixtures.graph_gen)
+    (fun (g1, g2) ->
+      let start = Explore.initial ~procs:3 [ g1; g2 ] in
+      let o = Explore.improve ~max_moves:3 ~procs:3 start in
+      Float.equal o.initial_score (Explore.score ~procs:3 start)
+      && Float.equal o.final_score (Explore.score ~procs:3 o.assignment))
+
 let suite =
   [
     Alcotest.test_case "contention-free score" `Quick test_score_contention_free_is_one;
@@ -72,4 +82,5 @@ let suite =
     Alcotest.test_case "max moves" `Quick test_improve_respects_max_moves;
     Alcotest.test_case "initial" `Quick test_initial;
     prop_improve_monotone;
+    prop_improve_scores_as_score;
   ]

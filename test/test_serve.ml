@@ -232,6 +232,8 @@ let raw_roundtrip fd line =
   | Serve.Wire.Eof -> Alcotest.fail "connection dropped instead of replying"
   | Serve.Wire.Too_long -> Alcotest.fail "oversized reply"
 
+let request_line r = Json.to_string (Protocol.request_to_json r)
+
 let expect_error_reply what reply =
   match Json.of_string reply with
   | Ok (Json.Obj kvs) when List.mem_assoc "error" kvs -> ()
@@ -306,33 +308,35 @@ let test_non_finite_upload () =
             (Serve.Server.handle_line server request))
         [ "nan"; "inf" ])
 
-(* A deadlocked graph refuses the whole upload, and the reply says which of
-   the workload's graphs it was. *)
-let test_deadlocked_upload () =
+(* A graph the analysis cannot take refuses the whole upload, and the reply
+   names it among the workload's graphs: a deadlocked ring, and a ring whose
+   HSDF expansion would run to hundreds of millions of nodes (refused before
+   any of it is allocated). *)
+let test_refused_upload () =
   with_server (fun server _port ->
-      let stuck =
-        Sdf.Graph.create ~name:"stuck"
-          ~actors:[| ("s0", 1.); ("s1", 1.) |]
-          ~channels:[| (0, 1, 1, 1, 0); (1, 0, 1, 1, 0) |]
-      in
-      let payload =
-        "# contention-workload procs=2 seed=7\n"
-        ^ Sdf.Text.to_string_many [ Fixtures.pipeline (); stuck ]
-      in
-      let reply =
-        Serve.Server.handle_line server
-          (Json.to_string (Protocol.request_to_json (Protocol.Upload { payload })))
-      in
-      match Json.of_string reply with
-      | Ok (Json.Obj [ ("error", Json.Str msg) ])
-        when Fixtures.contains ~affix:{|graph "stuck"|} msg
-             && not (Fixtures.contains ~affix:{|"pipe"|} msg) ->
-          ()
-      | _ -> Alcotest.failf "expected an error naming \"stuck\", got %s" reply)
+      List.iter
+        (fun (name, rate, tokens) ->
+          let g =
+            Sdf.Graph.create ~name ~actors:[| ("a0", 1.); ("a1", 1.) |]
+              ~channels:[| (0, 1, rate, 1, 0); (1, 0, 1, rate, tokens) |]
+          in
+          let payload =
+            "# contention-workload procs=2 seed=7\n"
+            ^ Sdf.Text.to_string_many [ Fixtures.pipeline (); g ]
+          in
+          let reply =
+            Serve.Server.handle_line server (request_line (Protocol.Upload { payload }))
+          in
+          match Json.of_string reply with
+          | Ok (Json.Obj [ ("error", Json.Str msg) ])
+            when String.starts_with ~prefix:"bad workload" msg
+                 && Fixtures.contains ~affix:(Printf.sprintf "graph %S" name) msg
+                 && not (Fixtures.contains ~affix:{|"pipe"|} msg) ->
+              ()
+          | _ -> Alcotest.failf "expected a bad workload naming %S, got %s" name reply)
+        [ ("stuck", 1, 0); ("wide", 100_000_000, 100_000_000) ])
 
 (* --- stored reply bytes: hits, cache-put entries, evictions ------------ *)
-
-let request_line r = Json.to_string (Protocol.request_to_json r)
 
 let upload_in_process server w =
   let reply =
@@ -639,8 +643,7 @@ let suite =
     Alcotest.test_case "estimator names" `Quick test_estimator_names;
     Alcotest.test_case "robustness" `Quick test_robustness;
     Alcotest.test_case "non-finite upload refused" `Quick test_non_finite_upload;
-    Alcotest.test_case "deadlocked upload names the graph" `Quick
-      test_deadlocked_upload;
+    Alcotest.test_case "refused upload names the graph" `Quick test_refused_upload;
     Alcotest.test_case "stored reply bytes" `Quick test_stored_replies;
     Alcotest.test_case "admission errors" `Quick test_release_errors;
     Alcotest.test_case "integration" `Quick test_integration;
