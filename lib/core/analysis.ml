@@ -179,7 +179,8 @@ let prepare a =
         Obs.Span.with_ ~name:"analysis.loads" (fun () -> loads a)
       in
       let cached_exec = Sdf.Graph.exec_times a.graph in
-      { cached_loads; cached_exec; mcr = kernel_graph a.graph ~repetition:a.repetition ~exec:cached_exec })
+      let mcr = kernel_graph a.graph ~repetition:a.repetition ~exec:cached_exec in
+      { cached_loads; cached_exec; mcr })
 
 let estimate_args est n () =
   [ ("estimator", estimator_name est); ("apps", string_of_int n) ]
