@@ -28,11 +28,18 @@ type counters = {
   group_drift_refolds : int;
 }
 
+(* One admitted application, linked into the roster in admission order. *)
 type entry = {
+  name : string;
   app : Analysis.app;
   req : requirement;
   mutable loads : Prob.t array;
+  mutable variances : float array;
+      (* per-actor variance of the blocking contribution at [loads], which
+         the z-score margin sums; set at join, reset by [observe] *)
   mutable measured : float option;
+  mutable older : entry option;
+  mutable newer : entry option;
 }
 
 type t = {
@@ -42,7 +49,10 @@ type t = {
   agg_drift : float array;
       (* per-processor accumulated second-order ⊖ error of the w-aggregate;
          a refold is forced when it crosses [refold_bound] *)
-  mutable entries : (string * entry) list;
+  by_name : (string, entry) Hashtbl.t;
+  mutable newest : entry option;  (* the roster's two ends *)
+  mutable oldest : entry option;
+  mutable guaranteed : int;  (* admitted entries with a requirement *)
   mutable joins : int;
   mutable leaves : int;
   mutable observes_n : int;
@@ -60,7 +70,10 @@ let create ?(refold_bound = 0.05) ~procs () =
     aggregates = Array.make procs Compose.empty;
     refold_bound;
     agg_drift = Array.make procs 0.;
-    entries = [];
+    by_name = Hashtbl.create 64;
+    newest = None;
+    oldest = None;
+    guaranteed = 0;
     joins = 0;
     leaves = 0;
     observes_n = 0;
@@ -71,7 +84,43 @@ let create ?(refold_bound = 0.05) ~procs () =
 
 let procs t = t.nprocs
 
-let admitted t = List.map (fun (name, e) -> (name, e.app, e.req)) t.entries
+(* The roster.  Every order-sensitive fold visits it as the association
+   list it replaced did: newest first for the victim scan, the margins and
+   [admitted], with a join's candidate in front; oldest first for refolds. *)
+let rec iter_older f = function
+  | None -> ()
+  | Some e ->
+      f e;
+      iter_older f e.older
+
+let rec iter_newer f = function
+  | None -> ()
+  | Some e ->
+      f e;
+      iter_newer f e.newer
+
+let iter_population t candidate f =
+  Option.iter f candidate;
+  iter_older f t.newest
+
+let rec find_older f = function
+  | None -> None
+  | Some e -> ( match f e with None -> find_older f e.older | found -> found)
+
+let link_newest t e =
+  let node = Some e in
+  e.older <- t.newest;
+  (match t.newest with Some n -> n.newer <- node | None -> t.oldest <- node);
+  t.newest <- node
+
+let unlink t e =
+  (match e.newer with Some n -> n.older <- e.older | None -> t.newest <- e.older);
+  match e.older with Some o -> o.newer <- e.newer | None -> t.oldest <- e.newer
+
+let admitted t =
+  let acc = ref [] in
+  iter_newer (fun e -> acc := (e.name, e.app, e.req) :: !acc) t.oldest;
+  !acc
 
 let counters t =
   {
@@ -95,28 +144,24 @@ let near_saturation = 1e-8
 let invertible (l : Prob.t) = 1. -. l.p >= near_saturation
 
 (* Per-actor response times of [e] when the per-processor aggregates are
-   [aggregates] and the admitted population is [entries]; each actor's
-   waiting time is the aggregate minus its own contribution (the
-   O(1)-per-actor inverse path, Eq. 8-9).  A (near-)saturated actor has no
-   usable inverse; those fall back to folding the other co-mapped actors
+   [aggregates] and the admitted population is [candidate] plus the roster;
+   each actor's waiting time is the aggregate minus its own contribution
+   (the O(1)-per-actor inverse path, Eq. 8-9).  A (near-)saturated actor has
+   no usable inverse; those fall back to folding the other co-mapped actors
    directly. *)
-let responses_under entries aggregates (e : entry) =
+let responses_under t candidate aggregates (e : entry) =
   let g = e.app.Analysis.graph in
   let fold_others proc actor =
-    let contribution acc (name, other) =
-      Array.fold_left
-        (fun (acc, idx) load ->
-          let same = name = g.Sdf.Graph.name && idx = actor in
-          let acc =
-            if (not same) && other.app.Analysis.mapping.(idx) = proc then
-              Compose.combine acc (Compose.of_load load)
-            else acc
-          in
-          (acc, idx + 1))
-        (acc, 0) other.loads
-      |> fst
-    in
-    List.fold_left contribution Compose.empty entries
+    let acc = ref Compose.empty in
+    iter_population t candidate (fun other ->
+        Array.iteri
+          (fun idx load ->
+            if
+              (not (other == e && idx = actor))
+              && other.app.Analysis.mapping.(idx) = proc
+            then acc := Compose.combine !acc (Compose.of_load load))
+          other.loads);
+    !acc
   in
   Array.init (Sdf.Graph.num_actors g) (fun actor ->
       let proc = e.app.Analysis.mapping.(actor) in
@@ -129,11 +174,11 @@ let responses_under entries aggregates (e : entry) =
       (Sdf.Graph.actor g actor).exec_time +. rest.Compose.w)
 
 (* Every period below runs on the one period engine, {!Analysis.period_with},
-   over a cache prepared once per call and dropped with it: nothing is kept
-   per admitted entry. *)
-let period_under cache entries aggregates (e : entry) =
+   over a cache prepared once per call and dropped with it: no prepared
+   cache is kept per admitted entry. *)
+let period_under cache t candidate aggregates (e : entry) =
   Analysis.period_with cache
-    ~response_times:(responses_under entries aggregates e)
+    ~response_times:(responses_under t candidate aggregates e)
 
 (* ------------------------------------------------------------------ *)
 (* Confidence margins *)
@@ -141,38 +186,38 @@ let period_under cache entries aggregates (e : entry) =
 (* The execution-time distribution behind an actor's load: the declared one
    when the application uses the Section 6 extension, else the paper's
    constant base model (whose residual life is uniform on [0, tau]). *)
-let dist_of (e : entry) actor =
-  match e.app.Analysis.distributions with
+let dist_of (a : Analysis.app) actor =
+  match a.distributions with
   | Some ds -> ds.(actor)
-  | None ->
-      Dist.Constant (Sdf.Graph.actor e.app.Analysis.graph actor).exec_time
+  | None -> Dist.Constant (Sdf.Graph.actor a.graph actor).exec_time
 
-(* Variance of one actor's blocking contribution B = Bernoulli(p) · R with
+(* Variance of each actor's blocking contribution B = Bernoulli(p) · R with
    R the residual life: E B² − (E B)² = p·E R² − (p·E R)². *)
-let contribution_variance (e : entry) actor (l : Prob.t) =
-  let r2 = Dist.residual_second_moment (dist_of e actor) in
-  Float.max 0. ((l.p *. r2) -. ((l.p *. l.mu) *. (l.p *. l.mu)))
+let variances (a : Analysis.app) loads =
+  Array.mapi
+    (fun actor (l : Prob.t) ->
+      let r2 = Dist.residual_second_moment (dist_of a actor) in
+      Float.max 0. ((l.p *. r2) -. ((l.p *. l.mu) *. (l.p *. l.mu))))
+    loads
 
-let margin_z cache entries aggregates ~nprocs (e : entry) ~period ~confidence =
+let margin_z cache t candidate aggregates (e : entry) ~period ~confidence =
   let g = e.app.Analysis.graph in
   let na = Sdf.Graph.num_actors g in
   let z = Margin.z_of_confidence confidence in
   (* Per-processor variance of the total inflicted wait: the contenders
      block independently, so the variances add. *)
-  let var = Array.make nprocs 0. in
-  List.iter
-    (fun (_, o) ->
+  let var = Array.make t.nprocs 0. in
+  iter_population t candidate (fun o ->
       Array.iteri
-        (fun actor load ->
+        (fun actor v ->
           let proc = o.app.Analysis.mapping.(actor) in
-          var.(proc) <- var.(proc) +. contribution_variance o actor load)
-        o.loads)
-    entries;
-  let responses = responses_under entries aggregates e in
+          var.(proc) <- var.(proc) +. v)
+        o.variances);
+  let responses = responses_under t candidate aggregates e in
   let resp_lo = Array.make na 0. and resp_hi = Array.make na 0. in
   for actor = 0 to na - 1 do
     let proc = e.app.Analysis.mapping.(actor) in
-    let own = contribution_variance e actor e.loads.(actor) in
+    let own = e.variances.(actor) in
     let std = sqrt (Float.max 0. (var.(proc) -. own)) in
     let exec = (Sdf.Graph.actor g actor).exec_time in
     let wait = Float.max 0. (responses.(actor) -. exec) in
@@ -183,10 +228,8 @@ let margin_z cache entries aggregates ~nprocs (e : entry) ~period ~confidence =
   let hi = Analysis.period_with cache ~response_times:resp_hi in
   Margin.of_bounds ~confidence ~period ~lo ~hi
 
-let margin_quantile cache entries ~nprocs (e : entry) ~period ~confidence
-    ~samples ~seed =
-  if samples < 1 then
-    invalid_arg "Contention.Admission: margin samples < 1";
+let margin_quantile cache t candidate (e : entry) ~period ~confidence ~samples
+    ~seed =
   let g = e.app.Analysis.graph in
   let na = Sdf.Graph.num_actors g in
   (* Flatten the population once: every admitted actor is one independent
@@ -195,22 +238,21 @@ let margin_quantile cache entries ~nprocs (e : entry) ~period ~confidence
   let procs_of = ref [] and ps = ref [] and dists = ref [] in
   let npop = ref 0 in
   let own_slot = Array.make na (-1) in
-  List.iter
-    (fun (name, o) ->
+  iter_population t candidate (fun o ->
       Array.iteri
         (fun actor (l : Prob.t) ->
           procs_of := o.app.Analysis.mapping.(actor) :: !procs_of;
           ps := l.p :: !ps;
-          dists := dist_of o actor :: !dists;
-          if name = g.Sdf.Graph.name then own_slot.(actor) <- !npop;
+          dists := dist_of o.app actor :: !dists;
+          if o == e then own_slot.(actor) <- !npop;
           incr npop)
-        o.loads)
-    entries;
+        o.loads);
   let npop = !npop in
   let proc_of = Array.of_list (List.rev !procs_of) in
   let p_of = Array.of_list (List.rev !ps) in
   let dist_of_slot = Array.of_list (List.rev !dists) in
   let rng = Margin.Rng.create seed in
+  let nprocs = t.nprocs in
   let totals = Array.make nprocs 0. in
   let contrib = Array.make (Int.max 1 npop) 0. in
   let resp = Array.make na 0. in
@@ -240,47 +282,66 @@ let margin_quantile cache entries ~nprocs (e : entry) ~period ~confidence
   in
   Margin.of_samples ~confidence ~period periods
 
-let compute_margin cache entries aggregates ~nprocs (e : entry) ~period spec =
+let compute_margin cache t candidate aggregates (e : entry) ~period spec =
   match spec.method_ with
   | Margin.Z_score ->
-      margin_z cache entries aggregates ~nprocs e ~period
+      margin_z cache t candidate aggregates e ~period
         ~confidence:spec.confidence
   | Margin.Quantile ->
-      margin_quantile cache entries ~nprocs e ~period
-        ~confidence:spec.confidence ~samples:spec.samples ~seed:spec.seed
+      margin_quantile cache t candidate e ~period ~confidence:spec.confidence
+        ~samples:spec.samples ~seed:spec.seed
+
+(* Refused before any work, whichever verdict would follow. *)
+let check_spec spec =
+  if not (spec.confidence > 0. && spec.confidence < 1.) then
+    invalid_arg "Contention.Admission: margin confidence outside (0,1)";
+  if spec.samples < 1 then invalid_arg "Contention.Admission: margin samples < 1"
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate maintenance *)
 
-let add_loads aggregates (e : entry) =
-  let updated = Array.copy aggregates in
+let combine_into aggregates (e : entry) =
   Array.iteri
     (fun actor load ->
       let proc = e.app.Analysis.mapping.(actor) in
-      updated.(proc) <- Compose.combine updated.(proc) (Compose.of_load load))
-    e.loads;
+      aggregates.(proc) <- Compose.combine aggregates.(proc) (Compose.of_load load))
+    e.loads
+
+let add_loads aggregates e =
+  let updated = Array.copy aggregates in
+  combine_into updated e;
   updated
 
 let entry_of app req =
-  ( app.Analysis.graph.Sdf.Graph.name,
-    { app; req; loads = Analysis.loads app; measured = None } )
+  let loads = Analysis.loads app in
+  {
+    name = app.Analysis.graph.Sdf.Graph.name;
+    app;
+    req;
+    loads;
+    variances = variances app loads;
+    measured = None;
+    older = None;
+    newer = None;
+  }
 
 (* One processor's aggregate refolded from the population in insertion
-   order — O(resident actors), not O(n²). *)
+   order — O(resident actors). *)
 let fold_proc t proc =
-  List.fold_left
-    (fun acc (_, e) ->
-      let acc = ref acc in
+  let acc = ref Compose.empty in
+  iter_newer
+    (fun e ->
       Array.iteri
         (fun actor load ->
           if e.app.Analysis.mapping.(actor) = proc then
             acc := Compose.combine !acc (Compose.of_load load))
-        e.loads;
-      !acc)
-    Compose.empty (List.rev t.entries)
+        e.loads)
+    t.oldest;
+  !acc
 
 let refold_proc t proc =
-  t.aggregates.(proc) <- fold_proc t proc;
+  Obs.Span.with_ ~name:"admission.refold" (fun () ->
+      t.aggregates.(proc) <- fold_proc t proc);
   t.agg_drift.(proc) <- 0.;
   t.drift_refolds <- t.drift_refolds + 1
 
@@ -289,9 +350,9 @@ let drift_check t =
     if t.agg_drift.(proc) > t.refold_bound then refold_proc t proc
   done
 
-let try_admit ?margin t app req =
-  let name, candidate = entry_of app req in
-  if List.mem_assoc name t.entries then
+let join margin t app req =
+  let name = app.Analysis.graph.Sdf.Graph.name in
+  if Hashtbl.mem t.by_name name then
     invalid_arg (Printf.sprintf "Contention.Admission: %S already admitted" name);
   Array.iter
     (fun proc ->
@@ -299,70 +360,73 @@ let try_admit ?margin t app req =
         invalid_arg
           (Printf.sprintf "Contention.Admission: %S maps to processor %d" name proc))
     app.Analysis.mapping;
+  let candidate = entry_of app req in
   let tentative = add_loads t.aggregates candidate in
-  let population = (name, candidate) :: t.entries in
+  let population = Some candidate in
   let cache = Analysis.prepare app in
-  let candidate_period = period_under cache population tentative candidate in
+  let candidate_period = period_under cache t population tentative candidate in
   let candidate_tp = 1. /. candidate_period in
   if candidate_tp < req.min_throughput then
     Rejected_candidate { estimated = candidate_tp; required = req.min_throughput }
   else
     let victim =
-      List.find_map
-        (fun (vname, e) ->
-          (* A best-effort application has no requirement to violate, so it
-             can never be a victim — skipping it keeps the scan proportional
-             to the number of guaranteed applications under heavy churn. *)
-          if e.req.min_throughput <= 0. then None
-          else
-            let tp =
-              1. /. period_under (Analysis.prepare e.app) population tentative e
-            in
-            if tp < e.req.min_throughput then
-              Some (Rejected_victim
-                      { app = vname; estimated = tp; required = e.req.min_throughput })
-            else None)
-        t.entries
+      (* A best-effort application has no requirement to violate, so it can
+         never be a victim: with no guaranteed resident there is no scan. *)
+      if t.guaranteed = 0 then None
+      else
+        find_older
+          (fun e ->
+            if e.req.min_throughput <= 0. then None
+            else
+              let tp =
+                1. /. period_under (Analysis.prepare e.app) t population tentative e
+              in
+              if tp < e.req.min_throughput then
+                Some
+                  (Rejected_victim
+                     { app = e.name; estimated = tp; required = e.req.min_throughput })
+              else None)
+          t.newest
     in
     match victim with
     | Some verdict -> verdict
     | None ->
         let margin =
-          match margin with
-          | None -> None
-          | Some spec ->
-              Some
-                (compute_margin cache population tentative ~nprocs:t.nprocs
-                   candidate ~period:candidate_period spec)
+          Option.map
+            (compute_margin cache t population tentative candidate
+               ~period:candidate_period)
+            margin
         in
         Array.blit tentative 0 t.aggregates 0 t.nprocs;
-        t.entries <- (name, candidate) :: t.entries;
+        Hashtbl.add t.by_name name candidate;
+        link_newest t candidate;
+        if req.min_throughput > 0. then t.guaranteed <- t.guaranteed + 1;
         t.joins <- t.joins + 1;
         t.incremental_ops <- t.incremental_ops + Array.length candidate.loads;
         Admitted { margin }
 
-let find t name =
-  match List.assoc_opt name t.entries with
-  | Some e -> e
-  | None -> raise Not_found
+let try_admit ?margin t app req =
+  Option.iter check_spec margin;
+  Obs.Span.with_ ~name:"admission.join" (fun () -> join margin t app req)
+
+let find t name = Hashtbl.find t.by_name name
 
 let rebuild_aggregates t =
-  Array.fill t.aggregates 0 t.nprocs Compose.empty;
-  List.iter
-    (fun (_, e) ->
-      let updated = add_loads t.aggregates e in
-      Array.blit updated 0 t.aggregates 0 t.nprocs)
-    (List.rev t.entries);
+  Obs.Span.with_ ~name:"admission.refold" (fun () ->
+      Array.fill t.aggregates 0 t.nprocs Compose.empty;
+      iter_newer (combine_into t.aggregates) t.oldest);
   Array.fill t.agg_drift 0 t.nprocs 0.
 
-let withdraw t name =
+let leave t name =
   let e = find t name in
   (* The ⊗ fold is only second-order associative, so ⊖ is exact only when
      undone LIFO: for the most recently admitted application the round-trip
      is exact; for older ones it is exact in p and second-order accurate in
      w, and the accumulated error is traded for a refold at the bound. *)
-  let lifo = match t.entries with (n, _) :: _ -> n = name | [] -> false in
-  t.entries <- List.remove_assoc name t.entries;
+  let lifo = Option.is_none e.newer in
+  Hashtbl.remove t.by_name name;
+  unlink t e;
+  if e.req.min_throughput > 0. then t.guaranteed <- t.guaranteed - 1;
   t.leaves <- t.leaves + 1;
   if Array.for_all invertible e.loads then begin
     for actor = Array.length e.loads - 1 downto 0 do
@@ -389,12 +453,15 @@ let withdraw t name =
     t.full_rebuilds <- t.full_rebuilds + 1
   end
 
+let withdraw t name =
+  Obs.Span.with_ ~name:"admission.leave" (fun () -> leave t name)
+
 let release t name =
-  match List.assoc_opt name t.entries with
-  | None -> Error (Printf.sprintf "application %S is not admitted" name)
-  | Some _ ->
-      withdraw t name;
-      Ok ()
+  if Hashtbl.mem t.by_name name then begin
+    withdraw t name;
+    Ok ()
+  end
+  else Error (Printf.sprintf "application %S is not admitted" name)
 
 let observe t name ~measured_period =
   (* Everything that can refuse runs before the first write. *)
@@ -405,6 +472,7 @@ let observe t name ~measured_period =
   let new_loads = Analysis.loads_at_period e.app ~period:measured_period in
   e.measured <- Some measured_period;
   e.loads <- new_loads;
+  e.variances <- variances e.app new_loads;
   t.observes_n <- t.observes_n + 1;
   if Array.for_all invertible old_loads then begin
     (* Re-base each actor incrementally: ⊖ the old contribution, ⊕ the new
@@ -434,15 +502,16 @@ let observed_period t name = (find t name).measured
 
 let estimated_period t name =
   let e = find t name in
-  period_under (Analysis.prepare e.app) t.entries t.aggregates e
+  period_under (Analysis.prepare e.app) t None t.aggregates e
 
 let estimated_throughput t name = 1. /. estimated_period t name
 
 let margin_for t spec name =
+  check_spec spec;
   let e = find t name in
   let cache = Analysis.prepare e.app in
-  let period = period_under cache t.entries t.aggregates e in
-  compute_margin cache t.entries t.aggregates ~nprocs:t.nprocs e ~period spec
+  let period = period_under cache t None t.aggregates e in
+  compute_margin cache t None t.aggregates e ~period spec
 
 (* ------------------------------------------------------------------ *)
 (* Introspection for the churn oracle *)

@@ -21,9 +21,17 @@
     On request ({!try_admit}'s [?margin], {!margin_for}), the point estimate
     is wrapped in a {!Margin.t} confidence interval — see DESIGN §15.
 
+    The admitted applications are indexed by graph name and linked into a
+    roster in admission order, so a join's duplicate check, a lookup and a
+    withdrawal are O(1) in the population, and every fold over the
+    population visits it in one fixed order (newest first, oldest first for
+    refolds).  Each entry also keeps the per-actor variances of its blocking
+    contributions, which the z-score margin sums; they are set at join and
+    reset by {!observe}.
+
     Every period here is {!Analysis.period_with} over a cache prepared once
-    per call (once per margin, not per sample); nothing is kept per
-    admitted entry. *)
+    per call (once per margin, not per sample); no prepared cache is kept
+    per admitted entry. *)
 
 type requirement = {
   min_throughput : float;
@@ -60,7 +68,8 @@ type counters = {
   leaves : int;  (** Withdrawals (including {!release}). *)
   observes : int;  (** Run-time calibrations. *)
   incremental_ops : int;
-      (** O(n) ⊕/⊖/update steps on the composability aggregates. *)
+      (** ⊕/⊖/update steps on the composability aggregates, one per actor of
+          the joining, leaving or re-based application. *)
   full_rebuilds : int;
       (** From-scratch aggregate rebuilds forced by a saturated
           (1 - P < 1e-8) actor — the only non-incremental path left. *)
@@ -83,7 +92,9 @@ val create : ?refold_bound:float -> procs:int -> unit -> t
     @raise Invalid_argument if [procs < 1] or the bound is non-positive. *)
 
 val procs : t -> int
+
 val admitted : t -> (string * Analysis.app * requirement) list
+(** The admitted applications, newest first. *)
 
 val counters : t -> counters
 (** Monotone operation counters since {!create} — the churn suite asserts
@@ -96,9 +107,11 @@ val try_admit : ?margin:margin_spec -> t -> Analysis.app -> requirement -> verdi
     victim scan (they have no requirement to violate).  With [?margin], an
     [Admitted] verdict carries the candidate's confidence interval computed
     against the post-admission population.
-    @raise Invalid_argument if an application with the same graph name is
-    already admitted, the mapping targets an unknown processor, or the
-    margin spec is invalid (confidence outside (0,1), [samples < 1]). *)
+    @raise Invalid_argument if the margin spec is invalid (confidence
+    outside (0,1), [samples < 1], whatever the method; checked before
+    anything else, so it raises whichever verdict would follow), an
+    application with the same graph name is already admitted, or the
+    mapping targets an unknown processor. *)
 
 val withdraw : t -> string -> unit
 (** Remove an admitted application by graph name, subtracting its actors from
@@ -133,8 +146,8 @@ val estimated_throughput : t -> string -> float
 val margin_for : t -> margin_spec -> string -> Margin.t
 (** The confidence interval around {!estimated_period} under the current
     population — what {!try_admit} computes at admission time, re-derivable
-    later for auditing.  @raise Not_found if not admitted;
-    @raise Invalid_argument on an invalid spec. *)
+    later for auditing.  @raise Invalid_argument on an invalid spec, as
+    {!try_admit}, checked first; @raise Not_found if not admitted. *)
 
 (** {1 Introspection}
 

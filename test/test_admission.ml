@@ -214,3 +214,285 @@ let test_observe_measured_periods () =
 
 let suite = suite @ [ Alcotest.test_case "observe measured periods" `Quick
                         test_observe_measured_periods ]
+
+(* --- bit-for-bit pin of the controller under churn ---------------------- *)
+
+(* A seeded churn on one controller: about 200 residents on 4 processors,
+   one join in ten guaranteed close to its throughput alone (so candidate
+   and victim rejections occur), uniform and so mostly non-LIFO leaves,
+   observes, and z-score and 20-draw quantile margins.  One resident in five
+   declares execution-time distributions, so margins see both variance
+   paths.  The transcript holds every verdict with [%h] of its figures and,
+   every 100 ops, the aggregates, their refold, the drift and the admitted
+   order, then the counters.  The digests below were recorded from the
+   controller that kept its residents in an association list; a change to
+   any verdict, margin, aggregate bit or order names its first segment. *)
+
+let pin_procs = 4
+let pin_target = 200
+let pin_ops = 1_200
+let pin_segment = 100
+
+let pin_digests =
+  [|
+    "368ee3c25eed501ccfaead1a9b05b962";
+    "2fa6ab9f4fd48f39b08353c58f1f782b";
+    "abc88cf867f9703aff79f8529d191f99";
+    "8f21186bb37a818e8fb5166325875649";
+    "b7271daa82b983c95859370713844632";
+    "71e9530dd951eeea9184df4333a301bb";
+    "1497e8d0d60b434c3250fed1bd65e48b";
+    "1e3a9e06bba715c0b8875229e67484ad";
+    "7822e95719284aa9fcfd404e75bdc655";
+    "4f7e310eac397aa80e9c9ac63ef86b46";
+    "27dab72db759fc9f30e84ee3aa8f38cc";
+    "a92a9f43447574e0b1416f1e8b2246e4";
+    "4a9e3fa979cfa1840d56581ed2f7abea";
+  |]
+
+let pin_app rng i =
+  let name = Printf.sprintf "P%d" i in
+  let app =
+    Check.Fuzz.churn_app rng ~procs:pin_procs
+      ~period_slack:(0.25 *. float_of_int pin_target) ~name
+  in
+  if i mod 5 <> 0 then app
+  else
+    let g = app.Analysis.graph in
+    let distributions =
+      Array.mapi
+        (fun k (a : Sdf.Graph.actor) ->
+          let tau = a.exec_time in
+          match (i + k) mod 3 with
+          | 0 -> Dist.Uniform { lo = 0.5 *. tau; hi = 1.5 *. tau }
+          | 1 -> Dist.Exponential { mean = tau }
+          | _ -> Dist.Discrete [ (0.5 *. tau, 1.); (1.5 *. tau, 1.) ])
+        g.Sdf.Graph.actors
+    in
+    Analysis.app g ~period:app.Analysis.isolation_period ~distributions
+      ~mapping:app.Analysis.mapping
+
+let pin_transcript () =
+  let rng = Sdfgen.Rng.create 20260 in
+  let ctl = Admission.create ~procs:pin_procs () in
+  let segments = ref [] and buf = Buffer.create 4096 in
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let margin_line (m : Margin.t) =
+    line "  margin %s %h %h %h %h %h %d"
+      (Margin.method_to_string m.method_) m.period m.lo m.hi m.mean m.std
+      m.samples
+  in
+  (* Newest first, as the controller lists them. *)
+  let resident = ref [] in
+  let next = ref 0 in
+  (* The victim of the last rejection leaves next, as a manager would evict
+     it; otherwise one tight resident would reject every later join. *)
+  let blocker = ref None in
+  let pick () = List.nth !resident (Sdfgen.Rng.int rng (List.length !resident)) in
+  let join op =
+    incr next;
+    let app = pin_app rng !next in
+    let name = app.Analysis.graph.Sdf.Graph.name in
+    let req =
+      if !next mod 10 = 0 then
+        let alone = Sdf.Hsdf.period app.Analysis.graph in
+        { Admission.min_throughput =
+            1. /. (alone *. (2. +. Sdfgen.Rng.float rng 2.)) }
+      else Admission.best_effort
+    in
+    let margin =
+      match !next mod 6 with
+      | 1 -> Some { Admission.default_margin_spec with confidence = 0.9 }
+      | 4 ->
+          Some
+            { Admission.default_margin_spec with
+              method_ = Margin.Quantile; samples = 20;
+              seed = Int64.of_int !next }
+      | _ -> None
+    in
+    match Admission.try_admit ?margin ctl app req with
+    | Admission.Admitted { margin = m } ->
+        resident := name :: !resident;
+        line "%d join %s %h admitted" op name req.min_throughput;
+        Option.iter margin_line m
+    | Admission.Rejected_candidate { estimated; required } ->
+        line "%d join %s candidate %h %h" op name estimated required
+    | Admission.Rejected_victim { app = victim; estimated; required } ->
+        blocker := Some victim;
+        line "%d join %s victim %s %h %h" op name victim estimated required
+  in
+  let leave op =
+    let name =
+      match !blocker with
+      | Some v when List.mem v !resident -> v
+      | _ -> if Sdfgen.Rng.int rng 8 = 0 then List.hd !resident else pick ()
+    in
+    blocker := None;
+    (if Sdfgen.Rng.int rng 4 = 0 then
+       match Admission.release ctl name with
+       | Ok () -> line "%d release %s" op name
+       | Error msg -> Alcotest.failf "op %d: %s" op msg
+     else begin
+       Admission.withdraw ctl name;
+       line "%d leave %s" op name
+     end);
+    resident := List.filter (fun n -> n <> name) !resident
+  in
+  let observe op =
+    let name = pick () in
+    let before = Admission.estimated_period ctl name in
+    let measured_period = before *. (1. +. Sdfgen.Rng.float rng 1.) in
+    Admission.observe ctl name ~measured_period;
+    line "%d observe %s %h %h" op name before
+      (Admission.estimated_period ctl name);
+    if op mod 3 = 0 then
+      margin_line
+        (Admission.margin_for ctl
+           { Admission.default_margin_spec with confidence = 0.8 }
+           name)
+  in
+  let snapshot op =
+    line "%d snapshot" op;
+    for proc = 0 to pin_procs - 1 do
+      let a = Admission.aggregate ctl ~proc in
+      let r = Admission.refolded_aggregate ctl ~proc in
+      line "  proc %d %h %h refold %h %h drift %h" proc a.Compose.p a.Compose.w
+        r.Compose.p r.Compose.w (Admission.aggregate_drift ctl ~proc)
+    done;
+    line "  admitted %s"
+      (String.concat ","
+         (List.map
+            (fun (n, _, (r : Admission.requirement)) ->
+              Printf.sprintf "%s:%h" n r.min_throughput)
+            (Admission.admitted ctl)))
+  in
+  for op = 1 to pin_ops do
+    let population = List.length !resident in
+    if population = 0 || Sdfgen.Rng.int rng (2 * pin_target) >= population then
+      join op
+    else if Sdfgen.Rng.int rng 6 = 0 then observe op
+    else leave op;
+    if op mod pin_segment = 0 then begin
+      snapshot op;
+      segments := Buffer.contents buf :: !segments;
+      Buffer.clear buf
+    end
+  done;
+  let c = Admission.counters ctl in
+  line "counters %d %d %d %d %d %d %d %d" c.joins c.leaves c.observes
+    c.incremental_ops c.full_rebuilds c.drift_refolds c.group_rebuilds
+    c.group_drift_refolds;
+  (match Admission.release ctl "absent" with
+  | Ok () -> Alcotest.fail "released an absent application"
+  | Error msg -> line "%s" msg);
+  Array.of_list (List.rev (Buffer.contents buf :: !segments))
+
+let test_pin_churn () =
+  let segments = pin_transcript () in
+  let digests = Array.map (fun s -> Digest.to_hex (Digest.string s)) segments in
+  if digests <> pin_digests then begin
+    let first =
+      let rec go i =
+        if i >= Array.length digests || i >= Array.length pin_digests
+           || digests.(i) <> pin_digests.(i)
+        then i
+        else go (i + 1)
+      in
+      go 0
+    in
+    Alcotest.failf
+      "segment %d differs from the pinned transcript (digests now: %s); its \
+       text:\n%s"
+      first
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%S") digests)))
+      (if first < Array.length segments then segments.(first) else "")
+  end
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "churn transcript pinned bit for bit" `Quick
+        test_pin_churn ]
+
+(* --- margin specs are refused before any work --------------------------- *)
+
+(* An invalid spec raises whichever verdict the join would have reached, and
+   changes nothing: three controllers, one per verdict path. *)
+let test_invalid_spec_refused () =
+  let bad =
+    [
+      { Admission.default_margin_spec with confidence = 1.5 };
+      { Admission.default_margin_spec with confidence = 0. };
+      { Admission.default_margin_spec with confidence = Float.nan };
+      { Admission.default_margin_spec with samples = 0 };
+      { Admission.default_margin_spec with method_ = Margin.Quantile; samples = 0 };
+    ]
+  in
+  let paths =
+    [
+      ("admitted", Admission.best_effort, Admission.best_effort);
+      ("candidate", Admission.best_effort, { Admission.min_throughput = 1. /. 310. });
+      ("victim", { Admission.min_throughput = 1. /. 310. }, Admission.best_effort);
+    ]
+  in
+  List.iter
+    (fun (path, req_a, req_b) ->
+      let ctl = Admission.create ~procs:3 () in
+      ignore (Admission.try_admit ctl (app_a ()) req_a);
+      let counters = Admission.counters ctl in
+      List.iter
+        (fun spec ->
+          (match Admission.try_admit ~margin:spec ctl (app_b ()) req_b with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s path: invalid spec accepted" path);
+          (match Admission.margin_for ctl spec "A" with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s path: margin_for accepted an invalid spec" path);
+          Alcotest.(check (list string))
+            (path ^ ": admitted unchanged") [ "A" ]
+            (List.map (fun (n, _, _) -> n) (Admission.admitted ctl));
+          Alcotest.(check bool) (path ^ ": counters unchanged") true
+            (Admission.counters ctl = counters))
+        bad)
+    paths
+
+(* --- withdraw does not scale with the population ------------------------ *)
+
+(* Withdrawing the oldest resident allocates the same number of words among
+   50 residents as among 2,000: no scan or copy of the others.  The bound
+   keeps the drift refold, which folds every resident, out of the count. *)
+let test_withdraw_population_independent () =
+  let procs = 4 in
+  let rng = Sdfgen.Rng.create 31 in
+  let apps =
+    Array.init 2_000 (fun i ->
+        Check.Fuzz.churn_app rng ~procs ~period_slack:500.
+          ~name:(Printf.sprintf "W%d" i))
+  in
+  let words n =
+    let ctl = Admission.create ~refold_bound:1e9 ~procs () in
+    for i = 0 to n - 1 do
+      match Admission.try_admit ctl apps.(i) Admission.best_effort with
+      | Admission.Admitted _ -> ()
+      | _ -> Alcotest.failf "W%d rejected" i
+    done;
+    let w0 = Gc.minor_words () in
+    Admission.withdraw ctl "W0";
+    let w1 = Gc.minor_words () in
+    let c = Admission.counters ctl in
+    Alcotest.(check int) "no drift refold" 0 c.drift_refolds;
+    Alcotest.(check int) "no full rebuild" 0 c.full_rebuilds;
+    w1 -. w0
+  in
+  let small = words 50 and large = words 2_000 in
+  if small <> large then
+    Alcotest.failf "withdraw allocated %.0f words among 50 residents, %.0f among 2000"
+      small large
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "invalid margin spec refused" `Quick
+        test_invalid_spec_refused;
+      Alcotest.test_case "withdraw independent of population" `Quick
+        test_withdraw_population_independent;
+    ]

@@ -94,9 +94,9 @@ let test_churn_soak () =
   let events = env_int "CHURN_EVENTS" 1500 in
   let seed = env_int "CHURN_SEED" 1 in
   (* Ramp to the resident population first (the join bias admits almost
-     every event while under-populated), then churn on top of it; the
-     re-fold oracle is O(n²) so it runs on a sparse cadence plus the final
-     state. *)
+     every event while under-populated), then churn on top of it; each
+     re-fold check folds every processor over the whole population, so it
+     runs on a sparse cadence plus the final state. *)
   let config =
     {
       Check.Fuzz.default_churn_config with

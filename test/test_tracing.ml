@@ -408,6 +408,65 @@ let test_cluster_propagation () =
             "forward digest arg" (Some digest)
             (List.assoc_opt "digest" forward.Span.args)))
 
+(* --- admission spans ---------------------------------------------------- *)
+
+(* A join, then a non-LIFO leave whose drift charge crosses a tiny bound:
+   the controller's own spans are exactly the join, the leave and the
+   refolds inside the leave; with tracing off nothing is recorded. *)
+let test_admission_spans () =
+  let module A = Contention.Admission in
+  let app g = Contention.Analysis.app (g ()) ~mapping:[| 0; 1; 2 |] in
+  let churn () =
+    let ctl = A.create ~refold_bound:1e-12 ~procs:3 () in
+    ignore (A.try_admit ctl (app Fixtures.graph_a) A.best_effort);
+    ctl
+  in
+  let join_and_leave ctl =
+    (match A.try_admit ctl (app Fixtures.graph_b) A.best_effort with
+    | A.Admitted _ -> ()
+    | _ -> Alcotest.fail "B rejected");
+    A.withdraw ctl "A";
+    if (A.counters ctl).drift_refolds = 0 then
+      Alcotest.fail "the non-LIFO leave did not refold"
+  in
+  with_recording (fun () ->
+      let ctl = churn () in
+      ignore (Span.drain ());
+      join_and_leave ctl;
+      let spans =
+        List.filter
+          (fun (s : Span.t) -> String.starts_with ~prefix:"admission." s.name)
+          (Span.drain ())
+      in
+      let names = List.sort_uniq compare (List.map (fun (s : Span.t) -> s.name) spans) in
+      Alcotest.(check (list string))
+        "admission span names"
+        [ "admission.join"; "admission.leave"; "admission.refold" ]
+        names;
+      let one name =
+        match List.filter (fun (s : Span.t) -> s.name = name) spans with
+        | [ s ] -> s
+        | l -> Alcotest.failf "%d %s spans, expected 1" (List.length l) name
+      in
+      let join = one "admission.join" and leave = one "admission.leave" in
+      if Int64.compare (Int64.add join.ts_ns join.dur_ns) leave.ts_ns > 0 then
+        Alcotest.fail "the leave started before the join ended";
+      List.iter
+        (fun (s : Span.t) ->
+          if
+            s.name = "admission.refold"
+            && (Int64.compare s.ts_ns leave.ts_ns < 0
+               || Int64.compare
+                    (Int64.add s.ts_ns s.dur_ns)
+                    (Int64.add leave.ts_ns leave.dur_ns)
+                  > 0)
+          then Alcotest.fail "a refold ran outside the leave")
+        spans);
+  Span.reset ();
+  join_and_leave (churn ());
+  Alcotest.(check int) "nothing recorded with tracing off" 0
+    (List.length (Span.collect ()))
+
 (* --- request journal -------------------------------------------------- *)
 
 let read_lines path =
@@ -698,6 +757,7 @@ let suite =
     Alcotest.test_case "trace file round-trip" `Quick test_file_roundtrip;
     Alcotest.test_case "propagation across peered servers" `Slow
       test_cluster_propagation;
+    Alcotest.test_case "admission spans" `Quick test_admission_spans;
     Alcotest.test_case "request journal" `Quick test_journal;
     Alcotest.test_case "journal cache outcome" `Quick test_journal_cache_outcome;
     Alcotest.test_case "slo burn windows" `Quick test_slo;
