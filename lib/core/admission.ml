@@ -84,8 +84,8 @@ let create ?(refold_bound = 0.05) ~procs () =
 
 let procs t = t.nprocs
 
-(* The roster.  Every order-sensitive fold visits it as the association
-   list it replaced did: newest first for the victim scan, the margins and
+(* The roster.  Float folds depend on their order, so every fold over the
+   population keeps one: newest first for the victim scan, the margins and
    [admitted], with a join's candidate in front; oldest first for refolds. *)
 let rec iter_older f = function
   | None -> ()

@@ -218,8 +218,8 @@ let suite = suite @ [ Alcotest.test_case "observe measured periods" `Quick
 (* --- bit-for-bit pin of the controller under churn ---------------------- *)
 
 (* A seeded churn on one controller: about 200 residents on 4 processors,
-   one join in ten guaranteed close to its throughput alone (so candidate
-   and victim rejections occur), uniform and so mostly non-LIFO leaves,
+   one join in ten guaranteed a quarter to a half of its throughput alone
+   (so candidate and victim rejections occur), mostly non-LIFO leaves,
    observes, and z-score and 20-draw quantile margins.  One resident in five
    declares execution-time distributions, so margins see both variance
    paths.  The transcript holds every verdict with [%h] of its figures and,
