@@ -114,13 +114,11 @@ let merge_accuracy outcomes =
 let run ?config ?jobs ?budget_s ?(max_shrink_attempts = 200) ?(start_seed = 0)
     ~seeds () =
   if seeds < 0 then invalid_arg "Check.Fuzz.run: negative seed count";
-  let t0 = Unix.gettimeofday () in
-  let deadline =
-    match budget_s with None -> infinity | Some b -> t0 +. b
-  in
+  let t0 = Obs.Clock.now_ns () in
+  let budget_s = Option.value budget_s ~default:infinity in
   let outcomes =
     Exp.Pool.map_range ?jobs seeds (fun i ->
-        if Unix.gettimeofday () > deadline then Skipped
+        if Obs.Clock.elapsed_s ~since:t0 > budget_s then Skipped
         else run_seed ?config ~max_shrink_attempts (start_seed + i))
     |> Array.to_list
   in
@@ -136,7 +134,7 @@ let run ?config ?jobs ?budget_s ?(max_shrink_attempts = 200) ?(start_seed = 0)
     skipped = seeds - ran;
     failures;
     accuracy = merge_accuracy outcomes;
-    elapsed_s = Unix.gettimeofday () -. t0;
+    elapsed_s = Obs.Clock.elapsed_s ~since:t0;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -9,9 +9,10 @@
     merged back in seed order — the outcome is a pure function of
     [(start_seed, seeds, config)], regardless of [jobs].
 
-    A wall-clock budget turns the campaign into a best-effort sweep: tasks
-    that start after the deadline are skipped (and counted), which keeps the
-    pool drain prompt without killing domains mid-oracle. *)
+    A time budget, measured on {!Obs.Clock} so a wall-clock step neither
+    stretches nor shrinks it, turns the campaign into a best-effort sweep:
+    tasks that start after the deadline are skipped (and counted), which
+    keeps the pool drain prompt without killing domains mid-oracle. *)
 
 type failure = {
   seed : int;  (** The seed that produced the violation. *)

@@ -34,7 +34,6 @@ let create ?replicas ?pool_size ?timeout endpoints =
 let endpoints t = List.map snd t.endpoints
 let ring t = t.ring
 let pool_of t name = List.assoc name t.pools
-let pool_for t e = List.assoc_opt (Endpoint.to_string e) t.pools
 let route t ~digest = List.assoc (Ring.lookup t.ring digest) t.endpoints
 
 let is_transport_error msg =
@@ -149,9 +148,6 @@ let upload t ~payload =
   match results with
   | (_, Ok reply) :: _ -> Ok reply
   | _ -> Error "cluster: no peers"
-
-let ping_all t =
-  on_all t (fun pool -> Pool.with_client pool Serve.Client.ping)
 
 let stats_all t =
   on_all t (fun pool -> Pool.with_client pool Serve.Client.stats)

@@ -106,8 +106,6 @@ val forward_hot :
 val forward_counts : t -> int * int
 (** [(succeeded, failed)] hot-entry forwards completed so far. *)
 
-val ping_all : t -> (Endpoint.t * (unit, string) result) list
-
 val stats_all :
   t -> (Endpoint.t * (Serve.Protocol.stats_reply, string) result) list
 
@@ -115,8 +113,5 @@ val metrics_all :
   t -> (Endpoint.t * (Serve.Protocol.metrics_reply, string) result) list
 (** Every peer's Prometheus exposition — the raw material for
     {!Promerge.merge}'s cluster-wide, shard-labelled view. *)
-
-val pool_for : t -> Endpoint.t -> Pool.t option
-(** The shard's pool, for reconnect counters in tests and reports. *)
 
 val close : t -> unit

@@ -65,10 +65,6 @@ let residual d = second_moment d /. (2. *. mean d)
    E R^2 = integral t^2 S(t) dt / E X = E X^3 / (3 E X). *)
 let residual_second_moment d = third_moment d /. (3. *. mean d)
 
-let residual_variance d =
-  let r = residual d in
-  residual_second_moment d -. (r *. r)
-
 let residual_sample d ~u1 ~u2 =
   validate d;
   if u1 < 0. || u1 >= 1. then

@@ -39,9 +39,6 @@ val residual_second_moment : t -> float
     {e variance}, which the admission margins need on top of the mean
     ({!Margin}). *)
 
-val residual_variance : t -> float
-(** [residual_second_moment - residual²]. *)
-
 val residual_sample : t -> u1:float -> u2:float -> float
 (** One draw from the stationary residual-life distribution: the
     length-biased firing is selected by inversion with [u1] and the position

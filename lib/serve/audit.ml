@@ -96,6 +96,16 @@ type margin_task = {
 
 type item = Estimate of task | Margin_check of margin_task
 
+(* One audited estimator: its drift detector and its registry series. *)
+type estimator = {
+  drift : Drift.t;
+  m_total : Obs.Metric.Counter.t;
+  m_error : Obs.Metric.Histogram.t;
+  m_drift : Obs.Metric.Gauge.t;
+}
+
+(* The counts of the stats reply live in the registry; only what has no
+   registry form (the detectors, max |err|) is kept here, under [mutex]. *)
 type t = {
   config : config;
   registry : Obs.Metric.registry;
@@ -107,19 +117,13 @@ type t = {
   mutable closed : bool;
   mutable in_flight : bool;
   head : int Atomic.t;  (* estimate-request counter for 1-in-N sampling *)
-  (* Aggregates for the stats reply, all under [mutex]. *)
-  mutable submitted : int;
-  mutable completed : int;
-  mutable dropped : int;
-  mutable failed : int;
-  mutable err_sum : float;
-  mutable err_n : int;
   mutable max_abs_err : float;
-  mutable margin_checked : int;
-  mutable margin_missed : int;
-  drift_by_estimator : (string, Drift.t) Hashtbl.t;
+  estimators : (string, estimator) Hashtbl.t;
+  m_submitted : Obs.Metric.Counter.t;
   m_dropped : Obs.Metric.Counter.t;
   m_failed : Obs.Metric.Counter.t;
+  m_margin_total : Obs.Metric.Counter.t;
+  m_margin_missed : Obs.Metric.Counter.t;
   mutable domain : unit Domain.t option;
 }
 
@@ -130,46 +134,47 @@ let error_buckets =
     -0.5; -0.2; -0.1; -0.05; -0.02; -0.01; 0.; 0.01; 0.02; 0.05; 0.1; 0.2; 0.5;
   |]
 
-let m_total t est =
-  Obs.Metric.Counter.v ~registry:t.registry
-    ~help:"Served estimates replayed through the simulator, by estimator."
-    ~labels:[ ("estimator", est) ]
-    "contention_serve_audit_total"
-
-let m_error t est =
-  Obs.Metric.Histogram.v ~registry:t.registry
-    ~help:
-      "Signed relative period error of served estimates vs simulation, by \
-       estimator."
-    ~buckets:error_buckets
-    ~labels:[ ("estimator", est) ]
-    "contention_serve_audit_error"
-
-let m_drift t est =
-  Obs.Metric.Gauge.v ~registry:t.registry
-    ~help:"1 when the estimator's error stream has drifted (sticky)."
-    ~labels:[ ("estimator", est) ]
-    "contention_serve_audit_drift"
-
 let m_alarms t est =
   Obs.Metric.Counter.v ~registry:t.registry
     ~help:"Page-Hinkley drift alarms, by estimator."
     ~labels:[ ("estimator", est) ]
     "contention_serve_audit_alarms_total"
 
-let drift_for t est =
-  match Hashtbl.find_opt t.drift_by_estimator est with
-  | Some d -> d
+(* Caller holds [t.mutex].  The alarm counter is not resolved here: it
+   appears on the first alarm, so its absence reads as zero alarms. *)
+let estimator_for t est =
+  match Hashtbl.find_opt t.estimators est with
+  | Some e -> e
   | None ->
-      let d =
-        Drift.create ~delta:t.config.drift_delta ~lambda:t.config.drift_lambda
-          ~min_samples:t.config.drift_min_samples ()
+      let registry = t.registry and labels = [ ("estimator", est) ] in
+      let e =
+        {
+          drift =
+            Drift.create ~delta:t.config.drift_delta
+              ~lambda:t.config.drift_lambda
+              ~min_samples:t.config.drift_min_samples ();
+          m_total =
+            Obs.Metric.Counter.v ~registry ~labels
+              ~help:
+                "Served estimates replayed through the simulator, by estimator."
+              "contention_serve_audit_total";
+          m_error =
+            Obs.Metric.Histogram.v ~registry ~labels ~buckets:error_buckets
+              ~help:
+                "Signed relative period error of served estimates vs \
+                 simulation, by estimator."
+              "contention_serve_audit_error";
+          m_drift =
+            Obs.Metric.Gauge.v ~registry ~labels
+              ~help:"1 when the estimator's error stream has drifted (sticky)."
+              "contention_serve_audit_drift";
+        }
       in
-      Hashtbl.add t.drift_by_estimator est d;
+      Hashtbl.add t.estimators est e;
       (* Materialise the gauge at 0 so the exposition shows the estimator
          as audited-and-healthy, not merely absent. *)
-      Obs.Metric.Gauge.set (m_drift t est) 0.;
-      d
+      Obs.Metric.Gauge.set e.m_drift 0.;
+      e
 
 let journal_record t (task : task) ~errs ~outcome =
   match t.journal with
@@ -251,46 +256,24 @@ let process t (task : task) =
   match outcome with
   | Error _ ->
       Obs.Metric.Counter.inc t.m_failed;
-      Mutex.lock t.mutex;
-      t.failed <- t.failed + 1;
-      Mutex.unlock t.mutex;
       journal_record t task ~errs:[] ~outcome:"failed"
   | Ok errs ->
-      Obs.Metric.Counter.inc (m_total t task.estimator);
-      let hist = m_error t task.estimator in
-      List.iter (fun e -> Obs.Metric.Histogram.observe hist e) errs;
+      Mutex.lock t.mutex;
+      let e = estimator_for t task.estimator in
       let alarmed =
-        Mutex.lock t.mutex;
-        let drift = drift_for t task.estimator in
-        let alarmed =
-          List.fold_left (fun a e -> Drift.observe drift e || a) false errs
-        in
-        t.completed <- t.completed + 1;
-        List.iter
-          (fun e ->
-            t.err_sum <- t.err_sum +. e;
-            t.err_n <- t.err_n + 1;
-            t.max_abs_err <- Float.max t.max_abs_err (Float.abs e))
-          errs;
-        Mutex.unlock t.mutex;
-        alarmed
+        List.fold_left (fun a err -> Drift.observe e.drift err || a) false errs
       in
+      List.iter
+        (fun err -> t.max_abs_err <- Float.max t.max_abs_err (Float.abs err))
+        errs;
+      Mutex.unlock t.mutex;
+      List.iter (Obs.Metric.Histogram.observe e.m_error) errs;
+      Obs.Metric.Counter.inc e.m_total;
       if alarmed then begin
         Obs.Metric.Counter.inc (m_alarms t task.estimator);
-        Obs.Metric.Gauge.set (m_drift t task.estimator) 1.
+        Obs.Metric.Gauge.set e.m_drift 1.
       end;
       journal_record t task ~errs ~outcome:"ok"
-
-let m_margin_total t =
-  Obs.Metric.Counter.v ~registry:t.registry
-    ~help:"Served admission margins replayed through the simulator."
-    "contention_serve_audit_margin_total"
-
-let m_margin_missed t =
-  Obs.Metric.Counter.v ~registry:t.registry
-    ~help:
-      "Margin replays whose simulated period fell outside the served bounds."
-    "contention_serve_audit_margin_missed_total"
 
 let margin_journal_record t (task : margin_task) ~observed ~outcome =
   match t.journal with
@@ -355,25 +338,15 @@ let process_margin t (task : margin_task) =
   with
   | exception e ->
       Obs.Metric.Counter.inc t.m_failed;
-      Mutex.lock t.mutex;
-      t.failed <- t.failed + 1;
-      Mutex.unlock t.mutex;
       margin_journal_record t task ~observed:None
         ~outcome:(Printf.sprintf "failed: %s" (Printexc.to_string e))
   | observed when not (Float.is_finite observed && observed > 0.) ->
       Obs.Metric.Counter.inc t.m_failed;
-      Mutex.lock t.mutex;
-      t.failed <- t.failed + 1;
-      Mutex.unlock t.mutex;
       margin_journal_record t task ~observed:None ~outcome:"degenerate"
   | observed ->
       let covered = Contention.Margin.covers task.m_margin observed in
-      Obs.Metric.Counter.inc (m_margin_total t);
-      if not covered then Obs.Metric.Counter.inc (m_margin_missed t);
-      Mutex.lock t.mutex;
-      t.margin_checked <- t.margin_checked + 1;
-      if not covered then t.margin_missed <- t.margin_missed + 1;
-      Mutex.unlock t.mutex;
+      Obs.Metric.Counter.inc t.m_margin_total;
+      if not covered then Obs.Metric.Counter.inc t.m_margin_missed;
       margin_journal_record t task ~observed:(Some observed)
         ~outcome:(if covered then "covered" else "missed")
 
@@ -424,16 +397,12 @@ let create ?(config = default_config) ~registry ?journal ?shard () =
       closed = false;
       in_flight = false;
       head = Atomic.make 0;
-      submitted = 0;
-      completed = 0;
-      dropped = 0;
-      failed = 0;
-      err_sum = 0.;
-      err_n = 0;
       max_abs_err = 0.;
-      margin_checked = 0;
-      margin_missed = 0;
-      drift_by_estimator = Hashtbl.create 4;
+      estimators = Hashtbl.create 4;
+      m_submitted =
+        Obs.Metric.Counter.v ~registry
+          ~help:"Audit samples queued for replay, estimates and margins."
+          "contention_serve_audit_submitted_total";
       m_dropped =
         Obs.Metric.Counter.v ~registry
           ~help:"Audit samples dropped because the audit queue was full."
@@ -442,6 +411,16 @@ let create ?(config = default_config) ~registry ?journal ?shard () =
         Obs.Metric.Counter.v ~registry
           ~help:"Audit replays that raised or produced no usable period."
           "contention_serve_audit_failed_total";
+      m_margin_total =
+        Obs.Metric.Counter.v ~registry
+          ~help:"Served admission margins replayed through the simulator."
+          "contention_serve_audit_margin_total";
+      m_margin_missed =
+        Obs.Metric.Counter.v ~registry
+          ~help:
+            "Margin replays whose simulated period fell outside the served \
+             bounds."
+          "contention_serve_audit_margin_missed_total";
       domain = None;
     }
   in
@@ -456,21 +435,18 @@ let submit_item t item =
   Mutex.lock t.mutex;
   let verdict =
     if t.closed then `Closed
-    else if Queue.length t.queue >= t.config.queue_capacity then begin
-      t.dropped <- t.dropped + 1;
-      `Dropped
-    end
+    else if Queue.length t.queue >= t.config.queue_capacity then `Dropped
     else begin
+      (* Counted before the replay domain can see the item, so a scrape
+         never shows more replays than submissions. *)
+      Obs.Metric.Counter.inc t.m_submitted;
       Queue.push item t.queue;
-      t.submitted <- t.submitted + 1;
       Condition.signal t.cond;
       `Accepted
     end
   in
   Mutex.unlock t.mutex;
-  (match verdict with
-  | `Dropped -> Obs.Metric.Counter.inc t.m_dropped
-  | `Closed | `Accepted -> ());
+  if verdict = `Dropped then Obs.Metric.Counter.inc t.m_dropped;
   verdict = `Accepted
 
 let submit t task = submit_item t (Estimate task)
@@ -478,33 +454,46 @@ let submit_margin t task = submit_item t (Margin_check task)
 
 let stats t =
   Mutex.lock t.mutex;
+  let estimators = List.of_seq (Hashtbl.to_seq_values t.estimators) in
   let alarms =
-    Hashtbl.fold (fun _ d acc -> acc + Drift.alarms d) t.drift_by_estimator 0
+    List.fold_left (fun n e -> n + Drift.alarms e.drift) 0 estimators
   in
   let drifting =
     List.sort String.compare
       (Hashtbl.fold
-         (fun est d acc -> if Drift.flagged d then est :: acc else acc)
-         t.drift_by_estimator [])
+         (fun est e acc -> if Drift.flagged e.drift then est :: acc else acc)
+         t.estimators [])
   in
-  let s =
-    {
-      Protocol.audit_sample = t.config.sample_every;
-      audit_submitted = t.submitted;
-      audit_completed = t.completed;
-      audit_dropped = t.dropped;
-      audit_failed = t.failed;
-      audit_mean_err =
-        (if t.err_n = 0 then 0. else t.err_sum /. float_of_int t.err_n);
-      audit_max_abs_err = t.max_abs_err;
-      audit_alarms = alarms;
-      audit_drifting = drifting;
-      audit_margin_checked = t.margin_checked;
-      audit_margin_missed = t.margin_missed;
-    }
-  in
+  let max_abs_err = t.max_abs_err in
   Mutex.unlock t.mutex;
-  s
+  let count c = int_of_float (Obs.Metric.Counter.value c) in
+  let sum f = List.fold_left (fun acc e -> acc +. f e) 0. estimators in
+  (* Read in the reverse of increment order (a submission before its
+     replay, a check before its miss), so a reply never shows more replays
+     than submissions or more misses than checks. *)
+  let completed =
+    int_of_float (sum (fun e -> Obs.Metric.Counter.value e.m_total))
+  in
+  let submitted = count t.m_submitted in
+  let margin_missed = count t.m_margin_missed in
+  let margin_checked = count t.m_margin_total in
+  let err_n =
+    sum (fun e -> float_of_int (Obs.Metric.Histogram.count e.m_error))
+  in
+  let err_sum = sum (fun e -> Obs.Metric.Histogram.sum e.m_error) in
+  {
+    Protocol.audit_sample = t.config.sample_every;
+    audit_submitted = submitted;
+    audit_completed = completed;
+    audit_dropped = count t.m_dropped;
+    audit_failed = count t.m_failed;
+    audit_mean_err = (if err_n = 0. then 0. else err_sum /. err_n);
+    audit_max_abs_err = max_abs_err;
+    audit_alarms = alarms;
+    audit_drifting = drifting;
+    audit_margin_checked = margin_checked;
+    audit_margin_missed = margin_missed;
+  }
 
 let drain t =
   Mutex.lock t.mutex;

@@ -86,9 +86,12 @@ val create :
   unit ->
   t
 (** Spawns the background replay domain.  Metrics land in [registry]:
-    [contention_serve_audit_total]/[_error] (histogram)/[_drift] (gauge)/
-    [_alarms_total] per estimator label, plus [_dropped_total] and
-    [_failed_total].
+    [contention_serve_audit_total]/[_error] (histogram)/[_drift] (gauge)
+    per estimator label, resolved on its first replay;
+    [_alarms_total] per estimator, created on its first alarm (so its
+    absence reads as zero alarms); and [_submitted_total],
+    [_dropped_total], [_failed_total], [_margin_total] and
+    [_margin_missed_total], resolved here.
     @raise Invalid_argument unless [config.horizon] is finite and positive:
     a replay with a NaN or infinite horizon would never finish. *)
 
@@ -110,7 +113,10 @@ val submit_margin : t -> margin_task -> bool
     {!submit}. *)
 
 val stats : t -> Protocol.audit_stats
-(** Snapshot for the [stats] reply. *)
+(** Snapshot for the [stats] reply, read from the registry series above;
+    only the drift detectors' alarms and the max |err| are kept outside
+    it.  The mean error is the error histograms' summed [sum] over their
+    summed [count]. *)
 
 val drain : t -> unit
 (** Block until the queue is empty and no replay is in flight — test and

@@ -15,8 +15,6 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   sentinel : ('k, 'v) node;
   cap : int;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ~capacity =
@@ -29,8 +27,6 @@ let create ~capacity =
     table = Hashtbl.create (2 * capacity);
     sentinel;
     cap = capacity;
-    hits = 0;
-    misses = 0;
   }
 
 let locked t f =
@@ -50,11 +46,8 @@ let push_front t node =
 let find t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.table k with
-      | None ->
-          t.misses <- t.misses + 1;
-          None
+      | None -> None
       | Some node ->
-          t.hits <- t.hits + 1;
           unlink node;
           push_front t node;
           node.value)
@@ -82,5 +75,3 @@ let put t k v =
 
 let length t = locked t (fun () -> Hashtbl.length t.table)
 let capacity t = t.cap
-let hits t = locked t (fun () -> t.hits)
-let misses t = locked t (fun () -> t.misses)

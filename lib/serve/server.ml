@@ -110,23 +110,32 @@ type cache_key = string * Contention.Usecase.t * string
    hit answers with.  Immutable, so worker domains share it as is. *)
 type entry = { rows : Protocol.estimate_row list; body : string }
 
+(* The registry is the server's only set of books: [stats] reads the same
+   handles a Prometheus scrape renders. *)
 type t = {
   config : config;
   store : Store.t;
   cache : (cache_key, entry) Lru.t;
-  metrics : Metrics.t;
+  started : int64;  (* Obs.Clock.now_ns; uptime survives wall-clock steps *)
   workers : int;  (* worker-domain count — the pool's capacity *)
   registry : Obs.Metric.registry;
   (* Per command, its request counter and latency histogram, resolved on
      the command's first request so a series appears with its first
-     sample. *)
+     sample.  The histograms' counts and sums are the [stats] request
+     counts and mean latency. *)
   m_commands :
     (string * (Obs.Metric.Counter.t * Obs.Metric.Histogram.t)) list Atomic.t;
+  m_connections : Obs.Metric.Counter.t;
   m_active : Obs.Metric.Gauge.t;  (* connections being served right now *)
   m_queue_depth : Obs.Metric.Gauge.t;  (* accepted, waiting for a worker *)
   m_cache_hits : Obs.Metric.Counter.t;
   m_cache_misses : Obs.Metric.Counter.t;
   m_shed : Obs.Metric.Counter.t;  (* connections refused: queue full *)
+  m_admitted : Obs.Metric.Counter.t;
+  m_rejected_candidate : Obs.Metric.Counter.t;
+  m_rejected_victim : Obs.Metric.Counter.t;
+  m_releases : Obs.Metric.Counter.t;
+  m_margin_width : Obs.Metric.Histogram.t;  (* served margins' width/period *)
   m_burn_1m : Obs.Metric.Gauge.t;  (* SLO burn rates, refreshed on scrape *)
   m_burn_1h : Obs.Metric.Gauge.t;
   slo : Slo.t;
@@ -471,15 +480,14 @@ let handle_admit t ~session ~digest ~app ~min_throughput ~confidence
                             Protocol.Rejected_victim
                               { victim; estimated; required }
                       in
-                      Metrics.record_admission_verdict t.metrics verdict;
+                      Obs.Metric.Counter.inc
+                        (match verdict with
+                        | Protocol.Admitted _ -> t.m_admitted
+                        | Protocol.Rejected_candidate _ -> t.m_rejected_candidate
+                        | Protocol.Rejected_victim _ -> t.m_rejected_victim);
                       (match verdict with
                       | Protocol.Admitted { margin = Some m; _ } -> (
-                          Obs.Metric.Histogram.observe
-                            (Obs.Metric.Histogram.v ~registry:t.registry
-                               ~help:
-                                 "Relative width (width/period) of served \
-                                  admission margins."
-                               "contention_serve_margin_rel_width")
+                          Obs.Metric.Histogram.observe t.m_margin_width
                             (Contention.Margin.rel_width m);
                           (* Sampled margins get the same shadow-audit
                              treatment as estimates: replay the admitted mix
@@ -509,7 +517,7 @@ let handle_release t ~session ~app =
              escaping the worker (the stale-release wirefuzz contract). *)
           match Contention.Admission.release ctl app with
           | Ok () ->
-              Metrics.incr_released t.metrics;
+              Obs.Metric.Counter.inc t.m_releases;
               Protocol.ok
                 (Json.Obj
                    [ ("released", Json.Str app); ("session", Json.Str session) ])
@@ -526,38 +534,52 @@ let refresh_slo_gauges t =
   Obs.Metric.Gauge.set t.m_burn_1h s.burn_1h;
   s
 
+(* Request counts, their total and the latency sample count all come from
+   one read of each command's histogram count, so they agree. *)
 let handle_stats t =
   let slo = refresh_slo_gauges t in
-  let m = Metrics.snapshot t.metrics in
+  let count c = int_of_float (Obs.Metric.Counter.value c) in
+  let mean ~sum n = if n = 0 then 0. else sum /. float_of_int n in
+  let commands =
+    List.map
+      (fun (cmd, (_, seconds)) ->
+        (cmd, Obs.Metric.Histogram.count seconds, Obs.Metric.Histogram.sum seconds))
+      (Atomic.get t.m_commands)
+  in
+  let requests_total = List.fold_left (fun n (_, c, _) -> n + c) 0 commands in
+  let latency_sum = List.fold_left (fun acc (_, _, s) -> acc +. s) 0. commands in
+  let margins_served = Obs.Metric.Histogram.count t.m_margin_width in
   Protocol.ok
     (Protocol.stats_reply_to_json
        {
-         Protocol.uptime_s = m.uptime_s;
-         connections = m.connections;
-         requests = m.requests;
-         requests_total = m.requests_total;
+         Protocol.uptime_s = Obs.Clock.elapsed_s ~since:t.started;
+         connections = count t.m_connections;
+         requests =
+           List.sort compare (List.map (fun (cmd, c, _) -> (cmd, c)) commands);
+         requests_total;
          workloads = Store.count t.store;
          sessions = session_count t;
          cache_entries = Lru.length t.cache;
          cache_capacity = Lru.capacity t.cache;
-         cache_hits = Lru.hits t.cache;
-         cache_misses = Lru.misses t.cache;
+         cache_hits = count t.m_cache_hits;
+         cache_misses = count t.m_cache_misses;
          active_connections = active_count t;
          workers = t.workers;
          queue_capacity = t.config.max_queue;
-         shed = m.shed;
-         admitted = m.admitted;
-         rejected_candidate = m.rejected_candidate;
-         rejected_victim = m.rejected_victim;
-         released = m.released;
-         margins_served = m.margins_served;
-         margin_mean_rel_width = m.margin_mean_rel_width;
-         latency_mean_us = m.latency_mean_us;
-         latency_p50_us = m.latency_p50_us;
-         latency_p90_us = m.latency_p90_us;
-         latency_p99_us = m.latency_p99_us;
-         latency_max_us = m.latency_max_us;
-         latency_samples = m.latency_samples;
+         shed = count t.m_shed;
+         admitted = count t.m_admitted;
+         rejected_candidate = count t.m_rejected_candidate;
+         rejected_victim = count t.m_rejected_victim;
+         released = count t.m_releases;
+         margins_served;
+         margin_mean_rel_width =
+           mean ~sum:(Obs.Metric.Histogram.sum t.m_margin_width) margins_served;
+         latency_mean_us = 1e6 *. mean ~sum:latency_sum requests_total;
+         latency_p50_us = slo.latency_p50_us;
+         latency_p90_us = slo.latency_p90_us;
+         latency_p99_us = slo.latency_p99_us;
+         latency_max_us = slo.latency_max_us;
+         latency_samples = requests_total;
          slo_objective_ms = slo.objective_ms;
          slo_target = slo.target;
          slo_burn_1m = slo.burn_1m;
@@ -678,11 +700,18 @@ let command_metrics t cmd =
             ~help:"Request latency in seconds, by command."
             ~labels:[ ("cmd", cmd) ] "contention_serve_request_seconds" )
       in
-      (* [v] is get-or-create: a domain racing this one resolves the same
-         handles, and a lost update costs one more resolution later. *)
-      let known = Atomic.get t.m_commands in
-      if not (List.mem_assoc cmd known) then
-        ignore (Atomic.compare_and_set t.m_commands known ((cmd, m) :: known));
+      (* [v] is get-or-create, so a domain racing this one resolves the
+         same handles.  Retry until the command is listed: [stats] reads
+         only listed commands, and a lost update would drop this one. *)
+      let rec publish () =
+        let known = Atomic.get t.m_commands in
+        if
+          not
+            (List.mem_assoc cmd known
+            || Atomic.compare_and_set t.m_commands known ((cmd, m) :: known))
+        then publish ()
+      in
+      publish ();
       m
 
 (* One request line through the full parse-and-dispatch path, returning the
@@ -731,7 +760,6 @@ let handle_line t line =
                   error_line "internal error: %s" (Printexc.to_string e) )))
   in
   let latency_s = Obs.Clock.elapsed_s ~since:t0 in
-  Metrics.record t.metrics ~cmd ~latency_s;
   Slo.record t.slo ~latency_s;
   let requests, seconds = command_metrics t cmd in
   Obs.Metric.Counter.inc requests;
@@ -744,7 +772,7 @@ let handle_line t line =
   reply
 
 let handle_connection t fd =
-  Metrics.incr_connections t.metrics;
+  Obs.Metric.Counter.inc t.m_connections;
   let reader = Wire.reader ~max_line:t.config.max_line fd in
   let rec serve () =
     (* Keep answering until the peer hangs up; stop () unblocks us by
@@ -789,7 +817,6 @@ let worker t () =
    timeouts).  The write is a single small frame into a fresh socket buffer,
    so it cannot block the acceptor. *)
 let shed_connection t fd ~queue_depth =
-  Metrics.incr_shed t.metrics;
   Obs.Metric.Counter.inc t.m_shed;
   (* A shed request never met the latency objective: it burns budget. *)
   Slo.record_bad t.slo;
@@ -909,6 +936,10 @@ let start ?on_hot ?(config = default_config) () =
       ~help:"Estimate-cache lookups that ran the analysis."
       "contention_serve_cache_misses_total"
   in
+  let admissions verdict =
+    Obs.Metric.Counter.v ~registry ~help:"Admission verdicts, by verdict."
+      ~labels:[ ("verdict", verdict) ] "contention_serve_admissions_total"
+  in
   let m_burn_1m =
     Obs.Metric.Gauge.v ~registry
       ~help:"SLO error-budget burn rate over the trailing minute."
@@ -955,13 +986,26 @@ let start ?on_hot ?(config = default_config) () =
       config;
       store = Store.create ();
       cache = Lru.create ~capacity:config.cache_capacity;
-      metrics = Metrics.create ();
+      started = Obs.Clock.now_ns ();
       workers = jobs;
       registry;
       m_commands = Atomic.make [];
+      m_connections =
+        Obs.Metric.Counter.v ~registry ~help:"Connections accepted and served."
+          "contention_serve_connections_total";
       m_active;
       m_queue_depth;
       m_shed;
+      m_admitted = admissions "admitted";
+      m_rejected_candidate = admissions "rejected-candidate";
+      m_rejected_victim = admissions "rejected-victim";
+      m_releases =
+        Obs.Metric.Counter.v ~registry ~help:"Admitted applications released."
+          "contention_serve_releases_total";
+      m_margin_width =
+        Obs.Metric.Histogram.v ~registry
+          ~help:"Relative width (width/period) of served admission margins."
+          "contention_serve_margin_rel_width";
       m_burn_1m;
       m_burn_1h;
       slo =

@@ -112,11 +112,14 @@ val audit : t -> Audit.t option
     {!Audit.drain} before asserting on audit counters. *)
 
 val metrics_registry : t -> Obs.Metric.registry
-(** The server's own metric registry — per-command request counters and
-    latency histograms, cache hit/miss counters, pool gauges.  This is what
-    the [metrics] protocol command renders with {!Obs.Prometheus.expose};
-    each server owns a private registry so co-hosted instances (as in the
-    tests) do not mix series. *)
+(** The server's own metric registry and its only set of counts:
+    per-command request counters and latency histograms, connections,
+    cache hits/misses, sheds, admission verdicts, releases, served margin
+    widths, pool and SLO gauges, and the {!Audit} series.  The [metrics]
+    protocol command renders it with {!Obs.Prometheus.expose}; the [stats]
+    reply reads the same handles, and takes only its latency percentiles
+    and maximum from {!Slo}.  Each server owns a private registry so
+    co-hosted instances (as in the tests) do not mix series. *)
 
 val stop : t -> unit
 (** Graceful shutdown as described above.  Idempotent. *)

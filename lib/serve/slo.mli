@@ -11,6 +11,12 @@
     budget exactly as fast as it accrues, [> 1.0] is on track to violate
     the SLO, [0.] is a clean (or empty) window.
 
+    Every request's latency passes through here, so the latency
+    percentiles of the [stats] reply come from here too: a ring of the
+    4,096 most recent latencies (large enough for stable p50/p90/p99,
+    bounded so a long-lived daemon cannot grow without limit) and the
+    running maximum over all requests.
+
     Implementation: 3600 per-second ring buckets, lazily invalidated by an
     absolute-second stamp — no sweeper thread, O(1) record, O(3600) read.
     Thread-safe. *)
@@ -18,14 +24,15 @@
 type t
 
 val create : ?now_s:(unit -> int) -> objective_ms:float -> target:float -> unit -> t
-(** [now_s] (default wall-clock seconds) is injectable so tests can drive
-    the windows deterministically.  [target] is clamped away from [1.]
-    only in the burn computation (budget floor [1e-9]), never stored
-    modified. *)
+(** [now_s] (default: whole seconds of {!Obs.Clock.now_ns}, so wall-clock
+    steps move no window) is injectable so tests can drive the windows
+    deterministically.  [target] is clamped away from [1.] only in the
+    burn computation (budget floor [1e-9]), never stored modified. *)
 
 val record : t -> latency_s:float -> unit
 (** Count one finished request; it burns budget iff
-    [latency_s *. 1000. > objective_ms]. *)
+    [latency_s *. 1000. > objective_ms].  The latency also enters the ring
+    and the running maximum. *)
 
 val record_bad : t -> unit
 (** Count one request as burning budget regardless of latency — sheds and
@@ -36,6 +43,13 @@ type snapshot = {
   target : float;
   burn_1m : float;
   burn_1h : float;
+  latency_p50_us : float;
+  latency_p90_us : float;
+  latency_p99_us : float;
+      (** Percentiles over the ring ({!Repro_stats.Stats.percentile}). *)
+  latency_max_us : float;  (** Over every recorded request. *)
 }
 
 val snapshot : t -> snapshot
+(** Copies the ring under the lock and sorts the copy once after releasing
+    it.  Latency fields are [0.] before the first {!record}. *)

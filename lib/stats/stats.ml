@@ -27,11 +27,11 @@ let median xs =
 let minimum xs = List.fold_left Float.min infinity (require_nonempty "minimum" xs)
 let maximum xs = List.fold_left Float.max neg_infinity (require_nonempty "maximum" xs)
 
-let percentile q xs =
+let percentile_sorted q arr =
   if q < 0. || q > 100. then invalid_arg "Repro_stats.Stats.percentile: q outside [0,100]";
-  let arr = Array.of_list (sorted (require_nonempty "percentile" xs)) in
   let n = Array.length arr in
-  if n = 1 then arr.(0)
+  if n = 0 then invalid_arg "Repro_stats.Stats.percentile: empty input"
+  else if n = 1 then arr.(0)
   else begin
     let rank = q /. 100. *. float_of_int (n - 1) in
     let lo = int_of_float (Float.floor rank) in
@@ -39,6 +39,8 @@ let percentile q xs =
     let frac = rank -. float_of_int lo in
     arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo)))
   end
+
+let percentile q xs = percentile_sorted q (Array.of_list (sorted xs))
 
 let abs_pct_error ~reference estimate =
   if reference = 0. then invalid_arg "Repro_stats.Stats.abs_pct_error: zero reference";

@@ -18,6 +18,10 @@ val percentile : float -> float list -> float
 (** [percentile q xs] with [q] in [\[0,100\]], linear interpolation.
     @raise Invalid_argument on empty list or out-of-range [q]. *)
 
+val percentile_sorted : float -> float array -> float
+(** {!percentile} over an array already sorted in ascending order, so
+    several percentiles of one sample pay for one sort. *)
+
 val abs_pct_error : reference:float -> float -> float
 (** [100 * |estimate - reference| / reference] — the paper's inaccuracy
     metric ("mean absolute difference ... in percent").

@@ -225,6 +225,17 @@ let test_audit_end_to_end () =
           has {|contention_serve_audit_drift{estimator="second-order"} 0|};
           has "contention_serve_audit_dropped_total 0";
           has "contention_serve_audit_failed_total 0";
+          has "contention_serve_audit_submitted_total 1";
+          (* The alarm counter appears on the first alarm: its absence is
+             how a scrape reads zero alarms. *)
+          if
+            List.exists
+              (fun l ->
+                String.starts_with ~prefix:"contention_serve_audit_alarms_total" l)
+              (String.split_on_char '\n' exposition)
+          then
+            Alcotest.failf "alarm counter exposed without an alarm:\n%s"
+              exposition;
           (* The audit journal record joins the originating request's trace:
              same trace id as the estimate line and as the replay span. *)
           let records = read_json_lines journal_path in

@@ -1,7 +1,8 @@
-(* The contention serve daemon: unit tests for the store, the LRU cache,
-   the metrics and the protocol codecs, robustness of a live server against
-   malformed input, the stored reply bytes of cache hits, cache-put
-   entries and evicted keys, and the end-to-end integration scenario — two
+(* The contention serve daemon: unit tests for the store, the LRU cache
+   and the protocol codecs, the stats reply against the metric registry
+   (also under load), robustness of a live server against malformed
+   input, the stored reply bytes of cache hits, cache-put entries and
+   evicted keys, and the end-to-end integration scenario — two
    concurrent clients driving upload → estimate (cache hit on the second) →
    admit → reject-victim → release → stats, with the served numbers agreeing
    bit-for-bit with direct Contention.Analysis calls, and a clean shutdown. *)
@@ -66,44 +67,7 @@ let test_lru () =
   Alcotest.(check (option int)) "refresh in place" (Some 33)
     (Serve.Lru.find c "c");
   Alcotest.(check int) "length" 2 (Serve.Lru.length c);
-  Alcotest.(check int) "capacity" 2 (Serve.Lru.capacity c);
-  Alcotest.(check int) "hits" 4 (Serve.Lru.hits c);
-  Alcotest.(check int) "misses" 2 (Serve.Lru.misses c)
-
-(* --- metrics --------------------------------------------------------- *)
-
-let test_metrics () =
-  let m = Serve.Metrics.create () in
-  let s0 = Serve.Metrics.snapshot m in
-  Alcotest.(check int) "no requests yet" 0 s0.requests_total;
-  Alcotest.(check (float 0.)) "latency zero before requests" 0.
-    s0.latency_mean_us;
-  Serve.Metrics.incr_connections m;
-  for _ = 1 to 10 do
-    Serve.Metrics.record m ~cmd:"estimate" ~latency_s:1e-3
-  done;
-  Serve.Metrics.record m ~cmd:"ping" ~latency_s:11e-3;
-  Serve.Metrics.record_admission_verdict m (Protocol.Admitted { throughput = 1.; margin = None });
-  Serve.Metrics.record_admission_verdict m
-    (Protocol.Rejected_victim { victim = "A"; estimated = 0.; required = 1. });
-  Serve.Metrics.incr_released m;
-  let s = Serve.Metrics.snapshot m in
-  Alcotest.(check int) "connections" 1 s.connections;
-  Alcotest.(check int) "total" 11 s.requests_total;
-  Alcotest.(check (list (pair string int)))
-    "per-command counters"
-    [ ("estimate", 10); ("ping", 1) ]
-    s.requests;
-  Alcotest.(check int) "admitted" 1 s.admitted;
-  Alcotest.(check int) "rejected victim" 1 s.rejected_victim;
-  Alcotest.(check int) "released" 1 s.released;
-  Alcotest.(check int) "samples" 11 s.latency_samples;
-  Fixtures.check_float ~eps:1e-6 "mean"
-    ((10. *. 1000.) +. 11_000.) (s.latency_mean_us *. 11.);
-  Fixtures.check_float ~eps:1e-6 "p50" 1000. s.latency_p50_us;
-  Fixtures.check_float ~eps:1e-6 "max" 11_000. s.latency_max_us;
-  if s.latency_p99_us < s.latency_p50_us then
-    Alcotest.fail "p99 below p50"
+  Alcotest.(check int) "capacity" 2 (Serve.Lru.capacity c)
 
 (* --- protocol codecs ------------------------------------------------- *)
 
@@ -420,6 +384,132 @@ let test_stored_replies () =
         "second miss after eviction" first
         (send (estimate digest (Contention.Analysis.Order 2))))
 
+(* --- stats reads the registry ------------------------------------------ *)
+
+(* The payload of one request line through the in-process entry. *)
+let payload server line =
+  Protocol.unwrap_reply
+    (unwrap (Json.of_string (Serve.Server.handle_line server line)))
+
+let stats_of server =
+  unwrap
+    (Result.bind (payload server {|{"cmd":"stats"}|}) Protocol.stats_reply_of_json)
+
+let test_metrics () =
+  with_server (fun server port ->
+      let d = upload_in_process server (small_workload ()) in
+      let send fmt = Printf.ksprintf (payload server) fmt in
+      let admit app floor extra =
+        unwrap
+          (Result.bind
+             (send
+                {|{"cmd":"admit","session":"s","workload":%S,"app":%S,"min_throughput":%g%s}|}
+                d app floor extra)
+             Protocol.verdict_of_json)
+      in
+      (* One ping over a connection, so the connection counter moves; the
+         rest go through [handle_line] directly. *)
+      with_client port (fun c -> unwrap (Serve.Client.ping c));
+      ignore (unwrap (send {|{"cmd":"ping"}|}));
+      for _ = 1 to 2 do
+        ignore (unwrap (send {|{"cmd":"estimate","workload":%S}|} d))
+      done;
+      let width =
+        match admit "A" 0. {|,"confidence":0.95|} with
+        | Protocol.Admitted { margin = Some m; _ } ->
+            Contention.Margin.rel_width m
+        | _ -> Alcotest.fail "A not admitted with a margin"
+      in
+      (match admit "B" 1e9 "" with
+      | Protocol.Rejected_candidate _ -> ()
+      | _ -> Alcotest.fail "B admitted at an unreachable throughput");
+      ignore (unwrap (send {|{"cmd":"release","session":"s","app":"A"}|}));
+      expect_error "release of an unknown app"
+        (send {|{"cmd":"release","session":"s","app":"Z"}|});
+      expect_error "malformed line" (send "not json");
+      let s = stats_of server in
+      Alcotest.(check (list (pair string int)))
+        "per-command counts"
+        [ ("admit", 2); ("estimate", 2); ("invalid", 1); ("ping", 2);
+          ("release", 2); ("upload", 1) ]
+        s.Protocol.requests;
+      let open Protocol in
+      Alcotest.(check int) "total" 10 s.requests_total;
+      Alcotest.(check int) "latency samples" 10 s.latency_samples;
+      Alcotest.(check (float 0.)) "margin width" width s.margin_mean_rel_width;
+      if
+        not
+          (0. < s.latency_p50_us && s.latency_p50_us <= s.latency_p90_us
+          && s.latency_p90_us <= s.latency_p99_us
+          && s.latency_p99_us <= s.latency_max_us
+          && s.latency_mean_us <= s.latency_max_us)
+      then Alcotest.fail "latency summary out of order";
+      (* Every count against its expected value and its series. *)
+      let exposition =
+        String.split_on_char '\n'
+          (unwrap
+             (Result.bind (send {|{"cmd":"metrics"}|}) metrics_reply_of_json))
+            .prometheus
+      in
+      let admissions =
+        Printf.sprintf "contention_serve_admissions_total{verdict=%S}"
+      in
+      let per_command name =
+        List.map (fun (cmd, n) -> (Printf.sprintf "%s{cmd=%S}" name cmd, n, n))
+      in
+      List.iter
+        (fun (series, got, expected) ->
+          Alcotest.(check int) series expected got;
+          let line = Printf.sprintf "%s %d" series got in
+          if not (List.mem line exposition) then
+            Alcotest.failf "exposition lacks %S" line)
+        ([
+           ("contention_serve_connections_total", s.connections, 1);
+           ("contention_serve_cache_hits_total", s.cache_hits, 1);
+           ("contention_serve_cache_misses_total", s.cache_misses, 1);
+           ("contention_serve_shed_total", s.shed, 0);
+           (admissions "admitted", s.admitted, 1);
+           (admissions "rejected-candidate", s.rejected_candidate, 1);
+           (admissions "rejected-victim", s.rejected_victim, 0);
+           ("contention_serve_releases_total", s.released, 1);
+           ("contention_serve_margin_rel_width_count", s.margins_served, 1);
+         ]
+        @ per_command "contention_serve_requests_total" s.requests
+        @ per_command "contention_serve_request_seconds_count" s.requests))
+
+(* Two domains keep sending requests while [stats] is read: every reply
+   must agree with itself. *)
+let test_stats_under_load () =
+  with_server (fun server _port ->
+      let stop = Atomic.make false in
+      let sender line () =
+        while not (Atomic.get stop) do
+          ignore (Serve.Server.handle_line server line : string)
+        done
+      in
+      let senders =
+        List.map
+          (fun l -> Domain.spawn (sender l))
+          [ {|{"cmd":"ping"}|}; "not json" ]
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set stop true;
+          List.iter Domain.join senders)
+        (fun () ->
+          for _ = 1 to 200 do
+            let s = stats_of server in
+            let sum =
+              List.fold_left (fun n (_, c) -> n + c) 0 s.Protocol.requests
+            in
+            if
+              s.Protocol.requests_total <> sum
+              || s.Protocol.latency_samples <> sum
+            then
+              Alcotest.failf "total %d, samples %d, per-command sum %d"
+                s.Protocol.requests_total s.Protocol.latency_samples sum
+          done))
+
 let test_release_errors () =
   with_server (fun _server port ->
       with_client port (fun c ->
@@ -649,4 +739,6 @@ let suite =
     Alcotest.test_case "integration" `Quick test_integration;
     Alcotest.test_case "graceful stop, idle client" `Quick
       test_graceful_stop_with_idle_client;
+    Alcotest.test_case "stats consistent under load" `Quick
+      test_stats_under_load;
   ]
