@@ -104,8 +104,6 @@ type estimator = {
   m_drift : Obs.Metric.Gauge.t;
 }
 
-(* The counts of the stats reply live in the registry; only what has no
-   registry form (the detectors, max |err|) is kept here, under [mutex]. *)
 type t = {
   config : config;
   registry : Obs.Metric.registry;

@@ -110,8 +110,6 @@ type cache_key = string * Contention.Usecase.t * string
    hit answers with.  Immutable, so worker domains share it as is. *)
 type entry = { rows : Protocol.estimate_row list; body : string }
 
-(* The registry is the server's only set of books: [stats] reads the same
-   handles a Prometheus scrape renders. *)
 type t = {
   config : config;
   store : Store.t;
@@ -121,8 +119,7 @@ type t = {
   registry : Obs.Metric.registry;
   (* Per command, its request counter and latency histogram, resolved on
      the command's first request so a series appears with its first
-     sample.  The histograms' counts and sums are the [stats] request
-     counts and mean latency. *)
+     sample. *)
   m_commands :
     (string * (Obs.Metric.Counter.t * Obs.Metric.Histogram.t)) list Atomic.t;
   m_connections : Obs.Metric.Counter.t;
@@ -528,34 +525,32 @@ let handle_release t ~session ~app =
 
 (* The burn gauges are computed, not incremented: refresh them from the
    ring whenever somebody looks (stats or a Prometheus scrape). *)
-let refresh_slo_gauges t =
-  let s = Slo.snapshot t.slo in
-  Obs.Metric.Gauge.set t.m_burn_1m s.burn_1m;
-  Obs.Metric.Gauge.set t.m_burn_1h s.burn_1h;
-  s
+let refresh_slo_gauges t (burn_1m, burn_1h) =
+  Obs.Metric.Gauge.set t.m_burn_1m burn_1m;
+  Obs.Metric.Gauge.set t.m_burn_1h burn_1h
 
 (* Request counts, their total and the latency sample count all come from
    one read of each command's histogram count, so they agree. *)
 let handle_stats t =
-  let slo = refresh_slo_gauges t in
+  let slo = Slo.snapshot t.slo in
+  refresh_slo_gauges t (slo.burn_1m, slo.burn_1h);
   let count c = int_of_float (Obs.Metric.Counter.value c) in
   let mean ~sum n = if n = 0 then 0. else sum /. float_of_int n in
-  let commands =
-    List.map
-      (fun (cmd, (_, seconds)) ->
-        (cmd, Obs.Metric.Histogram.count seconds, Obs.Metric.Histogram.sum seconds))
-      (Atomic.get t.m_commands)
+  let requests, latency_sum =
+    List.fold_left
+      (fun (reqs, sum) (cmd, (_, seconds)) ->
+        ( (cmd, Obs.Metric.Histogram.count seconds) :: reqs,
+          sum +. Obs.Metric.Histogram.sum seconds ))
+      ([], 0.) (Atomic.get t.m_commands)
   in
-  let requests_total = List.fold_left (fun n (_, c, _) -> n + c) 0 commands in
-  let latency_sum = List.fold_left (fun acc (_, _, s) -> acc +. s) 0. commands in
+  let requests_total = List.fold_left (fun n (_, c) -> n + c) 0 requests in
   let margins_served = Obs.Metric.Histogram.count t.m_margin_width in
   Protocol.ok
     (Protocol.stats_reply_to_json
        {
          Protocol.uptime_s = Obs.Clock.elapsed_s ~since:t.started;
          connections = count t.m_connections;
-         requests =
-           List.sort compare (List.map (fun (cmd, c, _) -> (cmd, c)) commands);
+         requests = List.sort compare requests;
          requests_total;
          workloads = Store.count t.store;
          sessions = session_count t;
@@ -623,7 +618,7 @@ let dispatch t (request : Protocol.request) =
       line (handle_cache_put t ~digest ~mask ~estimator ~rows)
   | Protocol.Stats -> line (handle_stats t)
   | Protocol.Metrics ->
-      ignore (refresh_slo_gauges t);
+      refresh_slo_gauges t (Slo.burn_rates t.slo);
       line
         (Protocol.ok
            (Protocol.metrics_reply_to_json

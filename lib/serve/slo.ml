@@ -101,11 +101,17 @@ type snapshot = {
   latency_max_us : float;
 }
 
-let snapshot t =
+let burn_rates t =
   let sec = t.now_s () in
   Mutex.lock t.mutex;
   let burn_1m = burn_locked t ~window:60 ~sec in
   let burn_1h = burn_locked t ~window:3600 ~sec in
+  Mutex.unlock t.mutex;
+  (burn_1m, burn_1h)
+
+let snapshot t =
+  let burn_1m, burn_1h = burn_rates t in
+  Mutex.lock t.mutex;
   let recent = Array.sub t.latencies 0 (Int.min t.samples ring_size) in
   let max_s = t.max_s in
   Mutex.unlock t.mutex;

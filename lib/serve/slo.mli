@@ -53,3 +53,7 @@ type snapshot = {
 val snapshot : t -> snapshot
 (** Copies the ring under the lock and sorts the copy once after releasing
     it.  Latency fields are [0.] before the first {!record}. *)
+
+val burn_rates : t -> float * float
+(** [(burn_1m, burn_1h)] of {!snapshot}, without copying or sorting the
+    latency ring. *)
