@@ -5,9 +5,9 @@
    absolute second it was last written; a stale bucket is reset lazily on
    the next write and skipped by reads, so there is no sweeper thread and
    no wipe loop on the hot path.  All state lives under one mutex —
-   recording is two integer increments and one array store, far off the
-   serve critical path's scale; a snapshot sorts its copy of the latency
-   ring after releasing it. *)
+   recording is a handful of stores, far off the serve critical path's
+   scale; a snapshot sorts its copy of the latency ring after releasing
+   it. *)
 
 let ring_size = 4096
 
