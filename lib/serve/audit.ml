@@ -174,13 +174,23 @@ let estimator_for t est =
       Obs.Metric.Gauge.set e.m_drift 0.;
       e
 
+(* One audit journal line: the time, the originating trace, [cmd], the
+   workload and the shard, then [fields]. *)
+let journal_line t j ~ctx ~cmd ~digest fields =
+  let opt name conv = Option.fold ~none:[] ~some:(fun v -> [ (name, conv v) ]) in
+  Journal.record j
+    (Json.Obj
+       ([ ("ts", Json.Num (Unix.gettimeofday ())) ]
+       @ opt "trace"
+           (fun (c : Obs.Span.ctx) -> Json.Str (Obs.Span.id_to_hex c.trace_id))
+           ctx
+       @ [ ("cmd", Json.Str cmd); ("workload", Json.Str digest) ]
+       @ opt "shard" (fun s -> Json.Str s) t.shard
+       @ fields))
+
 let journal_record t (task : task) ~errs ~outcome =
   match t.journal with
   | Some j when Journal.sampled j ~ctx:task.ctx ->
-      let opt name conv = function
-        | None -> []
-        | Some v -> [ (name, conv v) ]
-      in
       let mean_err, max_abs =
         match errs with
         | [] -> (0., 0.)
@@ -189,22 +199,14 @@ let journal_record t (task : task) ~errs ~outcome =
             ( List.fold_left ( +. ) 0. errs /. n,
               List.fold_left (fun m e -> Float.max m (Float.abs e)) 0. errs )
       in
-      Journal.record j
-        (Json.Obj
-           ([ ("ts", Json.Num (Unix.gettimeofday ())) ]
-           @ opt "trace"
-               (fun (c : Obs.Span.ctx) ->
-                 Json.Str (Obs.Span.id_to_hex c.trace_id))
-               task.ctx
-           @ [ ("cmd", Json.Str "audit"); ("workload", Json.Str task.digest) ]
-           @ opt "shard" (fun s -> Json.Str s) t.shard
-           @ [
-               ("estimator", Json.Str task.estimator);
-               ("outcome", Json.Str outcome);
-               ("rows", Json.Num (float_of_int (List.length task.rows)));
-               ("mean_err", Json.Num mean_err);
-               ("max_abs_err", Json.Num max_abs);
-             ]))
+      journal_line t j ~ctx:task.ctx ~cmd:"audit" ~digest:task.digest
+        [
+          ("estimator", Json.Str task.estimator);
+          ("outcome", Json.Str outcome);
+          ("rows", Json.Num (float_of_int (List.length task.rows)));
+          ("mean_err", Json.Num mean_err);
+          ("max_abs_err", Json.Num max_abs);
+        ]
   | _ -> ()
 
 (* Replay one served estimate: simulate the same use-case and compare each
@@ -276,30 +278,16 @@ let process t (task : task) =
 let margin_journal_record t (task : margin_task) ~observed ~outcome =
   match t.journal with
   | Some j when Journal.sampled j ~ctx:task.m_ctx ->
-      let opt name conv = function
-        | None -> []
-        | Some v -> [ (name, conv v) ]
-      in
-      Journal.record j
-        (Json.Obj
-           ([ ("ts", Json.Num (Unix.gettimeofday ())) ]
-           @ opt "trace"
-               (fun (c : Obs.Span.ctx) ->
-                 Json.Str (Obs.Span.id_to_hex c.trace_id))
-               task.m_ctx
-           @ [
-               ("cmd", Json.Str "audit-margin");
-               ("workload", Json.Str task.m_digest);
-             ]
-           @ opt "shard" (fun s -> Json.Str s) t.shard
-           @ [
-               ("app", Json.Str task.m_app);
-               ("confidence", Json.Num task.m_margin.Contention.Margin.confidence);
-               ("lo", Json.Num task.m_margin.Contention.Margin.lo);
-               ("hi", Json.Num task.m_margin.Contention.Margin.hi);
-               ("outcome", Json.Str outcome);
-             ]
-           @ opt "observed" (fun p -> Json.Num p) observed))
+      let m = task.m_margin in
+      journal_line t j ~ctx:task.m_ctx ~cmd:"audit-margin" ~digest:task.m_digest
+        ([
+           ("app", Json.Str task.m_app);
+           ("confidence", Json.Num m.Contention.Margin.confidence);
+           ("lo", Json.Num m.lo);
+           ("hi", Json.Num m.hi);
+           ("outcome", Json.Str outcome);
+         ]
+        @ Option.fold ~none:[] ~some:(fun p -> [ ("observed", Json.Num p) ]) observed)
   | _ -> ()
 
 (* Replay one served margin: simulate the admitted population and check the

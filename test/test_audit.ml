@@ -123,10 +123,9 @@ let test_sampler () =
 
 (* --- end to end -------------------------------------------------------- *)
 
-let contains ~what hay needle =
-  let nh = String.length needle and nl = String.length hay in
-  let rec at i = i + nh <= nl && (String.sub hay i nh = needle || at (i + 1)) in
-  if not (at 0) then Alcotest.failf "%s lacks %S:\n%s" what needle hay
+let contains ~what hay affix =
+  if not (Fixtures.contains ~affix hay) then
+    Alcotest.failf "%s lacks %S:\n%s" what affix hay
 
 let read_json_lines path =
   In_channel.with_open_text path (fun ic ->
@@ -228,11 +227,7 @@ let test_audit_end_to_end () =
           has "contention_serve_audit_submitted_total 1";
           (* The alarm counter appears on the first alarm: its absence is
              how a scrape reads zero alarms. *)
-          if
-            List.exists
-              (fun l ->
-                String.starts_with ~prefix:"contention_serve_audit_alarms_total" l)
-              (String.split_on_char '\n' exposition)
+          if Fixtures.contains ~affix:"contention_serve_audit_alarms" exposition
           then
             Alcotest.failf "alarm counter exposed without an alarm:\n%s"
               exposition;

@@ -395,6 +395,28 @@ let stats_of server =
   unwrap
     (Result.bind (payload server {|{"cmd":"stats"}|}) Protocol.stats_reply_of_json)
 
+(* The samples of a [metrics] reply, as (series, value) pairs.  They also
+   count the [stats] request read before, which that reply did not. *)
+let samples_of server =
+  List.filter_map
+    (fun l ->
+      match String.rindex_opt l ' ' with
+      | Some i when l.[0] <> '#' ->
+          Some (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
+      | _ -> None)
+    (String.split_on_char '\n'
+       (unwrap
+          (Result.bind (payload server {|{"cmd":"metrics"}|})
+             Protocol.metrics_reply_of_json))
+         .Protocol.prometheus)
+
+(* A [stats] count against its expected value and its series. *)
+let check_series samples (series, got, expected) =
+  Alcotest.(check int) series expected got;
+  Alcotest.(check (option string))
+    (series ^ " exposed") (Some (string_of_int got))
+    (List.assoc_opt series samples)
+
 let test_metrics () =
   with_server (fun server port ->
       let d = upload_in_process server (small_workload ()) in
@@ -427,42 +449,46 @@ let test_metrics () =
       expect_error "release of an unknown app"
         (send {|{"cmd":"release","session":"s","app":"Z"}|});
       expect_error "malformed line" (send "not json");
+      (* Push the upload and the estimates out of the 4,096-latency ring:
+         the mean must still cover them. *)
+      for _ = 1 to 4096 do
+        ignore (unwrap (send {|{"cmd":"ping"}|}))
+      done;
       let s = stats_of server in
       Alcotest.(check (list (pair string int)))
         "per-command counts"
-        [ ("admit", 2); ("estimate", 2); ("invalid", 1); ("ping", 2);
+        [ ("admit", 2); ("estimate", 2); ("invalid", 1); ("ping", 4098);
           ("release", 2); ("upload", 1) ]
         s.Protocol.requests;
       let open Protocol in
-      Alcotest.(check int) "total" 10 s.requests_total;
-      Alcotest.(check int) "latency samples" 10 s.latency_samples;
+      Alcotest.(check int) "total" 4106 s.requests_total;
+      Alcotest.(check int) "latency samples" 4106 s.latency_samples;
       Alcotest.(check (float 0.)) "margin width" width s.margin_mean_rel_width;
       if
         not
           (0. < s.latency_p50_us && s.latency_p50_us <= s.latency_p90_us
           && s.latency_p90_us <= s.latency_p99_us
           && s.latency_p99_us <= s.latency_max_us
-          && s.latency_mean_us <= s.latency_max_us)
+          && 0. < s.latency_mean_us && s.latency_mean_us <= s.latency_max_us)
       then Alcotest.fail "latency summary out of order";
-      (* Every count against its expected value and its series. *)
-      let exposition =
-        String.split_on_char '\n'
-          (unwrap
-             (Result.bind (send {|{"cmd":"metrics"}|}) metrics_reply_of_json))
-            .prometheus
+      let samples = samples_of server in
+      let seconds (cmd, _) =
+        float_of_string
+          (List.assoc
+             (Printf.sprintf "contention_serve_request_seconds_sum{cmd=%S}" cmd)
+             samples)
       in
+      Fixtures.check_float ~eps:1e-9 "mean latency covers every request"
+        (1e6 *. List.fold_left (fun a c -> a +. seconds c) 0. s.requests /. 4106.)
+        s.latency_mean_us;
+      (* Every count against its expected value and its series. *)
       let admissions =
         Printf.sprintf "contention_serve_admissions_total{verdict=%S}"
       in
       let per_command name =
         List.map (fun (cmd, n) -> (Printf.sprintf "%s{cmd=%S}" name cmd, n, n))
       in
-      List.iter
-        (fun (series, got, expected) ->
-          Alcotest.(check int) series expected got;
-          let line = Printf.sprintf "%s %d" series got in
-          if not (List.mem line exposition) then
-            Alcotest.failf "exposition lacks %S" line)
+      List.iter (check_series samples)
         ([
            ("contention_serve_connections_total", s.connections, 1);
            ("contention_serve_cache_hits_total", s.cache_hits, 1);
@@ -477,38 +503,41 @@ let test_metrics () =
         @ per_command "contention_serve_requests_total" s.requests
         @ per_command "contention_serve_request_seconds_count" s.requests))
 
-(* Two domains keep sending requests while [stats] is read: every reply
-   must agree with itself. *)
+(* Two domains each send [n] pings and [n] malformed lines, racing on the
+   same handles and to list each command, while [stats] is read.  Each
+   reply agrees with itself, and at the end [stats] and the exposition
+   count every request sent. *)
 let test_stats_under_load () =
+  let n = 2000 in
   with_server (fun server _port ->
-      let stop = Atomic.make false in
-      let sender line () =
-        while not (Atomic.get stop) do
-          ignore (Serve.Server.handle_line server line : string)
-        done
+      let running = Atomic.make 2 in
+      let sender () =
+        Fun.protect
+          ~finally:(fun () -> Atomic.decr running)
+          (fun () ->
+            for _ = 1 to n do
+              ignore (Serve.Server.handle_line server {|{"cmd":"ping"}|} : string);
+              ignore (Serve.Server.handle_line server "not json" : string)
+            done)
       in
-      let senders =
-        List.map
-          (fun l -> Domain.spawn (sender l))
-          [ {|{"cmd":"ping"}|}; "not json" ]
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Atomic.set stop true;
-          List.iter Domain.join senders)
-        (fun () ->
-          for _ = 1 to 200 do
-            let s = stats_of server in
-            let sum =
-              List.fold_left (fun n (_, c) -> n + c) 0 s.Protocol.requests
-            in
-            if
-              s.Protocol.requests_total <> sum
-              || s.Protocol.latency_samples <> sum
-            then
-              Alcotest.failf "total %d, samples %d, per-command sum %d"
-                s.Protocol.requests_total s.Protocol.latency_samples sum
-          done))
+      let senders = List.init 2 (fun _ -> Domain.spawn sender) in
+      while Atomic.get running > 0 do
+        let s = stats_of server in
+        let sum = List.fold_left (fun n (_, c) -> n + c) 0 s.Protocol.requests in
+        if s.requests_total <> sum || s.latency_samples <> sum then
+          Alcotest.failf "total %d, samples %d, per-command sum %d"
+            s.requests_total s.latency_samples sum
+      done;
+      List.iter Domain.join senders;
+      let s = stats_of server in
+      let samples = samples_of server in
+      List.iter
+        (fun cmd ->
+          check_series samples
+            ( Printf.sprintf "contention_serve_requests_total{cmd=%S}" cmd,
+              Option.value ~default:0 (List.assoc_opt cmd s.Protocol.requests),
+              2 * n ))
+        [ "ping"; "invalid" ])
 
 let test_release_errors () =
   with_server (fun _server port ->
@@ -686,14 +715,10 @@ let test_integration () =
             Alcotest.fail "pool occupancy must be positive";
           (* The Prometheus exposition over the wire carries the per-command
              counters and latency histograms. *)
-          let m = unwrap (Serve.Client.metrics c) in
-          let contains needle =
-            let hay = m.Protocol.prometheus in
-            let nh = String.length needle and nl = String.length hay in
-            let rec at i = i + nh <= nl
-              && (String.sub hay i nh = needle || at (i + 1)) in
-            if not (at 0) then
-              Alcotest.failf "metrics exposition lacks %S:\n%s" needle hay
+          let hay = (unwrap (Serve.Client.metrics c)).Protocol.prometheus in
+          let contains affix =
+            if not (Fixtures.contains ~affix hay) then
+              Alcotest.failf "metrics exposition lacks %S:\n%s" affix hay
           in
           contains "# TYPE contention_serve_requests_total counter";
           contains "contention_serve_requests_total{cmd=\"estimate\"} 4";
