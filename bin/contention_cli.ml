@@ -34,14 +34,18 @@ let procs_arg =
 
 (* A simulation stops at the first event past its horizon, so a NaN or
    infinite one never stops and a non-positive one yields NaN periods.  The
-   library raises Invalid_argument on them; here they get a message and
-   exit 2 like every other bad argument. *)
-let finite_positive ~flag value =
-  if Float.is_finite value && value > 0. then value
+   library raises Invalid_argument on such values; here they get a message
+   naming the flag and exit 2 like every other bad argument. *)
+let checked ~flag ~range ok value =
+  if ok value then value
   else begin
-    Printf.eprintf "contention: --%s must be finite and positive, got %g\n" flag value;
+    Printf.eprintf "contention: --%s must be %s, got %g\n" flag range value;
     exit 2
   end
+
+let finite_positive ~flag =
+  checked ~flag ~range:"finite and positive" (fun v ->
+      Float.is_finite v && v > 0.)
 
 let horizon_arg =
   let doc = "Simulation horizon in time units (the paper used 500000)." in
@@ -551,11 +555,18 @@ let serve_cmd =
       "Latency objective in milliseconds: slower requests (and sheds) burn \
        the SLO error budget reported by $(b,stats) and the metrics page."
     in
-    Arg.(value & opt float 50. & info [ "slo-latency-ms" ] ~docv:"MS" ~doc)
+    Term.(
+      const (finite_positive ~flag:"slo-latency-ms")
+      $ Arg.(value & opt float 50. & info [ "slo-latency-ms" ] ~docv:"MS" ~doc))
   in
   let slo_target_arg =
     let doc = "SLO availability target, e.g. 0.999." in
-    Arg.(value & opt float 0.999 & info [ "slo-target" ] ~docv:"FRACTION" ~doc)
+    Term.(
+      const
+        (checked ~flag:"slo-target" ~range:"in (0, 1)" (fun v ->
+             v > 0. && v < 1.))
+      $ Arg.(
+          value & opt float 0.999 & info [ "slo-target" ] ~docv:"FRACTION" ~doc))
   in
   let audit_sample_arg =
     let doc =
@@ -579,10 +590,14 @@ let serve_cmd =
       "Page-Hinkley slack: per-sample mean shifts below $(docv) never \
        accumulate toward a drift alarm."
     in
-    Arg.(
-      value
-      & opt float Serve.Audit.default_config.Serve.Audit.drift_delta
-      & info [ "audit-drift-delta" ] ~docv:"D" ~doc)
+    Term.(
+      const
+        (checked ~flag:"audit-drift-delta" ~range:"finite and non-negative"
+           (fun v -> Float.is_finite v && v >= 0.))
+      $ Arg.(
+          value
+          & opt float Serve.Audit.default_config.Serve.Audit.drift_delta
+          & info [ "audit-drift-delta" ] ~docv:"D" ~doc))
   in
   let audit_drift_lambda_arg =
     let doc =
@@ -591,10 +606,12 @@ let serve_cmd =
        actually served — the default suits a stream of near-identical \
        errors; a varied working set needs a larger value."
     in
-    Arg.(
-      value
-      & opt float Serve.Audit.default_config.Serve.Audit.drift_lambda
-      & info [ "audit-drift-lambda" ] ~docv:"L" ~doc)
+    Term.(
+      const (finite_positive ~flag:"audit-drift-lambda")
+      $ Arg.(
+          value
+          & opt float Serve.Audit.default_config.Serve.Audit.drift_lambda
+          & info [ "audit-drift-lambda" ] ~docv:"L" ~doc))
   in
   let run host port unix_path jobs cache max_queue hot_threshold peers
       peers_file journal journal_sample journal_max_bytes slo_latency_ms

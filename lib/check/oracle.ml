@@ -20,8 +20,6 @@ let default_config =
 
 type outcome = { violations : violation list; errors : (string * float) list }
 
-let passed o = o.violations = []
-
 let estimators =
   [
     ("wc", Analysis.Worst_case);

@@ -77,8 +77,6 @@ type outcome = {
           simulation itself was flagged. *)
 }
 
-val passed : outcome -> bool
-
 val estimators : (string * Contention.Analysis.estimator) list
 (** The checked estimators with their report names, most conservative
     first: wc, order-2, order-4, comp, exact. *)

@@ -13,18 +13,6 @@ type config = {
   trace_sample : int;
 }
 
-let default_config =
-  {
-    rate = 200.;
-    duration_s = 5.;
-    concurrency = 16;
-    arrival = Poisson;
-    skew = 1.0;
-    seed = 2007;
-    estimator = Contention.Analysis.Order 2;
-    trace_sample = 0;
-  }
-
 type shard_stats = {
   s_ok : int;
   s_shed : int;

@@ -32,10 +32,6 @@ type config = {
           issues context-free requests. *)
 }
 
-val default_config : config
-(** 200 req/s for 5 s, 16 threads, Poisson arrivals, skew 1.0, seed 2007,
-    second-order estimator, no trace contexts. *)
-
 type shard_stats = {
   s_ok : int;
   s_shed : int;

@@ -41,20 +41,10 @@ let sample_family line =
 
 (* Inject [shard="<name>"] as the first label of a sample line.  The label
    value is escaped per the exposition format. *)
-let escape_label_value v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
 let label_sample ~shard line =
-  let tag = Printf.sprintf "shard=\"%s\"" (escape_label_value shard) in
+  let tag =
+    Printf.sprintf "shard=\"%s\"" (Obs.Prometheus.escape_label_value shard)
+  in
   match String.index_opt line '{' with
   | Some i ->
       String.sub line 0 (i + 1)

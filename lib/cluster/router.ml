@@ -34,7 +34,6 @@ let create ?replicas ?pool_size ?timeout endpoints =
 let endpoints t = List.map snd t.endpoints
 let ring t = t.ring
 let pool_of t name = List.assoc name t.pools
-let route t ~digest = List.assoc (Ring.lookup t.ring digest) t.endpoints
 
 let is_transport_error msg =
   String.length msg >= 10 && String.sub msg 0 10 = "transport:"
@@ -83,7 +82,7 @@ let routed t ~digest json decode =
           | next :: _ -> (request_on (pool_of t next) json decode, next))
       | v -> (v, primary))
 
-(* The routed calls open a router-side span and build the request envelope
+(* The routed call opens a router-side span and builds the request envelope
    inside it, so the trace context the wire carries names the router span
    as parent — the server's serve.<cmd> span nests under it, and with
    tracing disabled the only cost is the ambient-context read. *)
@@ -96,27 +95,6 @@ let estimate_routed t ~digest ?usecase ~estimator () =
            ?trace:(Obs.Span.current_context ())
            (Protocol.Estimate { digest; usecase; estimator }))
         Protocol.estimate_reply_of_json)
-
-let estimate t ~digest ?usecase ~estimator () =
-  fst (estimate_routed t ~digest ?usecase ~estimator ())
-
-let admit_routed t ?(session = Protocol.default_session) ?confidence
-    ?margin_method ~digest ~app ~min_throughput () =
-  Obs.Span.with_ ~name:"router.admit"
-    ~args:(fun () -> [ ("digest", digest); ("app", app) ])
-    (fun () ->
-      routed t ~digest
-        (Protocol.request_to_json
-           ?trace:(Obs.Span.current_context ())
-           (Protocol.Admit
-              { session; digest; app; min_throughput; confidence; margin_method }))
-        Protocol.verdict_of_json)
-
-let admit t ?session ?confidence ?margin_method ~digest ~app ~min_throughput ()
-    =
-  fst
-    (admit_routed t ?session ?confidence ?margin_method ~digest ~app
-       ~min_throughput ())
 
 let on_all t f =
   List.map

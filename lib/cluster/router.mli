@@ -34,21 +34,10 @@ val create :
 val endpoints : t -> Endpoint.t list
 val ring : t -> Ring.t
 
-val route : t -> digest:string -> Endpoint.t
-(** The shard owning the digest. *)
-
 val upload : t -> payload:string -> (Serve.Protocol.upload_reply, string) result
 (** Broadcast to every peer; [Ok] only if every peer accepted (the reply is
     the owner shard's).  A partial upload would leave failover broken, so
     any refusal is an error naming the peer. *)
-
-val estimate :
-  t ->
-  digest:string ->
-  ?usecase:string list ->
-  estimator:Contention.Analysis.estimator ->
-  unit ->
-  Serve.Protocol.estimate_reply outcome
 
 val estimate_routed :
   t ->
@@ -57,39 +46,12 @@ val estimate_routed :
   estimator:Contention.Analysis.estimator ->
   unit ->
   Serve.Protocol.estimate_reply outcome * string
-(** {!estimate}, also naming the shard that actually answered (the
-    failover peer when the primary failed at the transport level; [""]
+(** An estimate routed by digest, with the shard that actually answered
+    (the failover peer when the primary failed at the transport level; [""]
     only when there are no peers) — the load generator's per-shard
-    breakdown keys on it.  Routed calls run under a [router.estimate] span
-    and stamp the caller's trace context into the wire envelope, so the
+    breakdown keys on it.  It runs under a [router.estimate] span and
+    stamps the caller's trace context into the wire envelope, so the
     shard's serve span nests under the router's in a merged trace. *)
-
-val admit :
-  t ->
-  ?session:string ->
-  ?confidence:float ->
-  ?margin_method:Contention.Margin.method_ ->
-  digest:string ->
-  app:string ->
-  min_throughput:float ->
-  unit ->
-  Serve.Protocol.verdict outcome
-(** Routed by digest: a session's admission state lives on the shard owning
-    the workload it governs.  [?confidence]/[?margin_method] travel in the
-    wire request unchanged, so a routed admit carries the shard's margin
-    back to the caller. *)
-
-val admit_routed :
-  t ->
-  ?session:string ->
-  ?confidence:float ->
-  ?margin_method:Contention.Margin.method_ ->
-  digest:string ->
-  app:string ->
-  min_throughput:float ->
-  unit ->
-  Serve.Protocol.verdict outcome * string
-(** {!admit} with the answering shard, as {!estimate_routed}. *)
 
 val forward_hot :
   t -> self:Endpoint.t option -> Serve.Server.hot_entry -> unit

@@ -37,7 +37,6 @@ type entry = {
   mutable variances : float array;
       (* per-actor variance of the blocking contribution at [loads], which
          the z-score margin sums; set at join, reset by [observe] *)
-  mutable measured : float option;
   mutable older : entry option;
   mutable newer : entry option;
 }
@@ -320,7 +319,6 @@ let entry_of app req =
     req;
     loads;
     variances = variances app loads;
-    measured = None;
     older = None;
     newer = None;
   }
@@ -470,7 +468,6 @@ let observe t name ~measured_period =
   let e = find t name in
   let old_loads = e.loads in
   let new_loads = Analysis.loads_at_period e.app ~period:measured_period in
-  e.measured <- Some measured_period;
   e.loads <- new_loads;
   e.variances <- variances e.app new_loads;
   t.observes_n <- t.observes_n + 1;
@@ -497,8 +494,6 @@ let observe t name ~measured_period =
     rebuild_aggregates t;
     t.full_rebuilds <- t.full_rebuilds + 1
   end
-
-let observed_period t name = (find t name).measured
 
 let estimated_period t name =
   let e = find t name in

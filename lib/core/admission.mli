@@ -134,9 +134,6 @@ val observe : t -> string -> measured_period:float -> unit
     @raise Invalid_argument on a period that is not finite and positive;
     a refused observation changes nothing. *)
 
-val observed_period : t -> string -> float option
-(** The last recorded measurement, if any.  @raise Not_found as {!observe}. *)
-
 val estimated_period : t -> string -> float
 (** Current period estimate of an admitted application under the present mix.
     @raise Not_found if not admitted. *)

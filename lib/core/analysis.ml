@@ -156,8 +156,6 @@ let throughput e = 1. /. e.period
 
 let adjusted_graph e = Sdf.Graph.with_exec_times e.for_app.graph e.response_times
 
-let contended_metrics e = Sdf.Metrics.analyse (adjusted_graph e)
-
 let waiting_time_for est others =
   match est with
   | Worst_case -> Wcrt.waiting_time others

@@ -105,10 +105,6 @@ val adjusted_graph : estimate -> Sdf.Graph.t
     object the new period was computed on, also usable for latency and
     buffer analysis under contention ({!Sdf.Metrics}). *)
 
-val contended_metrics : estimate -> Sdf.Metrics.t option
-(** {!Sdf.Metrics.analyse} of {!adjusted_graph}: estimated latency, makespan
-    and buffer peaks of the application {e while sharing} its processors. *)
-
 val estimate :
   ?iterations:int ->
   estimator ->

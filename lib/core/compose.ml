@@ -19,7 +19,3 @@ let remove ~total x =
   { p = p_rest; w = w_rest }
 
 let waiting_time loads = (combine_all (List.map of_load loads)).w
-
-let waiting_time_incremental ~all ~own = (remove ~total:all own).w
-
-let pp ppf t = Format.fprintf ppf "{p=%.4f; w=%.4f}" t.p t.w

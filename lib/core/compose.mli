@@ -40,10 +40,3 @@ val remove : total:t -> t -> t
 val waiting_time : Prob.t list -> float
 (** Waiting time inflicted on an arriving actor by the given co-mapped
     actors: fold them with {!combine} and read the aggregate [w]. *)
-
-val waiting_time_incremental : all:t -> own:t -> float
-(** Waiting time for one actor given the aggregate [all] of {e every} actor
-    on the node (including itself): removes [own] and reads [w] — the O(1)
-    per-actor path enabled by the inverse formulae. *)
-
-val pp : Format.formatter -> t -> unit

@@ -44,10 +44,6 @@ let second_moment d =
   | Discrete pairs -> discrete_moment pairs 2.
   | Exponential { mean } -> 2. *. mean *. mean
 
-let variance d =
-  let m = mean d in
-  second_moment d -. (m *. m)
-
 let third_moment d =
   validate d;
   match d with
@@ -111,11 +107,3 @@ let sample d ~u =
       in
       pick 0. pairs
   | Exponential { mean } -> -.mean *. log (1. -. u)
-
-let pp ppf = function
-  | Constant v -> Format.fprintf ppf "const(%g)" v
-  | Uniform { lo; hi } -> Format.fprintf ppf "uniform(%g,%g)" lo hi
-  | Discrete pairs ->
-      Format.fprintf ppf "discrete(%s)"
-        (String.concat "; " (List.map (fun (v, w) -> Printf.sprintf "%g:%g" v w) pairs))
-  | Exponential { mean } -> Format.fprintf ppf "exp(%g)" mean

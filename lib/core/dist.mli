@@ -26,7 +26,6 @@ val validate : t -> unit
 
 val mean : t -> float
 val second_moment : t -> float
-val variance : t -> float
 val third_moment : t -> float
 
 val residual : t -> float
@@ -50,5 +49,3 @@ val sample : t -> u:float -> float
 (** [sample d ~u] maps a uniform [u] in [\[0,1)] to a draw from [d] by
     inversion.  Deterministic in [u], so simulations stay reproducible.
     @raise Invalid_argument if [u] is outside [\[0,1)]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -24,6 +24,3 @@ let of_distribution ~dist ~repetitions ~period =
   { p; mu = Dist.residual dist; tau = m }
 
 let waiting_product t = t.mu *. t.p
-let idle = { p = 0.; mu = 0.; tau = 0. }
-
-let pp ppf t = Format.fprintf ppf "{p=%.4f; mu=%.2f; tau=%.2f}" t.p t.mu t.tau

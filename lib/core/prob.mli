@@ -36,8 +36,3 @@ val of_distribution : dist:Dist.t -> repetitions:int -> period:float -> t
 val waiting_product : t -> float
 (** [mu * p] — the actor's expected contribution to another actor's waiting
     time, written [W] in this library. *)
-
-val idle : t
-(** The load of an absent actor: [p = 0], [mu = 0]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,15 +23,11 @@ let cardinal t =
 
 let mem i t = t land (1 lsl i) <> 0
 let add i t = t lor (1 lsl i)
-let remove i t = t land lnot (1 lsl i)
-let singleton i = 1 lsl i
 
 let all ~napps =
   if napps < 0 || napps >= max_apps then
     invalid_arg "Contention.Usecase.all: unsupported application count";
   List.init ((1 lsl napps) - 1) (fun i -> i + 1)
-
-let of_size ~napps k = List.filter (fun t -> cardinal t = k) (all ~napps)
 
 let full ~napps = (1 lsl napps) - 1
 

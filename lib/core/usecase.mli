@@ -14,15 +14,10 @@ val to_list : t -> int list
 val cardinal : t -> int
 val mem : int -> t -> bool
 val add : int -> t -> t
-val remove : int -> t -> t
-val singleton : int -> t
 
 val all : napps:int -> t list
 (** Every non-empty use-case, ascending as integers ([2^napps - 1] of them).
     @raise Invalid_argument if [napps] is negative or ≥ 30. *)
-
-val of_size : napps:int -> int -> t list
-(** Use-cases with exactly [k] active applications. *)
 
 val full : napps:int -> t
 (** All applications active — the maximum-contention case of Figure 5. *)

@@ -1,4 +1,2 @@
 let waiting_time loads =
   List.fold_left (fun acc (l : Prob.t) -> acc +. l.tau) 0. loads
-
-let waiting_time_of_exec_times taus = List.fold_left ( +. ) 0. taus

@@ -9,6 +9,3 @@
 
 val waiting_time : Prob.t list -> float
 (** Sum of the co-mapped actors' full execution times ([tau], not [mu]). *)
-
-val waiting_time_of_exec_times : float list -> float
-(** Same, from raw execution times. *)

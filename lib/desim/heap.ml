@@ -70,7 +70,3 @@ let pop h =
   end
 
 let peek_time h = if h.size = 0 then None else Some h.data.(0).time
-
-let clear h =
-  h.size <- 0;
-  h.next_seq <- 0

@@ -17,4 +17,3 @@ val pop : 'a t -> (float * 'a) option
     first. *)
 
 val peek_time : 'a t -> float option
-val clear : 'a t -> unit

@@ -68,17 +68,6 @@ let proc_timeline t ~proc =
     (fun a b -> Float.compare a.start_time b.start_time)
     (List.filter (fun r -> r.proc = proc) (records t))
 
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "app,actor,proc,start,finish\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%g,%g\n" r.app r.actor r.proc r.start_time
-           r.finish_time))
-    (records t);
-  Buffer.contents buf
-
 let static_order t ~procs ~window:(from_t, until_t) =
   if until_t <= from_t then invalid_arg "Desim.Trace.static_order: empty window";
   Array.init procs (fun proc ->

@@ -39,9 +39,6 @@ val actor_stats : t -> app:int -> actor:int -> service_stats
 val proc_timeline : t -> proc:int -> record list
 (** Firings executed on a processor, ordered by start time. *)
 
-val to_csv : t -> string
-(** One line per record: [app,actor,proc,start,finish]. *)
-
 val static_order :
   t -> procs:int -> window:float * float -> (int * int) array array
 (** The per-processor service order observed in the time window

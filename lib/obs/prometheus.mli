@@ -9,6 +9,10 @@ val expose : Metric.registry -> string
     histograms render cumulative [_bucket] lines (including [le="+Inf"]),
     [_sum] and [_count]. *)
 
+val escape_label_value : string -> string
+(** A label value escaped for the exposition format: backslash, double quote
+    and newline. *)
+
 val fmt_value : float -> string
 (** Prometheus number rendering: integers without a decimal point, [+Inf],
     [-Inf] and [NaN] spelled the Prometheus way. *)

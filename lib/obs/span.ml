@@ -125,8 +125,6 @@ let push span =
   in
   go ()
 
-let record span = push span
-
 let with_ ?args ~name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin

@@ -42,10 +42,6 @@ val with_ : ?args:(unit -> (string * string) list) -> name:string -> (unit -> 'a
     inherits the context's trace id, parents onto the context, and becomes
     the parent of spans started inside [f]. *)
 
-val record : t -> unit
-(** Push an externally constructed span (tests, replayed data).  Recorded
-    regardless of {!enabled}. *)
-
 val collect : unit -> t list
 (** Snapshot of all spans recorded so far, across every domain that ever
     recorded, sorted by [(ts_ns, domain, name)].  Does not clear. *)

@@ -44,14 +44,6 @@ let id_args (s : Span.t) =
     if Int64.equal s.parent_id 0L then []
     else [ ("parent", Span.id_to_hex s.parent_id) ]
 
-let span_order (a : Span.t) (b : Span.t) =
-  match Int64.compare a.ts_ns b.ts_ns with
-  | 0 -> (
-      match Int.compare a.domain b.domain with
-      | 0 -> String.compare a.name b.name
-      | c -> c)
-  | c -> c
-
 type anchor = { wall_ns : int64; mono_ns : int64 }
 
 let now_anchor () =
@@ -61,68 +53,6 @@ let now_anchor () =
   let wall = Int64.of_float (Unix.gettimeofday () *. 1e9) in
   let mono = Clock.now_ns () in
   { wall_ns = wall; mono_ns = mono }
-
-let to_chrome_json ?(process_name = "contention") ?anchor spans =
-  let spans = List.sort span_order spans in
-  let epoch =
-    match spans with [] -> 0L | s :: _ -> s.Span.ts_ns
-  in
-  let domains =
-    List.sort_uniq Int.compare (List.map (fun (s : Span.t) -> s.domain) spans)
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  Buffer.add_string buf "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",";
-  add_args buf [ ("name", process_name) ];
-  Buffer.add_char buf '}';
-  (match anchor with
-  | None -> ()
-  | Some a ->
-      (* One wall/monotonic clock pair plus the rebasing epoch: everything
-         a merger needs to place this file's relative timestamps on a
-         cross-process wall timeline.  Values are strings — int64
-         nanoseconds do not survive a float JSON number. *)
-      Buffer.add_string buf
-        ",{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"clock_sync\",";
-      add_args buf
-        [
-          ("wall_ns", Int64.to_string a.wall_ns);
-          ("mono_ns", Int64.to_string a.mono_ns);
-          ("epoch_ns", Int64.to_string epoch);
-        ];
-      Buffer.add_char buf '}');
-  List.iter
-    (fun d ->
-      Buffer.add_string buf
-        (Printf.sprintf ",{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\"," d);
-      add_args buf [ ("name", Printf.sprintf "domain %d" d) ];
-      Buffer.add_char buf '}')
-    domains;
-  List.iter
-    (fun (s : Span.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",{\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":"
-           s.domain
-           (us_of_ns (Int64.sub s.ts_ns epoch))
-           (us_of_ns s.dur_ns));
-      add_escaped buf s.name;
-      Buffer.add_char buf ',';
-      add_args buf (s.args @ id_args s);
-      Buffer.add_char buf '}')
-    spans;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
-let write_file ?process_name ~path spans =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (to_chrome_json ?process_name ~anchor:(now_anchor ()) spans))
-
-(* ------------------------------------------------------------------ *)
-(* Cross-process merge                                                 *)
 
 type process = {
   p_name : string;
@@ -138,36 +68,28 @@ let wall_of p (s : Span.t) =
   | Some a -> Int64.add a.wall_ns (Int64.sub s.ts_ns a.mono_ns)
   | None -> s.ts_ns
 
-let merged_chrome_json processes =
-  (* Deterministic: process order (and so pid assignment) depends only on
-     the contents, never on the order the files were given in. *)
-  let processes =
-    List.sort
-      (fun a b ->
-        match String.compare a.p_name b.p_name with
-        | 0 ->
-            Int64.compare
-              (match a.p_anchor with Some x -> x.wall_ns | None -> 0L)
-              (match b.p_anchor with Some x -> x.wall_ns | None -> 0L)
-        | c -> c)
-      processes
-  in
+(* The one event writer.  Process [i] of the list becomes pid [i + 1] with
+   its process and thread metadata, every span an [X] event timed from the
+   earliest start on the shared timeline, and each parent/child link across
+   two processes a flow arrow.  [sync], given only for one process's own
+   file, adds that process's [clock_sync] event. *)
+let chrome_json ?sync processes =
   let tagged =
     List.concat
       (List.mapi
          (fun i p ->
-           List.map (fun s -> (i + 1, p.p_name, wall_of p s, s)) p.p_spans)
+           List.map (fun s -> (i + 1, wall_of p s, s)) p.p_spans)
          processes)
   in
   let epoch =
     List.fold_left
-      (fun acc (_, _, w, _) -> if Int64.compare w acc < 0 then w else acc)
-      (match tagged with [] -> 0L | (_, _, w, _) :: _ -> w)
+      (fun acc (_, w, _) -> if Int64.compare w acc < 0 then w else acc)
+      (match tagged with [] -> 0L | (_, w, _) :: _ -> w)
       tagged
   in
   let events =
     List.sort
-      (fun (p1, _, w1, (s1 : Span.t)) (p2, _, w2, (s2 : Span.t)) ->
+      (fun (p1, w1, (s1 : Span.t)) (p2, w2, (s2 : Span.t)) ->
         match Int64.compare w1 w2 with
         | 0 -> (
             match Int.compare p1 p2 with
@@ -182,7 +104,7 @@ let merged_chrome_json processes =
   (* span_id -> (pid, wall start, domain): the flow-event endpoints. *)
   let index = Hashtbl.create 256 in
   List.iter
-    (fun (pid, _, w, (s : Span.t)) ->
+    (fun (pid, w, (s : Span.t)) ->
       if not (Int64.equal s.span_id 0L) then
         Hashtbl.replace index s.span_id (pid, w, s.domain))
     events;
@@ -196,6 +118,23 @@ let merged_chrome_json processes =
            (i + 1));
       add_args buf [ ("name", p.p_name) ];
       Buffer.add_char buf '}';
+      (match sync with
+      | Some a when i = 0 ->
+          (* One wall/monotonic clock pair plus the rebasing epoch:
+             everything a merger needs to place this file's relative
+             timestamps on a cross-process wall timeline.  Values are
+             strings — int64 nanoseconds do not survive a float JSON
+             number. *)
+          Buffer.add_string buf
+            ",{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"clock_sync\",";
+          add_args buf
+            [
+              ("wall_ns", Int64.to_string a.wall_ns);
+              ("mono_ns", Int64.to_string a.mono_ns);
+              ("epoch_ns", Int64.to_string epoch);
+            ];
+          Buffer.add_char buf '}'
+      | _ -> ());
       let domains =
         List.sort_uniq Int.compare
           (List.map (fun (s : Span.t) -> s.domain) p.p_spans)
@@ -211,7 +150,7 @@ let merged_chrome_json processes =
         domains)
     processes;
   List.iter
-    (fun (pid, _, w, (s : Span.t)) ->
+    (fun (pid, w, (s : Span.t)) ->
       Buffer.add_string buf
         (Printf.sprintf
            ",{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"name\":"
@@ -228,7 +167,7 @@ let merged_chrome_json processes =
      flow id is the child's span id (unique per arrow). *)
   let flows =
     List.filter_map
-      (fun (pid, _, w, (s : Span.t)) ->
+      (fun (pid, w, (s : Span.t)) ->
         if Int64.equal s.parent_id 0L || Int64.equal s.span_id 0L then None
         else
           match Hashtbl.find_opt index s.parent_id with
@@ -258,3 +197,29 @@ let merged_chrome_json processes =
     flows;
   Buffer.add_string buf "]}";
   Buffer.contents buf
+
+let to_chrome_json ?(process_name = "contention") ?anchor spans =
+  chrome_json ?sync:anchor
+    [ { p_name = process_name; p_anchor = None; p_spans = spans } ]
+
+let write_file ?process_name ~path spans =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc
+        (to_chrome_json ?process_name ~anchor:(now_anchor ()) spans))
+
+let merged_chrome_json processes =
+  (* Deterministic: process order (and so pid assignment) depends only on
+     the contents, never on the order the files were given in. *)
+  chrome_json
+    (List.sort
+       (fun a b ->
+         match String.compare a.p_name b.p_name with
+         | 0 ->
+             Int64.compare
+               (match a.p_anchor with Some x -> x.wall_ns | None -> 0L)
+               (match b.p_anchor with Some x -> x.wall_ns | None -> 0L)
+         | c -> c)
+       processes)

@@ -59,64 +59,25 @@ let with_exec_times g times =
   in
   { g with actors = Array.map set g.actors }
 
-let successors g id =
-  check_actor_id g id;
-  Array.fold_right
-    (fun c acc -> if c.src = id then (c.dst, c) :: acc else acc)
-    g.channels []
-
-let predecessors g id =
-  check_actor_id g id;
-  Array.fold_right
-    (fun c acc -> if c.dst = id then (c.src, c) :: acc else acc)
-    g.channels []
-
-let in_channels g id = List.map snd (predecessors g id)
-let out_channels g id = List.map snd (successors g id)
-
-(* Generic reachability used by both connectivity checks. *)
-let reachable_from g ~undirected start =
-  let n = num_actors g in
-  let seen = Array.make n false in
-  let rec visit id =
-    if not seen.(id) then begin
-      seen.(id) <- true;
-      Array.iter
-        (fun c ->
-          if c.src = id then visit c.dst;
-          if undirected && c.dst = id then visit c.src)
-        g.channels
-    end
-  in
-  if n > 0 then visit start;
-  seen
-
-let is_connected g =
-  let n = num_actors g in
-  n = 0 || Array.for_all Fun.id (reachable_from g ~undirected:true 0)
-
+(* Actor 0 reaches every actor along the channels, and along them reversed. *)
 let is_strongly_connected g =
   let n = num_actors g in
-  if n = 0 then true
-  else
-    let forward = reachable_from g ~undirected:false 0 in
-    if not (Array.for_all Fun.id forward) then false
-    else
-      (* Reverse reachability: walk channels backwards. *)
-      let seen = Array.make n false in
-      let rec visit id =
-        if not seen.(id) then begin
-          seen.(id) <- true;
-          Array.iter (fun c -> if c.dst = id then visit c.src) g.channels
-        end
-      in
-      visit 0;
-      Array.for_all Fun.id seen
-
-let find_actor g name =
-  match Array.find_opt (fun (a : actor) -> a.name = name) g.actors with
-  | Some a -> a
-  | None -> raise Not_found
+  let reaches_all ~reverse =
+    let seen = Array.make n false in
+    let rec visit id =
+      if not seen.(id) then begin
+        seen.(id) <- true;
+        Array.iter
+          (fun c ->
+            if reverse then (if c.dst = id then visit c.src)
+            else if c.src = id then visit c.dst)
+          g.channels
+      end
+    in
+    visit 0;
+    Array.for_all Fun.id seen
+  in
+  n = 0 || (reaches_all ~reverse:false && reaches_all ~reverse:true)
 
 let pp ppf g =
   Format.fprintf ppf "@[<v>graph %S@," g.name;

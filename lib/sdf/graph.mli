@@ -54,22 +54,7 @@ val with_exec_times : t -> float array -> t
     analysis.  @raise Invalid_argument on a length mismatch or a time that
     is not finite and positive. *)
 
-val successors : t -> int -> (int * channel) list
-(** [(dst, channel)] for every channel leaving the actor. *)
-
-val predecessors : t -> int -> (int * channel) list
-(** [(src, channel)] for every channel entering the actor. *)
-
-val in_channels : t -> int -> channel list
-val out_channels : t -> int -> channel list
-
-val is_connected : t -> bool
-(** Weak connectivity (ignoring edge direction). *)
-
 val is_strongly_connected : t -> bool
-
-val find_actor : t -> string -> actor
-(** @raise Not_found if no actor has that name. *)
 
 val pp : Format.formatter -> t -> unit
 val equal_structure : t -> t -> bool

@@ -12,31 +12,18 @@ let make num den =
   if g = 0 then { num = 0; den = 1 } else { num = num / g; den = den / g }
 
 let of_int n = { num = n; den = 1 }
-let zero = of_int 0
 let one = of_int 1
 
-let add a b = make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
-let sub a b = make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
 let mul a b = make (a.num * b.num) (a.den * b.den)
-let div a b = if b.num = 0 then raise Division_by_zero else make (a.num * b.den) (a.den * b.num)
-let neg a = { a with num = -a.num }
 let inv a = if a.num = 0 then raise Division_by_zero else make a.den a.num
 
-let compare a b = Stdlib.compare (a.num * b.den) (b.num * a.den)
 let equal a b = a.num = b.num && a.den = b.den
-let sign a = Stdlib.compare a.num 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let to_float a = float_of_int a.num /. float_of_int a.den
-let is_integer a = a.den = 1
 
 let to_int_exn a =
   if a.den = 1 then a.num
   else invalid_arg (Printf.sprintf "Rational.to_int_exn: %d/%d" a.num a.den)
 
-let pp ppf a =
-  if a.den = 1 then Format.fprintf ppf "%d" a.num
-  else Format.fprintf ppf "%d/%d" a.num a.den
-
-let to_string a = Format.asprintf "%a" pp a
+let to_string a =
+  if a.den = 1 then string_of_int a.num else Printf.sprintf "%d/%d" a.num a.den

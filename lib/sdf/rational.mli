@@ -13,37 +13,22 @@ val make : int -> int -> t
 
 val of_int : int -> t
 
-val zero : t
 val one : t
 
-val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
-val div : t -> t -> t
-(** @raise Division_by_zero when dividing by {!zero}. *)
-
-val neg : t -> t
 val inv : t -> t
-(** @raise Division_by_zero on {!zero}. *)
+(** @raise Division_by_zero on zero. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val sign : t -> int
-
-val min : t -> t -> t
-val max : t -> t -> t
 
 val to_float : t -> float
 
 val to_int_exn : t -> int
 (** @raise Invalid_argument if the value is not an integer. *)
 
-val is_integer : t -> bool
-
 val gcd : int -> int -> int
 (** Greatest common divisor of the absolute values; [gcd 0 0 = 0]. *)
 
 val lcm : int -> int -> int
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -73,5 +73,3 @@ let compute_exn g =
   | Error e -> invalid_arg (Format.asprintf "Sdf.Repetition: %a" pp_error e)
 
 let is_consistent g = Result.is_ok (compute g)
-
-let total_firings q = Array.fold_left ( + ) 0 q

@@ -21,7 +21,4 @@ val compute_exn : Graph.t -> int array
 
 val is_consistent : Graph.t -> bool
 
-val total_firings : int array -> int
-(** Sum of the entries: firings in one graph iteration. *)
-
 val pp_error : Format.formatter -> error -> unit

@@ -95,20 +95,9 @@ let of_string text =
   in
   go 1 lines
 
-let of_string_exn text =
-  match of_string text with
-  | Ok g -> g
-  | Error msg -> invalid_arg ("Sdf.Text.of_string_exn: " ^ msg)
-
 let write_file path g =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string g))
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 let to_string_many graphs = String.concat "\n" (List.map to_string graphs)
 

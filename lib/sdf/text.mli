@@ -17,12 +17,7 @@ val to_string : Graph.t -> string
 val of_string : string -> (Graph.t, string) result
 (** Error messages carry the offending line number. *)
 
-val of_string_exn : string -> Graph.t
-(** @raise Invalid_argument on a parse error. *)
-
 val write_file : string -> Graph.t -> unit
-
-val read_file : string -> (Graph.t, string) result
 
 val to_string_many : Graph.t list -> string
 (** Several graphs concatenated; each starts at its [graph] line. *)

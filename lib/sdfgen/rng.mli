@@ -12,8 +12,6 @@ val create : int -> t
 val split : t -> t
 (** An independent generator derived from (and advancing) [t]. *)
 
-val copy : t -> t
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)

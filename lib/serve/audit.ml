@@ -108,7 +108,6 @@ type t = {
   config : config;
   registry : Obs.Metric.registry;
   journal : Journal.t option;
-  shard : string option;
   queue : item Queue.t;
   mutex : Mutex.t;
   cond : Condition.t;
@@ -174,20 +173,6 @@ let estimator_for t est =
       Obs.Metric.Gauge.set e.m_drift 0.;
       e
 
-(* One audit journal line: the time, the originating trace, [cmd], the
-   workload and the shard, then [fields]. *)
-let journal_line t j ~ctx ~cmd ~digest fields =
-  let opt name conv = Option.fold ~none:[] ~some:(fun v -> [ (name, conv v) ]) in
-  Journal.record j
-    (Json.Obj
-       ([ ("ts", Json.Num (Unix.gettimeofday ())) ]
-       @ opt "trace"
-           (fun (c : Obs.Span.ctx) -> Json.Str (Obs.Span.id_to_hex c.trace_id))
-           ctx
-       @ [ ("cmd", Json.Str cmd); ("workload", Json.Str digest) ]
-       @ opt "shard" (fun s -> Json.Str s) t.shard
-       @ fields))
-
 let journal_record t (task : task) ~errs ~outcome =
   match t.journal with
   | Some j when Journal.sampled j ~ctx:task.ctx ->
@@ -199,7 +184,7 @@ let journal_record t (task : task) ~errs ~outcome =
             ( List.fold_left ( +. ) 0. errs /. n,
               List.fold_left (fun m e -> Float.max m (Float.abs e)) 0. errs )
       in
-      journal_line t j ~ctx:task.ctx ~cmd:"audit" ~digest:task.digest
+      Journal.record j ~ctx:task.ctx ~cmd:"audit" ~workload:task.digest
         [
           ("estimator", Json.Str task.estimator);
           ("outcome", Json.Str outcome);
@@ -209,17 +194,20 @@ let journal_record t (task : task) ~errs ~outcome =
         ]
   | _ -> ()
 
+(* The replay simulation of use-case [mask] of [w]: one result per active
+   application, in Usecase.to_list order. *)
+let simulate t (w : Exp.Workload.t) mask =
+  fst
+    (Desim.Engine.run ~horizon:t.config.horizon
+       ?firing_time:(Exp.Workload.sim_firing_time w mask)
+       ~procs:w.procs
+       (Exp.Workload.sim_apps w mask))
+
 (* Replay one served estimate: simulate the same use-case and compare each
    application's estimated period against its simulated average period.
    Rows and simulator results share Usecase.to_list order. *)
 let replay t (task : task) =
-  let w = task.workload in
-  let results, _ =
-    Desim.Engine.run ~horizon:t.config.horizon
-      ?firing_time:(Exp.Workload.sim_firing_time w task.mask)
-      ~procs:w.procs
-      (Exp.Workload.sim_apps w task.mask)
-  in
+  let results = simulate t task.workload task.mask in
   if Array.length results <> List.length task.rows then
     failwith "row/result arity mismatch"
   else
@@ -279,7 +267,8 @@ let margin_journal_record t (task : margin_task) ~observed ~outcome =
   match t.journal with
   | Some j when Journal.sampled j ~ctx:task.m_ctx ->
       let m = task.m_margin in
-      journal_line t j ~ctx:task.m_ctx ~cmd:"audit-margin" ~digest:task.m_digest
+      Journal.record j ~ctx:task.m_ctx ~cmd:"audit-margin"
+        ~workload:task.m_digest
         ([
            ("app", Json.Str task.m_app);
            ("confidence", Json.Num m.Contention.Margin.confidence);
@@ -295,16 +284,9 @@ let margin_journal_record t (task : margin_task) ~observed ~outcome =
    replay is one Bernoulli trial at the margin's confidence — the aggregate
    miss rate is the signal, not any single miss. *)
 let process_margin t (task : margin_task) =
-  let simulate () =
-    let w = task.m_workload in
-    let results, _ =
-      Desim.Engine.run ~horizon:t.config.horizon
-        ?firing_time:(Exp.Workload.sim_firing_time w task.m_mask)
-        ~procs:w.procs
-        (Exp.Workload.sim_apps w task.m_mask)
-    in
-    (* Results share Usecase.to_list order with the mask. *)
-    let names = Exp.Workload.names w in
+  let observe () =
+    let results = simulate t task.m_workload task.m_mask in
+    let names = Exp.Workload.names task.m_workload in
     let rec find pos = function
       | [] -> failwith "margin app not in population mask"
       | idx :: rest -> if names.(idx) = task.m_app then pos else find (pos + 1) rest
@@ -315,7 +297,7 @@ let process_margin t (task : margin_task) =
   let run () =
     Obs.Span.with_ ~name:"audit.margin"
       ~args:(fun () -> [ ("digest", task.m_digest); ("app", task.m_app) ])
-      simulate
+      observe
   in
   match
     match task.m_ctx with
@@ -362,11 +344,16 @@ let worker t () =
   in
   loop ()
 
-let create ?(config = default_config) ~registry ?journal ?shard () =
+let create ?(config = default_config) ~registry ?journal () =
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Serve.Audit.create: " ^ m)) fmt
+  in
   if not (Float.is_finite config.horizon && config.horizon > 0.) then
-    invalid_arg
-      (Printf.sprintf "Serve.Audit.create: horizon %g is not finite and positive"
-         config.horizon);
+    fail "horizon %g is not finite and positive" config.horizon;
+  if not (Float.is_finite config.drift_lambda && config.drift_lambda > 0.) then
+    fail "drift_lambda %g is not finite and positive" config.drift_lambda;
+  if not (Float.is_finite config.drift_delta && config.drift_delta >= 0.) then
+    fail "drift_delta %g is not finite and non-negative" config.drift_delta;
   let config =
     { config with sample_every = max 1 config.sample_every;
       queue_capacity = max 1 config.queue_capacity }
@@ -376,7 +363,6 @@ let create ?(config = default_config) ~registry ?journal ?shard () =
       config;
       registry;
       journal;
-      shard;
       queue = Queue.create ();
       mutex = Mutex.create ();
       cond = Condition.create ();

@@ -82,7 +82,6 @@ val create :
   ?config:config ->
   registry:Obs.Metric.registry ->
   ?journal:Journal.t ->
-  ?shard:string ->
   unit ->
   t
 (** Spawns the background replay domain.  Metrics land in [registry]:
@@ -92,8 +91,10 @@ val create :
     absence reads as zero alarms); and [_submitted_total],
     [_dropped_total], [_failed_total], [_margin_total] and
     [_margin_missed_total], resolved here.
-    @raise Invalid_argument unless [config.horizon] is finite and positive:
-    a replay with a NaN or infinite horizon would never finish. *)
+    @raise Invalid_argument unless [config.horizon] is finite and positive
+    (a replay with a NaN or infinite horizon would never finish),
+    [drift_lambda] is finite and positive and [drift_delta] is finite and
+    non-negative. *)
 
 val sampled : t -> bool
 (** Head-based 1-in-[sample_every] counter; call once per estimate served

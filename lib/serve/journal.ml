@@ -13,13 +13,14 @@ type t = {
   path : string;
   sample_every : int;
   max_bytes : int;
+  shard : string option;
   mutex : Mutex.t;
   mutable oc : out_channel;
   mutable written : int; (* lines written since open/create *)
   mutable seq : int; (* context-free requests seen, for fallback sampling *)
 }
 
-let create ?(sample_every = 16) ?(max_bytes = 8 * 1024 * 1024) path =
+let create ?(sample_every = 16) ?(max_bytes = 8 * 1024 * 1024) ?shard path =
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
   in
@@ -27,6 +28,7 @@ let create ?(sample_every = 16) ?(max_bytes = 8 * 1024 * 1024) path =
     path;
     sample_every = (if sample_every < 1 then 1 else sample_every);
     max_bytes;
+    shard;
     mutex = Mutex.create ();
     oc;
     written = 0;
@@ -51,8 +53,20 @@ let rotate_locked t =
   (try Sys.rename t.path (t.path ^ ".1") with Sys_error _ -> ());
   t.oc <- open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 t.path
 
-let record t json =
-  let line = Json.to_string json in
+let record t ~ctx ~cmd ?workload fields =
+  let opt name conv = Option.fold ~none:[] ~some:(fun v -> [ (name, conv v) ]) in
+  let line =
+    Json.to_string
+      (Json.Obj
+         ([ ("ts", Json.Num (Unix.gettimeofday ())) ]
+         @ opt "trace"
+             (fun (c : Obs.Span.ctx) -> Json.Str (Obs.Span.id_to_hex c.trace_id))
+             ctx
+         @ [ ("cmd", Json.Str cmd) ]
+         @ opt "workload" (fun d -> Json.Str d) workload
+         @ opt "shard" (fun s -> Json.Str s) t.shard
+         @ fields))
+  in
   Mutex.lock t.mutex;
   output_string t.oc line;
   output_char t.oc '\n';

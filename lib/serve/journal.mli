@@ -21,18 +21,28 @@
 
 type t
 
-val create : ?sample_every:int -> ?max_bytes:int -> string -> t
+val create :
+  ?sample_every:int -> ?max_bytes:int -> ?shard:string -> string -> t
 (** Opens [path] for append (creating it if needed).  [sample_every]
     defaults to 16 (clamped to [>= 1]); [max_bytes] defaults to 8 MiB,
-    [<= 0] disables rotation.
+    [<= 0] disables rotation; [shard] labels every record.
     @raise Sys_error when the path cannot be opened. *)
 
 val sampled : t -> ctx:Obs.Span.ctx option -> bool
 (** Whether this request should be journalled (see sampling rules above).
     Call once per request and reuse the answer. *)
 
-val record : t -> Json.t -> unit
-(** Append one record as a single line, flush, rotate if over budget. *)
+val record :
+  t ->
+  ctx:Obs.Span.ctx option ->
+  cmd:string ->
+  ?workload:string ->
+  (string * Json.t) list ->
+  unit
+(** Append one record as a single line, flush, rotate if over budget.  The
+    record is an object whose keys are, in order: [ts] (wall-clock
+    seconds), [trace] (the context's trace id, when [ctx] is given), [cmd],
+    [workload], [shard] (when set at {!create}), then the given fields. *)
 
 val written : t -> int
 (** Lines written since {!create} (not reset by rotation). *)

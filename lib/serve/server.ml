@@ -635,7 +635,7 @@ let dispatch t (request : Protocol.request) =
    payload is a whole workload file, so its digest is taken from the reply
    rather than the request.  The reply is read back from its line: only a
    journalled request pays for that parse. *)
-let journal_entry t ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s =
+let journal_record j ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s =
   let outcome, payload =
     match
       Protocol.classify_reply
@@ -656,18 +656,11 @@ let journal_entry t ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s =
     | None -> []
     | Some v -> [ (name, conv v) ]
   in
-  Json.Obj
-    ([ ("ts", Json.Num (Unix.gettimeofday ())) ]
-    @ opt "trace"
-        (fun (c : Obs.Span.ctx) -> Json.Str (Obs.Span.id_to_hex c.trace_id))
-        ctx
-    @ [ ("cmd", Json.Str cmd) ]
-    @ opt "workload" (fun d -> Json.Str d) digest
-    @ opt "shard" (fun s -> Json.Str s) t.config.shard
-    @ [
-        ("queue_depth", Json.Num (float_of_int queue_depth));
-        ("outcome", Json.Str outcome);
-      ]
+  Journal.record j ~ctx ~cmd ?workload:digest
+    ([
+       ("queue_depth", Json.Num (float_of_int queue_depth));
+       ("outcome", Json.Str outcome);
+     ]
     @ opt "cached"
         (fun b -> Json.Bool b)
         (Option.bind payload (fun p ->
@@ -761,8 +754,7 @@ let handle_line t line =
   Obs.Metric.Histogram.observe seconds latency_s;
   (match t.journal with
   | Some j when Journal.sampled j ~ctx ->
-      Journal.record j
-        (journal_entry t ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s)
+      journal_record j ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s
   | _ -> ());
   reply
 
@@ -851,11 +843,35 @@ let acceptor t listener () =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
+(* Every setting [start] refuses, checked before anything is bound: a
+   refused config leaves no socket open and no socket file behind. *)
+let check_config c =
+  let fail fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Serve.Server.start: " ^ m)) fmt
+  in
+  let finite_positive field v =
+    if not (Float.is_finite v && v > 0.) then
+      fail "%s %g is not finite and positive" field v
+  in
+  if c.cache_capacity < 1 then fail "cache_capacity < 1";
+  if c.port = None && c.unix_path = None then
+    fail "no TCP port and no Unix socket";
+  (match c.jobs with Some j when j < 1 -> fail "jobs < 1" | _ -> ());
+  finite_positive "slo_objective_ms" c.slo_objective_ms;
+  (* At 1 the error budget is empty: any slow request would burn ~1e9x. *)
+  if not (c.slo_target > 0. && c.slo_target < 1.) then
+    fail "slo_target %g is not in (0, 1)" c.slo_target;
+  finite_positive "audit_horizon" c.audit_horizon;
+  finite_positive "audit_drift_lambda" c.audit_drift_lambda;
+  if not (Float.is_finite c.audit_drift_delta && c.audit_drift_delta >= 0.) then
+    fail "audit_drift_delta %g is not finite and non-negative"
+      c.audit_drift_delta
+
 let start ?on_hot ?(config = default_config) () =
-  if config.cache_capacity < 1 then
-    invalid_arg "Serve.Server.start: cache_capacity < 1";
-  if config.port = None && config.unix_path = None then
-    invalid_arg "Serve.Server.start: no TCP port and no Unix socket";
+  check_config config;
+  let jobs =
+    match config.jobs with Some j -> j | None -> Exp.Pool.default_jobs ()
+  in
   (* A worker writing to a hung-up client must get EPIPE, not a fatal
      signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -896,12 +912,6 @@ let start ?on_hot ?(config = default_config) () =
   let listeners =
     (match tcp with Some (fd, _) -> [ fd ] | None -> [])
     @ (match unix_listener with Some fd -> [ fd ] | None -> [])
-  in
-  let jobs =
-    match config.jobs with
-    | Some j when j < 1 -> invalid_arg "Serve.Server.start: jobs < 1"
-    | Some j -> j
-    | None -> Exp.Pool.default_jobs ()
   in
   (* Each server owns its registry: two servers in one process (the tests
      start several) must not see each other's series. *)
@@ -958,7 +968,7 @@ let start ?on_hot ?(config = default_config) () =
   let journal =
     Option.map
       (Journal.create ~sample_every:config.journal_sample
-         ~max_bytes:config.journal_max_bytes)
+         ~max_bytes:config.journal_max_bytes ?shard:config.shard)
       config.journal_path
   in
   let audit =
@@ -974,7 +984,7 @@ let start ?on_hot ?(config = default_config) () =
                drift_delta = config.audit_drift_delta;
                drift_lambda = config.audit_drift_lambda;
              }
-           ~registry ?journal ?shard:config.shard ())
+           ~registry ?journal ())
   in
   let t =
     {

@@ -89,8 +89,12 @@ val start : ?on_hot:(hot_entry -> unit) -> ?config:config -> unit -> t
     raises are swallowed.  The cluster layer uses it to replicate hot
     estimate-cache entries to peers ({!Cluster} lives above {!Serve}, so
     the wiring happens in the binary, not here).
-    @raise Invalid_argument if no listener is configured or
-    [cache_capacity < 1]; @raise Unix.Unix_error if binding fails. *)
+    @raise Invalid_argument, naming the field and before anything is bound,
+    if no listener is configured, [cache_capacity < 1], [jobs = Some j]
+    with [j < 1], [slo_objective_ms], [audit_horizon] or
+    [audit_drift_lambda] is not finite and positive, [slo_target] is not in
+    (0, 1), or [audit_drift_delta] is not finite and non-negative.
+    @raise Unix.Unix_error if binding fails. *)
 
 val tcp_port : t -> int option
 (** The actually bound TCP port (resolves an ephemeral request). *)

@@ -18,12 +18,6 @@ let stddev xs =
 
 let sorted xs = List.sort Float.compare xs
 
-let median xs =
-  let xs = sorted (require_nonempty "median" xs) in
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if n mod 2 = 1 then arr.(n / 2) else 0.5 *. (arr.((n / 2) - 1) +. arr.(n / 2))
-
 let minimum xs = List.fold_left Float.min infinity (require_nonempty "minimum" xs)
 let maximum xs = List.fold_left Float.max neg_infinity (require_nonempty "maximum" xs)
 
@@ -45,11 +39,6 @@ let percentile q xs = percentile_sorted q (Array.of_list (sorted xs))
 let abs_pct_error ~reference estimate =
   if reference = 0. then invalid_arg "Repro_stats.Stats.abs_pct_error: zero reference";
   100. *. Float.abs (estimate -. reference) /. Float.abs reference
-
-let mean_abs_pct_error ~reference estimates =
-  if List.length reference <> List.length estimates then
-    invalid_arg "Repro_stats.Stats.mean_abs_pct_error: length mismatch";
-  mean (List.map2 (fun r e -> abs_pct_error ~reference:r e) reference estimates)
 
 type accumulator = {
   mutable n : int;

@@ -8,9 +8,6 @@ val mean_arr : float array -> float
 val stddev : float list -> float
 (** Population standard deviation.  @raise Invalid_argument on empty. *)
 
-val median : float list -> float
-(** @raise Invalid_argument on empty. *)
-
 val minimum : float list -> float
 val maximum : float list -> float
 
@@ -26,10 +23,6 @@ val abs_pct_error : reference:float -> float -> float
 (** [100 * |estimate - reference| / reference] — the paper's inaccuracy
     metric ("mean absolute difference ... in percent").
     @raise Invalid_argument if [reference] is zero. *)
-
-val mean_abs_pct_error : reference:float list -> float list -> float
-(** Mean of {!abs_pct_error} over paired lists.
-    @raise Invalid_argument on a length mismatch or empty lists. *)
 
 type accumulator
 (** Streaming mean/min/max/count accumulator. *)

@@ -181,14 +181,11 @@ let test_observe_measured_periods () =
   let ctl = Admission.create ~procs:3 () in
   ignore (Admission.try_admit ctl (app_a ()) Admission.best_effort);
   ignore (Admission.try_admit ctl (app_b ()) Admission.best_effort);
-  Alcotest.(check bool) "no measurement yet" true (Admission.observed_period ctl "A" = None);
   let before = Admission.estimated_period ctl "B" in
   (* The simulator showed A actually achieves 300 under sharing; but suppose
      the system observes A running at 600: A blocks its nodes half as often,
      so B's estimate must drop. *)
   Admission.observe ctl "A" ~measured_period:600.;
-  Alcotest.(check bool) "measurement recorded" true
-    (Admission.observed_period ctl "A" = Some 600.);
   let after = Admission.estimated_period ctl "B" in
   Alcotest.(check bool) "B estimate drops" true (after < before);
   (* P(a_i) halves from 1/3 to 1/6: B's waits halve exactly (single partner
@@ -203,8 +200,6 @@ let test_observe_measured_periods () =
   (match Admission.observe ctl "Z" ~measured_period:10. with
   | exception Not_found -> ()
   | () -> Alcotest.fail "unknown app observed");
-  Alcotest.(check bool) "measurement kept" true
-    (Admission.observed_period ctl "A" = Some 600.);
   Alcotest.(check bool) "counters unchanged" true (Admission.counters ctl = counters);
   Alcotest.(check bool) "estimate unchanged" true
     (Float.equal (Admission.estimated_period ctl "B") after);

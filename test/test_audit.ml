@@ -84,20 +84,35 @@ let test_drift_min_samples () =
 (* --- config ------------------------------------------------------------ *)
 
 (* A replay stops at the first event past the horizon: a NaN or infinite
-   one would wedge the replay domain, a non-positive one yields nothing. *)
+   one would wedge the replay domain, a non-positive one yields nothing.
+   The drift detector needs a positive threshold and a non-negative
+   slack. *)
 let test_rejects_bad_horizon () =
+  let rejects what config =
+    match Audit.create ~config ~registry:(Obs.Metric.create_registry ()) () with
+    | exception Invalid_argument _ -> ()
+    | a ->
+        Audit.stop a;
+        Alcotest.failf "%s accepted" what
+  in
   List.iter
     (fun horizon ->
-      match
-        Audit.create
-          ~config:{ Audit.default_config with Audit.horizon }
-          ~registry:(Obs.Metric.create_registry ()) ()
-      with
-      | exception Invalid_argument _ -> ()
-      | a ->
-          Audit.stop a;
-          Alcotest.failf "horizon %g accepted" horizon)
-    [ nan; infinity; -5.; 0. ]
+      rejects
+        (Printf.sprintf "horizon %g" horizon)
+        { Audit.default_config with Audit.horizon })
+    [ nan; infinity; -5.; 0. ];
+  List.iter
+    (fun drift_lambda ->
+      rejects
+        (Printf.sprintf "drift_lambda %g" drift_lambda)
+        { Audit.default_config with Audit.drift_lambda })
+    [ nan; infinity; -5.; 0. ];
+  List.iter
+    (fun drift_delta ->
+      rejects
+        (Printf.sprintf "drift_delta %g" drift_delta)
+        { Audit.default_config with Audit.drift_delta })
+    [ nan; infinity; -5. ]
 
 (* --- head sampler ------------------------------------------------------ *)
 
@@ -166,6 +181,7 @@ let test_audit_end_to_end () =
       audit_horizon = 50_000.;
       journal_path = Some journal_path;
       journal_sample = 1;
+      shard = Some "s0";
     }
   in
   Span.reset ();
@@ -251,6 +267,16 @@ let test_audit_end_to_end () =
           Alcotest.(check (option string))
             "workload digest" (Some digest)
             (str_member "workload" audit_rec);
+          (* Both record kinds share one prefix, in one key order. *)
+          let keys = function
+            | Json.Obj fields -> List.map fst fields
+            | _ -> []
+          in
+          Alcotest.(check (list string))
+            "audit record keys"
+            [ "ts"; "trace"; "cmd"; "workload"; "shard"; "estimator";
+              "outcome"; "rows"; "mean_err"; "max_abs_err" ]
+            (keys audit_rec);
           (match
              List.find_opt
                (fun r -> str_member "cmd" r = Some "estimate")
@@ -260,7 +286,12 @@ let test_audit_end_to_end () =
           | Some est_rec ->
               Alcotest.(check (option string))
                 "estimate and audit share the trace" (Some hex)
-                (str_member "trace" est_rec));
+                (str_member "trace" est_rec);
+              Alcotest.(check (list string))
+                "estimate record keys"
+                [ "ts"; "trace"; "cmd"; "workload"; "shard"; "queue_depth";
+                  "outcome"; "cached"; "latency_us" ]
+                (keys est_rec));
           (* And the replay span itself hangs off that trace. *)
           let spans = Span.collect () in
           let replay =

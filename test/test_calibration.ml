@@ -96,7 +96,7 @@ let test_contended_metrics () =
       let adjusted = Analysis.adjusted_graph ra in
       Alcotest.(check (array (float 1e-6))) "adjusted times" ra.response_times
         (Sdf.Graph.exec_times adjusted);
-      match Analysis.contended_metrics ra with
+      match Sdf.Metrics.analyse adjusted with
       | None -> Alcotest.fail "adjusted graph deadlocked"
       | Some m ->
           (* One iteration of the adjusted graph takes the estimated

@@ -49,8 +49,23 @@ let test_audit_horizon () =
     (fun value -> check_exit_2 [ "serve"; "--port"; "0"; "--audit-horizon=" ^ value ])
     bad_values
 
+(* The other serve settings the server refuses, each with its flag. *)
+let test_serve_flags () =
+  List.iter
+    (fun (flag, values) ->
+      List.iter
+        (fun value -> check_exit_2 [ "serve"; "--port"; "0"; flag ^ "=" ^ value ])
+        values)
+    [
+      ("--slo-latency-ms", bad_values);
+      ("--audit-drift-lambda", bad_values);
+      ("--slo-target", "1" :: bad_values);
+      ("--audit-drift-delta", [ "nan"; "inf"; "-5" ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "--horizon must be finite and positive" `Quick test_horizon;
     Alcotest.test_case "--audit-horizon must be finite and positive" `Quick test_audit_horizon;
+    Alcotest.test_case "serve flags must be in range" `Quick test_serve_flags;
   ]

@@ -482,7 +482,7 @@ let test_router_failover () =
       let up = unwrap (Router.upload router ~payload:(Exp.Workload.to_string w)) in
       let digest = up.Protocol.digest in
       let estimator = Contention.Analysis.Order 2 in
-      (match Router.estimate router ~digest ~estimator () with
+      (match fst (Router.estimate_routed router ~digest ~estimator ()) with
       | Router.Served reply ->
           Alcotest.(check int) "rows" 3 (List.length reply.Protocol.rows)
       | Router.Shed _ -> Alcotest.fail "shed on an idle cluster"
@@ -506,7 +506,7 @@ let test_router_failover () =
         (* keep finally from double-stopping a *)
         ()
       end;
-      match Router.estimate router ~digest ~estimator () with
+      match fst (Router.estimate_routed router ~digest ~estimator ()) with
       | Router.Served reply ->
           Alcotest.(check int) "rows after failover" 3
             (List.length reply.Protocol.rows)

@@ -53,9 +53,7 @@ let test_incremental_equals_fold () =
     (fun i own ->
       let others = List.filteri (fun j _ -> j <> i) loads in
       let direct = Compose.waiting_time others in
-      let incremental =
-        Compose.waiting_time_incremental ~all ~own:(Compose.of_load own)
-      in
+      let incremental = (Compose.remove ~total:all (Compose.of_load own)).w in
       (* ⊗ is associative only to second order; the two paths agree within a
          few percent for realistic probabilities. *)
       if not (Fixtures.float_eq ~eps:0.05 direct incremental) then

@@ -52,39 +52,21 @@ let test_non_finite_exec_times () =
       | _ -> Alcotest.failf "with_exec_times accepted time %g" t)
     [ nan; infinity ]
 
-let test_adjacency () =
-  let g = Fixtures.graph_a () in
-  let succ = Graph.successors g 0 in
-  Alcotest.(check (list int)) "succ a0" [ 1 ] (List.map fst succ);
-  let pred = Graph.predecessors g 0 in
-  Alcotest.(check (list int)) "pred a0" [ 2 ] (List.map fst pred);
-  Alcotest.(check int) "in_channels a2" 1 (List.length (Graph.in_channels g 2));
-  Alcotest.(check int) "out_channels a1" 1 (List.length (Graph.out_channels g 1))
-
 let test_connectivity () =
   let g = Fixtures.graph_a () in
-  Alcotest.(check bool) "connected" true (Graph.is_connected g);
   Alcotest.(check bool) "strongly connected" true (Graph.is_strongly_connected g);
   let chain =
     Graph.create ~name:"chain"
       ~actors:[| ("x", 1.); ("y", 1.) |]
       ~channels:[| (0, 1, 1, 1, 0) |]
   in
-  Alcotest.(check bool) "chain connected" true (Graph.is_connected chain);
   Alcotest.(check bool) "chain not scc" false (Graph.is_strongly_connected chain);
   let split =
     Graph.create ~name:"split"
       ~actors:[| ("x", 1.); ("y", 1.) |]
       ~channels:[||]
   in
-  Alcotest.(check bool) "split not connected" false (Graph.is_connected split)
-
-let test_find_actor () =
-  let g = Fixtures.graph_a () in
-  Alcotest.(check int) "find a2" 2 (Graph.find_actor g "a2").id;
-  match Graph.find_actor g "zz" with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "found nonexistent actor"
+  Alcotest.(check bool) "split not scc" false (Graph.is_strongly_connected split)
 
 let test_equal_structure_pp () =
   let g = Fixtures.graph_a () in
@@ -101,8 +83,6 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "exec times" `Quick test_exec_times;
     Alcotest.test_case "non-finite exec times" `Quick test_non_finite_exec_times;
-    Alcotest.test_case "adjacency" `Quick test_adjacency;
     Alcotest.test_case "connectivity" `Quick test_connectivity;
-    Alcotest.test_case "find actor" `Quick test_find_actor;
     Alcotest.test_case "equal/pp" `Quick test_equal_structure_pp;
   ]

@@ -26,12 +26,6 @@ let test_fifo_ties () =
   Desim.Heap.push h ~time:0.5 99;
   Alcotest.(check (list int)) "ties FIFO" [ 99; 10; 20; 30 ] (List.map snd (drain h))
 
-let test_clear () =
-  let h = Desim.Heap.create () in
-  Desim.Heap.push h ~time:1. 1;
-  Desim.Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Desim.Heap.is_empty h)
-
 let test_interleaved () =
   let h = Desim.Heap.create () in
   Desim.Heap.push h ~time:3. 3;
@@ -70,7 +64,6 @@ let suite =
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "ordering" `Quick test_ordering;
     Alcotest.test_case "FIFO ties" `Quick test_fifo_ties;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "interleaved" `Quick test_interleaved;
     prop_heap_sort;
     prop_stable_ties;

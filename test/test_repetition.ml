@@ -42,10 +42,6 @@ let test_disconnected () =
   | Error Repetition.Disconnected -> ()
   | Ok _ | Error (Repetition.Inconsistent _) -> Alcotest.fail "expected Disconnected"
 
-let test_total_firings () =
-  Alcotest.(check int) "total" 4
-    (Repetition.total_firings (Repetition.compute_exn (Fixtures.graph_a ())))
-
 let test_error_pp () =
   let msg = Format.asprintf "%a" Repetition.pp_error Repetition.Disconnected in
   Alcotest.(check bool) "mentions connectivity" true
@@ -72,7 +68,6 @@ let suite =
     Alcotest.test_case "multirate scaling" `Quick test_multirate_scaling;
     Alcotest.test_case "inconsistent" `Quick test_inconsistent;
     Alcotest.test_case "disconnected" `Quick test_disconnected;
-    Alcotest.test_case "total firings" `Quick test_total_firings;
     Alcotest.test_case "error printer" `Quick test_error_pp;
     prop_balance;
     prop_minimal;

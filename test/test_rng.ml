@@ -4,13 +4,6 @@ let test_determinism () =
     Alcotest.(check int64) "same stream" (Sdfgen.Rng.bits64 a) (Sdfgen.Rng.bits64 b)
   done
 
-let test_copy_independent () =
-  let a = Sdfgen.Rng.create 7 in
-  let b = Sdfgen.Rng.copy a in
-  let va = Sdfgen.Rng.bits64 a in
-  let vb = Sdfgen.Rng.bits64 b in
-  Alcotest.(check int64) "copy continues same stream" va vb
-
 let test_split_diverges () =
   let a = Sdfgen.Rng.create 7 in
   let b = Sdfgen.Rng.split a in
@@ -75,7 +68,6 @@ let test_bool_balance () =
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
-    Alcotest.test_case "copy" `Quick test_copy_independent;
     Alcotest.test_case "split diverges" `Quick test_split_diverges;
     Alcotest.test_case "bounds" `Quick test_bounds;
     Alcotest.test_case "invalid bounds" `Quick test_invalid_bounds;

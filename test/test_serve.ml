@@ -749,6 +749,44 @@ let test_graceful_stop_with_idle_client () =
       Serve.Server.stop server;
       Serve.Client.close c)
 
+(* A refused setting raises, naming its field, before anything is bound:
+   no socket file is left behind. *)
+let test_bad_config_refused () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "contention-refused-%d.sock" (Unix.getpid ()))
+  in
+  let base =
+    {
+      Serve.Server.default_config with
+      port = None;
+      unix_path = Some path;
+      jobs = Some 1;
+    }
+  in
+  List.iter
+    (fun (field, config) ->
+      (match Serve.Server.start ~config () with
+      | exception Invalid_argument msg ->
+          if not (Fixtures.contains ~affix:field msg) then
+            Alcotest.failf "%s refused without naming it: %s" field msg
+      | server ->
+          Serve.Server.stop server;
+          Alcotest.failf "%s accepted" field);
+      if Sys.file_exists path then begin
+        Sys.remove path;
+        Alcotest.failf "%s: socket file left behind" field
+      end)
+    [
+      ("jobs", { base with jobs = Some 0 });
+      ("audit_horizon", { base with audit_horizon = nan });
+      ("slo_objective_ms", { base with slo_objective_ms = 0. });
+      ("slo_target", { base with slo_target = 1. });
+      ("audit_drift_lambda", { base with audit_drift_lambda = infinity });
+      ("audit_drift_delta", { base with audit_drift_delta = -1. });
+    ]
+
 let suite =
   [
     Alcotest.test_case "store" `Quick test_store;
@@ -766,4 +804,6 @@ let suite =
       test_graceful_stop_with_idle_client;
     Alcotest.test_case "stats consistent under load" `Quick
       test_stats_under_load;
+    Alcotest.test_case "bad config refused before binding" `Quick
+      test_bad_config_refused;
   ]

@@ -15,7 +15,7 @@ let test_parse_handwritten () =
      channel p0 -> p1 produce 1 consume 1 tokens 0\n\
      channel p1 -> p0 produce 1 consume 1 tokens 1\n"
   in
-  let g = Text.of_string_exn src in
+  let g = Result.get_ok (Text.of_string src) in
   Alcotest.(check string) "name" "pipe" g.Graph.name;
   Alcotest.(check int) "actors" 2 (Graph.num_actors g);
   Fixtures.check_float "period" 8. (Statespace.period_exn g)
@@ -41,16 +41,11 @@ let test_errors () =
   | Error msg -> Alcotest.(check bool) "line number" true (Fixtures.contains ~affix:"line 3" msg)
   | Ok _ -> Alcotest.fail "garbage accepted"
 
-let test_of_string_exn () =
-  match Text.of_string_exn "nonsense" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "exn variant did not raise"
-
 let test_file_roundtrip () =
   let g = Fixtures.graph_b () in
   let path = Filename.temp_file "sdf" ".sdf" in
   Text.write_file path g;
-  (match Text.read_file path with
+  (match Text.of_string (In_channel.with_open_text path In_channel.input_all) with
   | Ok g' -> Alcotest.(check bool) "file roundtrip" true (Graph.equal_structure g g')
   | Error msg -> Alcotest.failf "read failed: %s" msg);
   Sys.remove path
@@ -66,7 +61,6 @@ let suite =
     Alcotest.test_case "roundtrip paper graph" `Quick test_roundtrip_paper_graph;
     Alcotest.test_case "parse handwritten" `Quick test_parse_handwritten;
     Alcotest.test_case "errors" `Quick test_errors;
-    Alcotest.test_case "of_string_exn" `Quick test_of_string_exn;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     prop_roundtrip_random;
   ]

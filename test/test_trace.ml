@@ -94,18 +94,6 @@ let test_waiting_observed_under_contention () =
   let s = Trace.actor_stats trace ~app:0 ~actor:0 in
   Fixtures.check_float ~eps:0.02 "contended gap" 10. s.mean_gap
 
-let test_csv () =
-  let g = Fixtures.pipeline () in
-  let trace, _, _ =
-    traced_run [| { Engine.graph = g; mapping = [| 0; 1 |] } |] ~procs:2 ~horizon:40.
-  in
-  let csv = Trace.to_csv trace in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check int) "header + records" (Trace.num_records trace + 1) (List.length lines);
-  match lines with
-  | header :: _ -> Alcotest.(check string) "header" "app,actor,proc,start,finish" header
-  | [] -> Alcotest.fail "empty csv"
-
 let suite =
   [
     Alcotest.test_case "records pair up" `Quick test_records_pair_up;
@@ -113,5 +101,4 @@ let suite =
     Alcotest.test_case "actor stats" `Quick test_actor_stats;
     Alcotest.test_case "proc timeline no overlap" `Quick test_proc_timeline_no_overlap;
     Alcotest.test_case "observed waiting" `Quick test_waiting_observed_under_contention;
-    Alcotest.test_case "csv" `Quick test_csv;
   ]

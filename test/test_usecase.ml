@@ -8,13 +8,8 @@ let test_roundtrip () =
   Alcotest.(check bool) "mem 3" false (Usecase.mem 3 u)
 
 let test_add_remove () =
-  let u = Usecase.singleton 1 in
-  let u = Usecase.add 4 u in
-  Alcotest.(check (list int)) "added" [ 1; 4 ] (Usecase.to_list u);
-  let u = Usecase.remove 1 u in
-  Alcotest.(check (list int)) "removed" [ 4 ] (Usecase.to_list u);
-  (* Removing an absent element is a no-op. *)
-  Alcotest.(check (list int)) "noop remove" [ 4 ] (Usecase.to_list (Usecase.remove 9 u))
+  let u = Usecase.add 4 (Usecase.of_list [ 1 ]) in
+  Alcotest.(check (list int)) "added" [ 1; 4 ] (Usecase.to_list u)
 
 let test_all_count () =
   (* 2^10 - 1 = 1023, the paper's "over a thousand use-cases". *)
@@ -24,12 +19,6 @@ let test_all_count () =
   let cases = Usecase.all ~napps:5 in
   Alcotest.(check bool) "no empty" true (List.for_all (fun u -> Usecase.cardinal u > 0) cases);
   Alcotest.(check int) "distinct" 31 (List.length (List.sort_uniq Int.compare cases))
-
-let test_of_size () =
-  let sized = Usecase.of_size ~napps:5 2 in
-  Alcotest.(check int) "C(5,2)" 10 (List.length sized);
-  Alcotest.(check bool) "all size 2" true
-    (List.for_all (fun u -> Usecase.cardinal u = 2) sized)
 
 let test_full () =
   let f = Usecase.full ~napps:4 in
@@ -63,7 +52,6 @@ let suite =
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "add/remove" `Quick test_add_remove;
     Alcotest.test_case "all count" `Quick test_all_count;
-    Alcotest.test_case "of_size" `Quick test_of_size;
     Alcotest.test_case "full" `Quick test_full;
     Alcotest.test_case "invalid" `Quick test_invalid;
     Alcotest.test_case "pp" `Quick test_pp;

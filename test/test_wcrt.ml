@@ -4,12 +4,10 @@ let test_sums_exec_times () =
   let loads =
     [ Prob.make ~p:0.1 ~mu:10. ~tau:20.; Prob.make ~p:0.9 ~mu:25. ~tau:50. ]
   in
-  Fixtures.check_float "sum of taus" 70. (Wcrt.waiting_time loads);
-  Fixtures.check_float "raw taus" 70. (Wcrt.waiting_time_of_exec_times [ 20.; 50. ])
+  Fixtures.check_float "sum of taus" 70. (Wcrt.waiting_time loads)
 
 let test_empty () =
-  Fixtures.check_float "empty" 0. (Wcrt.waiting_time []);
-  Fixtures.check_float "empty raw" 0. (Wcrt.waiting_time_of_exec_times [])
+  Fixtures.check_float "empty" 0. (Wcrt.waiting_time [])
 
 let test_probability_independent () =
   (* The worst case ignores probabilities entirely. *)
