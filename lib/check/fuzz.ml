@@ -189,12 +189,10 @@ let churn_passed r = r.churn_violations = []
 let churn_violation property fmt =
   Printf.ksprintf (fun detail -> { Metamorphic.property; detail }) fmt
 
-(* One random resident application.  Three deliberate deviations from the
+(* One random resident application.  Two deliberate deviations from the
    plain generator draw:
-   - the isolation period is computed on the HSDF expansion (bounded by the
-     small repetition entries) instead of the default self-timed state
-     space, whose size is unbounded over thousands of random graphs;
-   - the activation period is the HSDF period inflated by
+   - the activation period is the HSDF period (the expansion [Analysis.app]
+     also searches by default) inflated by
      [config.period_slack]: the soak models thousands of {e light}
      co-resident features, not thousands of features each saturating its
      processors (see {!churn_config});

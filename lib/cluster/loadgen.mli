@@ -92,8 +92,7 @@ val run :
 
 val report_to_json : report -> Serve.Json.t
 (** A [{"schema": "contention-bench/1", ...}] document with the run under a
-    ["loadgen"] key — same envelope as [contention bench --json], so the
-    same tooling ingests both. *)
+    ["loadgen"] key: what [contention loadgen --json] writes. *)
 
 val render : report -> string
 (** Human-readable summary table. *)

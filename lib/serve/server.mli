@@ -5,8 +5,9 @@
     Connections are accepted on a TCP socket (port [0] picks an ephemeral
     port — used by the integration tests) and/or a Unix-domain socket, and
     handed to a fixed pool of worker domains modelled on {!Exp.Pool}: each
-    connection is served by one worker, so a slow or idle client occupies at
-    most one worker and cannot stall the others.  Workloads live in a
+    connection is served by one worker, which stays with it until the peer
+    closes it, so [jobs] idle connections hold every worker and later
+    connections wait in the accept queue.  Workloads live in a
     content-addressed {!Store}; estimates are memoised in an {!Lru} cache
     keyed by [(workload digest, use-case mask, estimator name)], each entry
     holding its rows and its encoded reply body
