@@ -1,3 +1,6 @@
+(* Alcotest pads the group column to the longest group name and cuts long
+   test names to fit 80 columns, so the longest group name decides how long
+   test names print. Keep it at 16 characters ("serve bad config"). *)
 let () =
   Alcotest.run "contention"
     [
@@ -24,7 +27,6 @@ let () =
       ("rational period", Test_rational_period.suite);
       ("calibration", Test_calibration.suite);
       ("scenario", Test_scenario.suite);
-      ("presets/validate", Test_presets_validate.suite);
       ("sensitivity", Test_sensitivity.suite);
       ("persistence", Test_persistence.suite);
       ("static order", Test_static_order.suite);
@@ -50,6 +52,7 @@ let () =
       ("integration", Test_integration.suite);
       ("serve json", Test_json.suite);
       ("serve", Test_serve.suite);
+      ("serve bad config", Test_serve.bad_config_suite);
       ("wire golden", Test_wire_golden.suite);
       ("serve metrics", Test_serve_metrics.suite);
       ("obs", Test_obs.suite);

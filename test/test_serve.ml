@@ -751,41 +751,51 @@ let test_graceful_stop_with_idle_client () =
 
 (* A refused setting raises, naming its field, before anything is bound:
    no socket file is left behind. *)
-let test_bad_config_refused () =
+let refused_before_binding field edit () =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "contention-refused-%d.sock" (Unix.getpid ()))
   in
-  let base =
-    {
-      Serve.Server.default_config with
-      port = None;
-      unix_path = Some path;
-      jobs = Some 1;
-    }
+  let config =
+    edit
+      {
+        Serve.Server.default_config with
+        port = None;
+        unix_path = Some path;
+        jobs = Some 1;
+      }
   in
-  List.iter
-    (fun (field, config) ->
-      (match Serve.Server.start ~config () with
-      | exception Invalid_argument msg ->
-          if not (Fixtures.contains ~affix:field msg) then
-            Alcotest.failf "%s refused without naming it: %s" field msg
-      | server ->
-          Serve.Server.stop server;
-          Alcotest.failf "%s accepted" field);
-      if Sys.file_exists path then begin
-        Sys.remove path;
-        Alcotest.failf "%s: socket file left behind" field
-      end)
-    [
-      ("jobs", { base with jobs = Some 0 });
-      ("audit_horizon", { base with audit_horizon = nan });
-      ("slo_objective_ms", { base with slo_objective_ms = 0. });
-      ("slo_target", { base with slo_target = 1. });
-      ("audit_drift_lambda", { base with audit_drift_lambda = infinity });
-      ("audit_drift_delta", { base with audit_drift_delta = -1. });
-    ]
+  (match Serve.Server.start ~config () with
+  | exception Invalid_argument msg ->
+      if not (Fixtures.contains ~affix:field msg) then
+        Alcotest.failf "%s refused without naming it: %s" field msg
+  | server ->
+      Serve.Server.stop server;
+      Alcotest.failf "%s accepted" field);
+  if Sys.file_exists path then begin
+    Sys.remove path;
+    Alcotest.failf "%s: socket file left behind" field
+  end
+
+(* One case per refused setting, named by the value it is refused. *)
+let bad_config_suite =
+  let case name field edit =
+    Alcotest.test_case name `Quick (refused_before_binding field edit)
+  in
+  let open Serve.Server in
+  [
+    case "jobs = 0" "jobs" (fun c -> { c with jobs = Some 0 });
+    case "audit_horizon = nan" "audit_horizon" (fun c ->
+        { c with audit_horizon = nan });
+    case "slo_objective_ms = 0" "slo_objective_ms" (fun c ->
+        { c with slo_objective_ms = 0. });
+    case "slo_target = 1" "slo_target" (fun c -> { c with slo_target = 1. });
+    case "audit_drift_lambda = infinity" "audit_drift_lambda" (fun c ->
+        { c with audit_drift_lambda = infinity });
+    case "audit_drift_delta = -1" "audit_drift_delta" (fun c ->
+        { c with audit_drift_delta = -1. });
+  ]
 
 let suite =
   [
@@ -804,6 +814,4 @@ let suite =
       test_graceful_stop_with_idle_client;
     Alcotest.test_case "stats consistent under load" `Quick
       test_stats_under_load;
-    Alcotest.test_case "bad config refused before binding" `Quick
-      test_bad_config_refused;
   ]
