@@ -46,6 +46,8 @@ ALLOW = {
     "Check.Metamorphic.margin_monotonicity": ORACLE,
     "Check.Oracle.margin_coverage": ORACLE,
     "Contention.Analysis.adjusted_graph": ORACLE,
+    # `explore / improve scores as score` holds the prepared search to it.
+    "Contention.Explore.score": ORACLE,
     "Cluster.Pool.reconnects": HOOK,
     "Cluster.Router.forward_counts": HOOK,
     "Desim.Heap.is_empty": HOOK,

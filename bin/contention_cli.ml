@@ -683,10 +683,13 @@ let serve_cmd =
     in
     with_trace ~process_name:self_name trace (fun () ->
         let server =
-          try Serve.Server.start ?on_hot ~config ()
-          with Unix.Unix_error (err, _, _) ->
-            Printf.eprintf "cannot start server: %s\n" (Unix.error_message err);
+          let refused msg =
+            Printf.eprintf "cannot start server: %s\n" msg;
             exit 1
+          in
+          try Serve.Server.start ?on_hot ~config () with
+          | Unix.Unix_error (err, _, _) -> refused (Unix.error_message err)
+          | Sys_error msg -> refused msg
         in
         (match Serve.Server.tcp_port server with
         | Some p ->

@@ -86,5 +86,3 @@ let improve ?(estimator = Analysis.Order 2) ?(max_moves = 32) ~procs assignment 
   in
   let final, final_score, moves = descend assignment initial_score 0 in
   { assignment = final; initial_score; final_score; moves; evaluations = !evaluations }
-
-let initial ~procs graphs = List.map (fun g -> (g, Mapping.modulo ~procs g)) graphs

@@ -6,9 +6,8 @@
     deterministic steepest-descent search over single-actor moves, scored by
     the estimated periods of all applications.
 
-    The search is deliberately simple — the point it demonstrates (and the
-    bench measures) is that the estimator is cheap enough to sit in an
-    optimisation loop. *)
+    The search is deliberately simple — the point it demonstrates is that
+    the estimator is cheap enough to sit in an optimisation loop. *)
 
 type assignment = (Sdf.Graph.t * Mapping.t) list
 (** One mapping per application, in a fixed application order. *)
@@ -38,6 +37,3 @@ val improve :
     prepared once ({!Analysis.prepare}: isolation period, loads, HSDF
     expansion), since none of it depends on the mapping; a candidate is
     scored exactly as {!score} would score it. *)
-
-val initial : procs:int -> Sdf.Graph.t list -> assignment
-(** A sensible starting point: the modulo mapping for every application. *)

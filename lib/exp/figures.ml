@@ -135,7 +135,7 @@ let render_fig6 (f : fig6) =
                 f.inaccuracy)
          f.sizes)
   in
-  "Figure 6: inaccuracy of period estimates (mean abs %% diff vs simulation)\n"
+  "Figure 6: inaccuracy of period estimates (mean abs % diff vs simulation)\n"
   ^ "as a function of the number of concurrently executing applications\n\n"
   ^ Repro_stats.Table.render ~header rows
   ^ "\n"

@@ -875,44 +875,6 @@ let start ?on_hot ?(config = default_config) () =
   (* A worker writing to a hung-up client must get EPIPE, not a fatal
      signal. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let tcp =
-    Option.map
-      (fun port ->
-        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-        (try
-           Unix.setsockopt fd Unix.SO_REUSEADDR true;
-           Unix.bind fd
-             (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, port));
-           Unix.listen fd 64
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        let bound =
-          match Unix.getsockname fd with
-          | Unix.ADDR_INET (_, p) -> p
-          | Unix.ADDR_UNIX _ -> port
-        in
-        (fd, bound))
-      config.port
-  in
-  let unix_listener =
-    Option.map
-      (fun path ->
-        if Sys.file_exists path then Sys.remove path;
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 64
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd)
-      config.unix_path
-  in
-  let listeners =
-    (match tcp with Some (fd, _) -> [ fd ] | None -> [])
-    @ (match unix_listener with Some fd -> [ fd ] | None -> [])
-  in
   (* Each server owns its registry: two servers in one process (the tests
      start several) must not see each other's series. *)
   let registry = Obs.Metric.create_registry () in
@@ -965,26 +927,79 @@ let start ?on_hot ?(config = default_config) () =
        ~help:"Worker domains — the pool's capacity."
        "contention_serve_workers")
     (float_of_int jobs);
-  let journal =
-    Option.map
-      (Journal.create ~sample_every:config.journal_sample
-         ~max_bytes:config.journal_max_bytes ?shard:config.shard)
-      config.journal_path
+  (* Acquire in one order — journal, TCP listener, Unix listener, audit
+     domain — and when a step raises, release what is already held, newest
+     first, then re-raise: a failed start leaves no open socket, no socket
+     file and no open journal. *)
+  let held = ref [] in
+  let holding release = held := release :: !held in
+  let journal, tcp, unix_listener, audit =
+    try
+      let journal =
+        Option.map
+          (Journal.create ~sample_every:config.journal_sample
+             ~max_bytes:config.journal_max_bytes ?shard:config.shard)
+          config.journal_path
+      in
+      Option.iter (fun j -> holding (fun () -> Journal.close j)) journal;
+      let socket domain =
+        let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+        holding (fun () -> Unix.close fd);
+        fd
+      in
+      let tcp =
+        Option.map
+          (fun port ->
+            let fd = socket Unix.PF_INET in
+            Unix.setsockopt fd Unix.SO_REUSEADDR true;
+            Unix.bind fd
+              (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, port));
+            Unix.listen fd 64;
+            let bound =
+              match Unix.getsockname fd with
+              | Unix.ADDR_INET (_, p) -> p
+              | Unix.ADDR_UNIX _ -> port
+            in
+            (fd, bound))
+          config.port
+      in
+      let unix_listener =
+        Option.map
+          (fun path ->
+            if Sys.file_exists path then Sys.remove path;
+            let fd = socket Unix.PF_UNIX in
+            Unix.bind fd (Unix.ADDR_UNIX path);
+            holding (fun () -> Sys.remove path);
+            Unix.listen fd 64;
+            fd)
+          config.unix_path
+      in
+      let audit =
+        if config.audit_sample <= 0 then None
+        else
+          Some
+            (Audit.create
+               ~config:
+                 {
+                   Audit.default_config with
+                   Audit.sample_every = config.audit_sample;
+                   horizon = config.audit_horizon;
+                   drift_delta = config.audit_drift_delta;
+                   drift_lambda = config.audit_drift_lambda;
+                 }
+               ~registry ?journal ())
+      in
+      (journal, tcp, unix_listener, audit)
+    with e ->
+      List.iter
+        (fun release ->
+          try release () with Unix.Unix_error _ | Sys_error _ -> ())
+        !held;
+      raise e
   in
-  let audit =
-    if config.audit_sample <= 0 then None
-    else
-      Some
-        (Audit.create
-           ~config:
-             {
-               Audit.default_config with
-               Audit.sample_every = config.audit_sample;
-               horizon = config.audit_horizon;
-               drift_delta = config.audit_drift_delta;
-               drift_lambda = config.audit_drift_lambda;
-             }
-           ~registry ?journal ())
+  let listeners =
+    (match tcp with Some (fd, _) -> [ fd ] | None -> [])
+    @ (match unix_listener with Some fd -> [ fd ] | None -> [])
   in
   let t =
     {

@@ -95,7 +95,10 @@ val start : ?on_hot:(hot_entry -> unit) -> ?config:config -> unit -> t
     with [j < 1], [slo_objective_ms], [audit_horizon] or
     [audit_drift_lambda] is not finite and positive, [slo_target] is not in
     (0, 1), or [audit_drift_delta] is not finite and non-negative.
-    @raise Unix.Unix_error if binding fails. *)
+    @raise Sys_error if the journal cannot be opened (it is opened before
+    any socket is bound).
+    @raise Unix.Unix_error if binding fails.  A start that raises leaves
+    nothing held: no open socket, no socket file and no open journal. *)
 
 val tcp_port : t -> int option
 (** The actually bound TCP port (resolves an ephemeral request). *)

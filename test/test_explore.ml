@@ -44,24 +44,14 @@ let test_improve_respects_max_moves () =
   Alcotest.(check int) "no moves" 0 outcome.moves;
   Fixtures.check_float "unchanged" outcome.initial_score outcome.final_score
 
-let test_initial () =
-  let graphs = [ Fixtures.graph_a (); Fixtures.graph_b () ] in
-  let assignment = Explore.initial ~procs:2 graphs in
-  List.iter
-    (fun ((g : Sdf.Graph.t), m) ->
-      Alcotest.(check int) "length" (Sdf.Graph.num_actors g) (Array.length m);
-      Array.iteri (fun j p -> Alcotest.(check int) "modulo" (j mod 2) p) m)
-    assignment
-
 (* Local search never worsens the score and stays valid. *)
 let prop_improve_monotone =
   Fixtures.qcheck_case ~count:10 "improve never worsens"
     QCheck2.Gen.(pair Fixtures.graph_gen Fixtures.graph_gen)
     (fun (g1, g2) ->
       let procs = 3 in
-      let outcome =
-        Explore.improve ~max_moves:3 ~procs (Explore.initial ~procs [ g1; g2 ])
-      in
+      let start = List.map (fun g -> (g, Mapping.modulo ~procs g)) [ g1; g2 ] in
+      let outcome = Explore.improve ~max_moves:3 ~procs start in
       outcome.final_score <= outcome.initial_score +. 1e-9)
 
 (* improve prepares each application once, yet scores exactly as score. *)
@@ -69,7 +59,7 @@ let prop_improve_scores_as_score =
   Fixtures.qcheck_case ~count:10 "improve scores as score"
     QCheck2.Gen.(pair Fixtures.graph_gen Fixtures.graph_gen)
     (fun (g1, g2) ->
-      let start = Explore.initial ~procs:3 [ g1; g2 ] in
+      let start = List.map (fun g -> (g, Mapping.modulo ~procs:3 g)) [ g1; g2 ] in
       let o = Explore.improve ~max_moves:3 ~procs:3 start in
       Float.equal o.initial_score (Explore.score ~procs:3 start)
       && Float.equal o.final_score (Explore.score ~procs:3 o.assignment))
@@ -80,7 +70,6 @@ let suite =
     Alcotest.test_case "score orders alternatives" `Quick test_score_orders_alternatives;
     Alcotest.test_case "improve finds disjoint" `Quick test_improve_finds_disjoint_mapping;
     Alcotest.test_case "max moves" `Quick test_improve_respects_max_moves;
-    Alcotest.test_case "initial" `Quick test_initial;
     prop_improve_monotone;
     prop_improve_scores_as_score;
   ]

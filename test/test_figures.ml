@@ -134,6 +134,9 @@ let test_fig6_golden () =
   let rendered = Exp.Figures.render_fig6 f in
   Alcotest.(check bool) "fig6 title" true
     (Fixtures.contains ~affix:"Figure 6: inaccuracy" rendered);
+  (* The header is a plain string, not a format: one percent sign. *)
+  Alcotest.(check bool) "fig6 header percent sign" true
+    (Fixtures.contains ~affix:"(mean abs % diff vs simulation)" rendered);
   Alcotest.(check string) "fig6 render deterministic" rendered
     (Exp.Figures.render_fig6 f)
 

@@ -778,10 +778,62 @@ let refused_before_binding field edit () =
     Alcotest.failf "%s: socket file left behind" field
   end
 
-(* One case per refused setting, named by the value it is refused. *)
+(* A start that fails past its setting checks (the journal cannot be
+   opened, or the Unix bind fails after the TCP bind) raises and releases
+   what it held: no socket file is left and the TCP port binds afresh. *)
+let released_on_failure edit () =
+  let scratch name =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "contention-%d-%s" (Unix.getpid ()) name)
+  in
+  (* Binds and releases a loopback port; raises EADDRINUSE while a leaked
+     listener holds it. *)
+  let bind_loopback port =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        match Unix.getsockname fd with
+        | Unix.ADDR_INET (_, p) -> p
+        | Unix.ADDR_UNIX _ -> port)
+  in
+  let port = bind_loopback 0 in
+  let config =
+    edit ~missing:(scratch "missing")
+      {
+        Serve.Server.default_config with
+        port = Some port;
+        unix_path = Some (scratch "released.sock");
+        jobs = Some 1;
+      }
+  in
+  (match Serve.Server.start ~config () with
+  | exception (Sys_error _ | Unix.Unix_error _) -> ()
+  | server ->
+      Serve.Server.stop server;
+      Alcotest.fail "started");
+  Option.iter
+    (fun path ->
+      if Sys.file_exists path then begin
+        Sys.remove path;
+        Alcotest.failf "socket file %s left behind" path
+      end)
+    config.unix_path;
+  match bind_loopback port with
+  | _ -> ()
+  | exception Unix.Unix_error (e, _, _) ->
+      Alcotest.failf "port %d still held: %s" port (Unix.error_message e)
+
+(* One case per refused setting, named by the value it is refused, then one
+   per acquisition that fails. *)
 let bad_config_suite =
   let case name field edit =
     Alcotest.test_case name `Quick (refused_before_binding field edit)
+  in
+  let failing name edit =
+    Alcotest.test_case name `Quick (released_on_failure edit)
   in
   let open Serve.Server in
   [
@@ -795,6 +847,10 @@ let bad_config_suite =
         { c with audit_drift_lambda = infinity });
     case "audit_drift_delta = -1" "audit_drift_delta" (fun c ->
         { c with audit_drift_delta = -1. });
+    failing "journal dir missing" (fun ~missing c ->
+        { c with journal_path = Some (Filename.concat missing "j.jsonl") });
+    failing "unix dir missing" (fun ~missing c ->
+        { c with unix_path = Some (Filename.concat missing "s.sock") });
   ]
 
 let suite =
