@@ -48,6 +48,8 @@ ALLOW = {
     "Contention.Analysis.adjusted_graph": ORACLE,
     # `explore / improve scores as score` holds the prepared search to it.
     "Contention.Explore.score": ORACLE,
+    # The period engine's counted work, pinned by `kernel / work: ...`.
+    "Contention.Analysis.kernel_work": HOOK,
     "Cluster.Pool.reconnects": HOOK,
     "Cluster.Router.forward_counts": HOOK,
     "Desim.Heap.is_empty": HOOK,

@@ -31,17 +31,18 @@
 
      dune exec bench/main.exe > bench/figures.golden
 
-   It exits 1 when one of its own checks fails: the parallel sweep differs
-   from the sequential one, or a served isolation period in ABLATION-ENGINE
-   differs from the exact rational one or by more than 1e-9 relative from
-   HSDF/MCM.  Wall-clock costs live elsewhere: `contention experiment
-   timing` times analysis against simulation, and perfbench/ measures the
-   sweep, serve and admit paths with their spread.
+   It exits 1 when one of its own checks fails: the sweep, run on at least
+   two domains, differs from its re-run on one, or a served isolation
+   period in ABLATION-ENGINE differs from the exact rational one or by more
+   than 1e-9 relative from HSDF/MCM.  Wall-clock costs live elsewhere:
+   `contention experiment timing` times analysis against simulation, and
+   perfbench/ measures the sweep, serve and admit paths with their spread.
 
    Environment:
-     CONTENTION_JOBS      domains for the use-case sweep (default: recommended
-                          domain count - 1); the sweep is also re-run
-                          sequentially and must agree bit for bit
+     CONTENTION_JOBS      domains for the use-case sweep, raised to 2 if
+                          lower (default: recommended domain count - 1); the
+                          sweep is also re-run on one domain and must agree
+                          bit for bit
      CONTENTION_TRACE     write a Chrome/Perfetto trace of the whole run to
                           this file (spans recording is off otherwise) *)
 
@@ -87,7 +88,9 @@ let () =
 (* ------------------------------------------------------------------ *)
 (* The sweep behind Table 1 and Figure 6                               *)
 
-let jobs = Exp.Pool.default_jobs ()
+(* At least two domains, so that the re-run below always compares one
+   domain with several, whatever the host's CPU count. *)
+let jobs = Int.max 2 (Exp.Pool.default_jobs ())
 let sweep_usecases = Contention.Usecase.all ~napps:num_apps
 
 let sweep =
@@ -103,8 +106,8 @@ let sweep =
     end
   in
   let s = Exp.Sweep.run ~horizon ~usecases:sweep_usecases ~progress ~jobs workload in
-  (* A sequential re-run of the identical sweep must agree bit for bit: the
-     sweep is deterministic in the number of domains.  Structural [compare]
+  (* A re-run of the identical sweep on one domain must agree bit for bit:
+     the sweep is deterministic in the number of domains.  Structural [compare]
      rather than [<>]: a use-case whose simulation completes no iteration
      records a NaN period (a valid observation filtered later), and
      NaN <> NaN would cry wolf. *)

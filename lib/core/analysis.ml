@@ -57,6 +57,53 @@ type app = {
   distributions : Dist.t array option;
 }
 
+type workspace = {
+  ker : Kernel.scratch;
+  mutable group_of_proc : int array;  (* processor id -> group index this pass *)
+  mutable gstart : int array;  (* per group: first member slot *)
+  mutable gcount : int array;
+  mutable gfill : int array;
+  mutable app_off : int array;  (* per active app: base of its member range *)
+  mutable slot : int array;  (* app_off + actor -> member slot *)
+  mutable active : int array;  (* use-case's app indices, ascending *)
+  mutable g_p : float array;  (* per member slot: blocking probability *)
+  mutable g_mu : float array;
+  mutable g_tau : float array;
+  mutable g_wait : float array;
+  mutable resp : float array;  (* one app's response times *)
+  mutable periods : float array;  (* the last pass's, or period_with's, periods *)
+  r : int array;  (* int registers: counters without ref-cell boxing *)
+}
+
+let grow_f a n =
+  if Array.length a < n then Array.make (Int.max n (2 * Array.length a)) 0. else a
+
+let grow_i a n =
+  if Array.length a < n then Array.make (Int.max n (2 * Array.length a)) 0 else a
+
+let workspace () =
+  {
+    ker = Kernel.scratch ();
+    group_of_proc = Array.make 16 0;
+    gstart = Array.make 16 0;
+    gcount = Array.make 16 0;
+    gfill = Array.make 16 0;
+    app_off = Array.make 16 0;
+    slot = Array.make 64 0;
+    active = Array.make 16 0;
+    g_p = Array.make 64 0.;
+    g_mu = Array.make 64 0.;
+    g_tau = Array.make 64 0.;
+    g_wait = Array.make 64 0.;
+    resp = Array.make 32 0.;
+    periods = Array.make 16 0.;
+    r = Array.make 8 0;
+  }
+
+let workspace_key = Domain.DLS.new_key workspace
+let shared_workspace () = Domain.DLS.get workspace_key
+let kernel_work () = Kernel.work (shared_workspace ()).ker
+
 (* The HSDF expansion has a node per firing of one iteration, an edge per
    token a firing produces and one more per node chaining an actor's
    firings, so a channel's rates alone can make it run to billions.  A
@@ -66,7 +113,8 @@ let max_expansion = 1_000_000
 
 (* The HSDF expansion of [graph] flattened for {!Kernel.period_into}: an edge
    weighs its source node's actor's execution time, and the cycle forms are
-   seeded with the critical cycle at [exec], the graph's own times. *)
+   seeded, on the calling domain's scratch, with the critical cycle at
+   [exec], the graph's own times. *)
 let kernel_graph graph ~repetition ~exec =
   (* Summed in floats, which no rate can overflow. *)
   let size =
@@ -82,12 +130,11 @@ let kernel_graph graph ~repetition ~exec =
          "Contention.Analysis: graph %S expands to %.0f HSDF nodes and edges, \
           above the limit of %d"
          graph.Sdf.Graph.name size max_expansion);
-  let h = Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand graph) in
-  let edge (e : Sdf.Hsdf.edge) =
-    (e.from_node, e.to_node, h.nodes.(e.from_node).Sdf.Hsdf.actor, e.delay)
+  let h =
+    Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand ~repetition graph)
   in
-  Kernel.graph ~nnodes:(Sdf.Hsdf.num_nodes h) ~name:graph.Sdf.Graph.name
-    ~seeds:[ exec ] (Array.map edge h.edges)
+  Kernel.graph (shared_workspace ()).ker ~name:graph.Sdf.Graph.name ~seeds:[ exec ]
+    ~actor:h.actor ~src:h.src ~dst:h.dst ~delay:h.delay
 
 let app ?period ?procs ?distributions graph ~mapping =
   (match procs with
@@ -121,7 +168,8 @@ let app ?period ?procs ?distributions graph ~mapping =
         (* The seeding just certified the critical cycle at [exec]: one
            probe confirms it. *)
         let out = [| 0. |] in
-        Kernel.period_into (Kernel.scratch ()) g ~exec ~exec_off:0 ~out ~out_idx:0;
+        Kernel.period_into (shared_workspace ()).ker g ~exec ~exec_off:0 ~out
+          ~out_idx:0;
         out.(0)
   in
   if not (Float.is_finite isolation_period && isolation_period > 0.) then
@@ -192,52 +240,6 @@ let estimate_args est n () =
    statement of the same pass; the kernel replicates its waiting-time
    operation sequences, so the waits agree bit for bit, and its periods are
    exact critical-cycle ratios within the reference bisection's 1e-9. *)
-
-type workspace = {
-  ker : Kernel.scratch;
-  mutable group_of_proc : int array;  (* processor id -> group index this pass *)
-  mutable gstart : int array;  (* per group: first member slot *)
-  mutable gcount : int array;
-  mutable gfill : int array;
-  mutable app_off : int array;  (* per active app: base of its member range *)
-  mutable slot : int array;  (* app_off + actor -> member slot *)
-  mutable active : int array;  (* use-case's app indices, ascending *)
-  mutable g_p : float array;  (* per member slot: blocking probability *)
-  mutable g_mu : float array;
-  mutable g_tau : float array;
-  mutable g_wait : float array;
-  mutable resp : float array;  (* one app's response times *)
-  mutable periods : float array;  (* the last pass's, or period_with's, periods *)
-  r : int array;  (* int registers: counters without ref-cell boxing *)
-}
-
-let grow_f a n =
-  if Array.length a < n then Array.make (Int.max n (2 * Array.length a)) 0. else a
-
-let grow_i a n =
-  if Array.length a < n then Array.make (Int.max n (2 * Array.length a)) 0 else a
-
-let workspace () =
-  {
-    ker = Kernel.scratch ();
-    group_of_proc = Array.make 16 0;
-    gstart = Array.make 16 0;
-    gcount = Array.make 16 0;
-    gfill = Array.make 16 0;
-    app_off = Array.make 16 0;
-    slot = Array.make 64 0;
-    active = Array.make 16 0;
-    g_p = Array.make 64 0.;
-    g_mu = Array.make 64 0.;
-    g_tau = Array.make 64 0.;
-    g_wait = Array.make 64 0.;
-    resp = Array.make 32 0.;
-    periods = Array.make 16 0.;
-    r = Array.make 8 0;
-  }
-
-let workspace_key = Domain.DLS.new_key workspace
-let shared_workspace () = Domain.DLS.get workspace_key
 
 (* One Figure-4 pass.  [active] lists the indices of the use-case's
    applications into [apps]/[caches]/[loads] in ascending order (the order

@@ -136,7 +136,10 @@ type cache
     appears in. *)
 
 val prepare : app -> cache
-(** @raise Invalid_argument, naming the graph, when its HSDF expansion
+(** Expands the graph with the app's repetition vector and seeds the cycle
+    forms on the calling domain's {!shared_workspace}: linear in the
+    expansion, plus the seeding's few probes.
+    @raise Invalid_argument, naming the graph, when its HSDF expansion
     would pass 1,000,000 nodes and edges — which an app made with a given
     [period] has not been checked for. *)
 
@@ -160,6 +163,12 @@ val shared_workspace : unit -> workspace
 (** The calling domain's workspace (domain-local storage) — what the
     [?workspace] arguments default to.  Parallel sweeps ({!Exp.Pool}) thus
     reuse one set of buffers per domain with no sharing or locking. *)
+
+val kernel_work : unit -> int * int
+(** {!Kernel.work} of the calling domain's {!shared_workspace}: the period
+    engine's relaxations and parent-walk steps there, which {!app},
+    {!prepare} and {!period_with} add to.  A test hook that pins the
+    engine's work by count rather than by wall-clock. *)
 
 val estimate_prepared :
   ?workspace:workspace -> estimator -> (app * cache) list -> estimate list

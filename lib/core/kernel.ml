@@ -35,6 +35,8 @@ type scratch = {
   mutable counts : int array;  (* per-actor edge counts of the last witness *)
   mutable tokens : int;  (* token count of the last witness *)
   mutable binding : int;  (* the last period's form, or -1: the witness *)
+  mutable relaxations : int;  (* edges scanned by probe rounds, ever *)
+  mutable walk_steps : int;  (* parent links followed by probe walks, ever *)
 }
 
 let scratch () =
@@ -48,7 +50,11 @@ let scratch () =
     counts = Array.make 16 0;
     tokens = 0;
     binding = -1;
+    relaxations = 0;
+    walk_steps = 0;
   }
+
+let work s = (s.relaxations, s.walk_steps)
 
 let grow a n = if Array.length a < n then Array.make (Int.max n (2 * Array.length a)) 0. else a
 
@@ -217,7 +223,8 @@ type graph = {
   delay : int array;  (* >= 0 by construction *)
   cyclic : bool;  (* topology-only, so decided once *)
   zero_delay_cycle : bool;  (* topology-only, so decided once *)
-  forms : int array;  (* form k's per-actor counts at [k * nactors ..] *)
+  nforms : int;
+  forms : int array;  (* form k < nforms's per-actor counts at [k * nactors ..] *)
   form_tokens : int array;  (* form k's token count, >= 1 *)
   source_name : string;  (* for error messages *)
 }
@@ -252,12 +259,36 @@ let[@inline] cycle_ratio g ~counts ~coff ~tokens ~exec ~exec_off =
   done;
   !sum /. float_of_int tokens
 
+(* Whether the parent walk from [last] closes a cycle: it comes back to
+   [last], or follows [nnodes] links without reaching a node no round has
+   relaxed, and so has met some node twice.  This is the walk-to-root test
+   of Cherkassky & Goldberg ("Negative-cycle detection algorithms", Math.
+   Programming 85, 1999), run once per round from the node relaxed last
+   rather than after every relaxation. *)
+let closes_cycle s g last =
+  let v = ref last and steps = ref 0 and closed = ref false in
+  while (not !closed) && !v >= 0 && !steps < g.nnodes do
+    incr steps;
+    let e = s.par.(!v) in
+    if e < 0 then v := -1
+    else begin
+      v := g.src.(e);
+      closed := !v = last
+    end
+  done;
+  s.walk_steps <- s.walk_steps + !steps;
+  !v >= 0
+
 (* One Bellman-Ford positive-cycle probe at [lambda], recording relaxation
-   parents.  Returns a node still relaxed after [nnodes] rounds — a parent
-   chain from it reaches a cycle whose shifted weight exceeds the
-   tolerance — or -1 when a round relaxes nothing: then no cycle's shifted
+   parents.  Returns a node whose parent chain reaches a cycle of the parent
+   graph — found by the walk after a round, or still relaxed after [nnodes]
+   rounds — or -1 when a round relaxes nothing: then no cycle's shifted
    weight exceeds its length times [tol], so none has a ratio above
-   [lambda] beyond that slack. *)
+   [lambda] beyond that slack.  A parent-graph cycle's shifted weight
+   exceeds [tol]: the last relaxation among its nodes raised one by more
+   than [tol] after that node's successor on the cycle took its distance
+   from it.  Edges sorted by source let one round carry a distance along
+   node order. *)
 let[@inline] probe s g ~exec ~exec_off ~lambda ~tol =
   for e = 0 to g.nedges - 1 do
     s.wshift.(e) <-
@@ -267,10 +298,12 @@ let[@inline] probe s g ~exec ~exec_off ~lambda ~tol =
     s.dist.(v) <- 0.;
     s.par.(v) <- -1
   done;
-  let changed = ref true and round = ref 0 and last = ref (-1) in
-  while !changed && !round <= g.nnodes do
+  let changed = ref true and cycle = ref false in
+  let round = ref 0 and last = ref (-1) in
+  while !changed && (not !cycle) && !round <= g.nnodes do
     changed := false;
     incr round;
+    s.relaxations <- s.relaxations + g.nedges;
     for e = 0 to g.nedges - 1 do
       let candidate = s.dist.(g.src.(e)) +. s.wshift.(e) in
       if candidate > s.dist.(g.dst.(e)) +. tol then begin
@@ -279,7 +312,8 @@ let[@inline] probe s g ~exec ~exec_off ~lambda ~tol =
         changed := true;
         last := g.dst.(e)
       end
-    done
+    done;
+    if !changed then cycle := closes_cycle s g !last
   done;
   if !changed then !last else -1
 
@@ -333,7 +367,7 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
      between competing cycles once they fall below ~1e-3. *)
   let tol = 1e-12 *. !total in
   let lambda = ref neg_infinity in
-  for k = 0 to Array.length g.form_tokens - 1 do
+  for k = 0 to g.nforms - 1 do
     let r =
       cycle_ratio g ~counts:g.forms ~coff:(k * g.nactors)
         ~tokens:g.form_tokens.(k) ~exec ~exec_off
@@ -364,25 +398,64 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
   done;
   out.(out_idx) <- !lambda
 
-let graph ~nnodes ~name ~seeds edges =
-  let nedges = Array.length edges in
-  let src = Array.make nedges 0
-  and dst = Array.make nedges 0
-  and wactor = Array.make nedges 0
-  and delay = Array.make nedges 0 in
+(* Whether the zero-delay edges close a cycle: Kahn's topological order
+   over them, O(V + E), leaves some node unordered exactly when they do. *)
+let zero_delay_cycle ~nnodes ~src ~dst ~delay =
+  let indegree = Array.make nnodes 0 and first = Array.make (nnodes + 1) 0 in
   Array.iteri
-    (fun e (u, v, a, d) ->
-      if d < 0 then invalid_arg "Contention.Kernel.graph: negative delay";
-      if u < 0 || u >= nnodes || v < 0 || v >= nnodes then
-        invalid_arg "Contention.Kernel.graph: edge endpoint out of range";
-      if a < 0 then invalid_arg "Contention.Kernel.graph: negative actor index";
-      src.(e) <- u;
-      dst.(e) <- v;
-      wactor.(e) <- a;
-      delay.(e) <- d)
-    edges;
+    (fun e d ->
+      if d = 0 then begin
+        indegree.(dst.(e)) <- indegree.(dst.(e)) + 1;
+        first.(src.(e) + 1) <- first.(src.(e) + 1) + 1
+      end)
+    delay;
+  for v = 1 to nnodes do
+    first.(v) <- first.(v) + first.(v - 1)
+  done;
+  (* Node u's zero-delay successors at [succ.(first.(u)) .. first.(u + 1) - 1]. *)
+  let succ = Array.make first.(nnodes) 0 and fill = Array.sub first 0 nnodes in
+  Array.iteri
+    (fun e d ->
+      if d = 0 then begin
+        succ.(fill.(src.(e))) <- dst.(e);
+        fill.(src.(e)) <- fill.(src.(e)) + 1
+      end)
+    delay;
+  let order = Array.make nnodes 0 and ordered = ref 0 in
+  let enqueue v =
+    order.(!ordered) <- v;
+    incr ordered
+  in
+  for v = 0 to nnodes - 1 do
+    if indegree.(v) = 0 then enqueue v
+  done;
+  let next = ref 0 in
+  while !next < !ordered do
+    let u = order.(!next) in
+    incr next;
+    for i = first.(u) to first.(u + 1) - 1 do
+      indegree.(succ.(i)) <- indegree.(succ.(i)) - 1;
+      if indegree.(succ.(i)) = 0 then enqueue succ.(i)
+    done
+  done;
+  !ordered < nnodes
+
+let graph s ~name ~seeds ~actor ~src ~dst ~delay =
+  let nnodes = Array.length actor and nedges = Array.length src in
+  if Array.length dst <> nedges || Array.length delay <> nedges then
+    invalid_arg "Contention.Kernel.graph: edge arrays of different lengths";
+  if Array.exists (fun a -> a < 0) actor then
+    invalid_arg "Contention.Kernel.graph: negative actor index";
+  for e = 0 to nedges - 1 do
+    if delay.(e) < 0 then invalid_arg "Contention.Kernel.graph: negative delay";
+    if src.(e) < 0 || src.(e) >= nnodes || dst.(e) < 0 || dst.(e) >= nnodes then
+      invalid_arg "Contention.Kernel.graph: edge endpoint out of range"
+  done;
+  let wactor = Array.map (fun u -> actor.(u)) src in
   let nactors = Array.fold_left (fun m a -> Int.max m (a + 1)) 0 wactor in
-  let zero_delay_cycle = Sdf.Mcm.zero_delay_cycle ~nodes:nnodes edges in
+  let zero_delay_cycle = zero_delay_cycle ~nnodes ~src ~dst ~delay in
+  (* Each seed adds at most one form. *)
+  let room = Int.max 1 (List.length seeds) in
   let g =
     {
       nnodes;
@@ -394,39 +467,39 @@ let graph ~nnodes ~name ~seeds edges =
       delay;
       cyclic = zero_delay_cycle;
       zero_delay_cycle;
-      forms = [||];
-      form_tokens = [||];
+      nforms = 0;
+      forms = Array.make (room * nactors) 0;
+      form_tokens = Array.make room 0;
       source_name = name;
     }
   in
   (* Some cycle, if there is one: with every edge weighing 1, every cycle is
      positive at lambda = 0. *)
-  let s = scratch () and out = [| 0. |] in
   reserve_graph s g;
   let last = probe s g ~exec:(Array.make nactors 1.) ~exec_off:0 ~lambda:0. ~tol:0. in
   if zero_delay_cycle || last < 0 then g
   else begin
     let tokens = witness s g last in
     if tokens = 0 then no_witness g 0.;
-    let with_forms forms =
-      {
-        g with
-        cyclic = true;
-        forms = Array.concat (List.map fst forms);
-        form_tokens = Array.of_list (List.map snd forms);
-      }
+    let set_form k ~tokens =
+      Array.blit s.counts 0 g.forms (k * nactors) nactors;
+      g.form_tokens.(k) <- tokens
     in
-    let cycle = (Array.sub s.counts 0 nactors, tokens) in
-    (* The forms are the certified critical cycles at the seeds; the search
-       for the first one starts from the cycle just found. *)
-    let critical forms t =
-      period_into s (with_forms forms) ~exec:t ~exec_off:0 ~out ~out_idx:0;
-      if s.binding >= 0 then List.nth forms s.binding
-      else (Array.sub s.counts 0 nactors, s.tokens)
+    (* The forms are the certified critical cycles at the seeds, each once.
+       The search for the first one starts from the cycle just found, held
+       as form 0 until the first seed's critical cycle replaces it.  A
+       search that ends on a witness found a cycle above every form, so a
+       new one. *)
+    set_form 0 ~tokens;
+    let out = [| 0. |] in
+    let add nforms t =
+      period_into s { g with cyclic = true; nforms = Int.max 1 nforms } ~exec:t
+        ~exec_off:0 ~out ~out_idx:0;
+      if s.binding < 0 then begin
+        set_form nforms ~tokens:s.tokens;
+        nforms + 1
+      end
+      else Int.max 1 nforms
     in
-    let add forms t =
-      let c = critical (if forms = [] then [ cycle ] else forms) t in
-      if List.mem c forms then forms else forms @ [ c ]
-    in
-    with_forms (if seeds = [] then [ cycle ] else List.fold_left add [] seeds)
+    { g with cyclic = true; nforms = Int.max 1 (List.fold_left add 0 seeds) }
   end

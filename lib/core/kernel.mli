@@ -28,6 +28,12 @@ type scratch
 
 val scratch : unit -> scratch
 
+val work : scratch -> int * int
+(** [(relaxations, walk_steps)]: the edges the period engine's probe rounds
+    have scanned on this scratch ([edges × rounds]), and the parent links
+    their cycle walks have followed, since it was made.  A test hook: the
+    counts pin the engine's work where wall-clock would be noise. *)
+
 val reserve_group : scratch -> int -> unit
 (** Pre-grow the waiting-time buffers for groups of up to [n] members, so the
     first evaluation is already allocation-free. *)
@@ -94,21 +100,34 @@ type graph
     domains. *)
 
 val graph :
-  nnodes:int ->
+  scratch ->
   name:string ->
   seeds:float array list ->
-  (int * int * int * int) array ->
+  actor:int array ->
+  src:int array ->
+  dst:int array ->
+  delay:int array ->
   graph
-(** [graph ~nnodes ~name ~seeds edges] with edges [(src, dst, actor,
-    delay)]; [name] is the source graph's name, used in error messages.
-    The forms are the certified critical cycles at the per-actor execution
-    times [seeds] ({!Analysis.app} and {!Analysis.prepare} pass the graph's
-    own times, so the isolation period is the first form's ratio); with no
-    seeds, an arbitrary cycle.  The set never changes afterwards, so
+(** [graph s ~name ~seeds ~actor ~src ~dst ~delay]: node [v] fires actor
+    [actor.(v)], and edge [e] runs from node [src.(e)] to [dst.(e)] with
+    [delay.(e)] tokens, weighing its source node's actor's execution time
+    ({!Sdf.Hsdf.t}'s arrays, as {!Analysis.prepare} hands them over; they
+    are kept, not copied, so the caller must not mutate them afterwards).
+    [name] is the source graph's name, used in error messages.  Edges
+    sorted by source, as an expansion's are, let a probe round carry a
+    distance along node order.
+
+    The zero-delay-cycle verdict is one O(V + E) topological pass.  The
+    forms are the certified critical cycles at the per-actor execution
+    times [seeds] ({!Analysis.app} and {!Analysis.prepare} pass the
+    graph's own times, so the isolation period is the first form's ratio);
+    with no seeds, an arbitrary cycle.  The searches run on [s], the
+    calling domain's scratch.  The set never changes afterwards, so
     {!period_into} is a pure function of the graph and the execution
     times.
-    @raise Invalid_argument on a negative delay or actor index, an endpoint
-    out of range, or, as {!period_into}, a seed it rejects. *)
+    @raise Invalid_argument on edge arrays of different lengths, a
+    negative delay or actor index, an endpoint out of range, or, as
+    {!period_into}, a seed it rejects. *)
 
 val deadlocks : graph -> bool
 (** Whether the graph has a zero-delay cycle, which {!period_into} refuses:
@@ -126,9 +145,12 @@ val period_into :
     [exec.(exec_off + actor)], written to [out.(out_idx)].
 
     Dinkelbach's critical-cycle iteration, started at the best of the
-    graph's forms: a Bellman-Ford probe at the current ratio either finds
-    no cycle above it, which certifies it, or yields a witness cycle whose
-    higher ratio becomes the next one.  The result is always a cycle's ratio
+    graph's forms: a Bellman-Ford probe at the current ratio either runs
+    to a round that relaxes nothing, which certifies it, or yields a
+    witness cycle whose higher ratio becomes the next one.  The probe
+    stops at the first round whose last relaxed node's parent walk closes
+    a cycle (Cherkassky & Goldberg's walk-to-root test), rather than after
+    [V + 1] rounds.  The result is always a cycle's ratio
     [(Σ_a c_a·t_a) / d], summed in actor order: on integral execution times
     it is the correctly rounded rational maximum cycle ratio
     ({!Sdf.Hsdf.period_rational}), and it lies within 1e-9 relative of the

@@ -1,31 +1,62 @@
-type node = { actor : int; firing : int; exec_time : float }
-type edge = { from_node : int; to_node : int; delay : int }
-type t = { nodes : node array; edges : edge array; source : Graph.t }
+type t = {
+  actor : int array;
+  src : int array;
+  dst : int array;
+  delay : int array;
+  source : Graph.t;
+}
 
-let num_nodes t = Array.length t.nodes
+let num_nodes t = Array.length t.actor
+let num_edges t = Array.length t.src
+
+(* The edge indices [order], stably counting-sorted by [key.(e)] in
+   [0, n): O(n + E) whatever the rates, where a comparison sort of one
+   high-rate actor's thousands of edges would not be. *)
+let sort_by ~n key order =
+  let next = Array.make (n + 1) 0 in
+  Array.iter (fun e -> next.(key.(e) + 1) <- next.(key.(e) + 1) + 1) order;
+  for v = 1 to n do
+    next.(v) <- next.(v) + next.(v - 1)
+  done;
+  let sorted = Array.make (Array.length order) 0 in
+  Array.iter
+    (fun e ->
+      sorted.(next.(key.(e))) <- e;
+      next.(key.(e)) <- next.(key.(e)) + 1)
+    order;
+  sorted
 
 (* Firing k of [src] (0-based) produces tokens numbered
    d + k*p + 1 .. d + (k+1)*p on the channel (counting initial tokens first);
    token number m is consumed by global firing ceil(m/c) of [dst], i.e.
    firing ((ceil(m/c) - 1) mod q_dst) of iteration (ceil(m/c) - 1) / q_dst. *)
-let expand (g : Graph.t) =
-  let q = Repetition.compute_exn g in
-  let base = Array.make (Graph.num_actors g) 0 in
-  let total = ref 0 in
-  Array.iteri
-    (fun id _ ->
-      base.(id) <- !total;
-      total := !total + q.(id))
-    g.actors;
-  let nodes = Array.make !total { actor = 0; firing = 0; exec_time = 1. } in
-  Array.iteri
-    (fun id (a : Graph.actor) ->
-      for k = 0 to q.(id) - 1 do
-        nodes.(base.(id) + k) <- { actor = id; firing = k; exec_time = a.exec_time }
-      done)
-    g.actors;
-  let edges = ref [] in
-  let add from_node to_node delay = edges := { from_node; to_node; delay } :: !edges in
+let expand ?repetition (g : Graph.t) =
+  let q = match repetition with Some q -> q | None -> Repetition.compute_exn g in
+  let nactors = Graph.num_actors g in
+  let base = Array.make (nactors + 1) 0 in
+  for a = 0 to nactors - 1 do
+    base.(a + 1) <- base.(a) + q.(a)
+  done;
+  let nnodes = base.(nactors) in
+  let actor = Array.make nnodes 0 in
+  for a = 0 to nactors - 1 do
+    Array.fill actor base.(a) q.(a) a
+  done;
+  (* One raw dependency per produced token, and one per node chaining an
+     actor's firings. *)
+  let raw =
+    Array.fold_left
+      (fun n (c : Graph.channel) -> n + (q.(c.src) * c.produce))
+      nnodes g.channels
+  in
+  let rsrc = Array.make raw 0 and rdst = Array.make raw 0 and rdelay = Array.make raw 0 in
+  let n = ref 0 in
+  let add u v d =
+    rsrc.(!n) <- u;
+    rdst.(!n) <- v;
+    rdelay.(!n) <- d;
+    incr n
+  in
   (* Channel dependencies. *)
   Array.iter
     (fun (c : Graph.channel) ->
@@ -47,40 +78,40 @@ let expand (g : Graph.t) =
      producer dependency; those firings simply lack an incoming edge for them,
      which is already the correct semantics. Forbid auto-concurrency by
      chaining the copies of each actor. *)
-  Array.iteri
-    (fun id _ ->
-      if q.(id) = 1 then add base.(id) base.(id) 1
-      else
-        for k = 0 to q.(id) - 1 do
-          let next = (k + 1) mod q.(id) in
-          add (base.(id) + k) (base.(id) + next) (if next = 0 then 1 else 0)
-        done)
-    g.actors;
-  (* Deduplicate: keep the minimum delay for each (from, to) pair — larger
-     delays are dominated for cycle-ratio purposes. *)
-  let best = Hashtbl.create 256 in
-  List.iter
-    (fun e ->
-      let key = (e.from_node, e.to_node) in
-      match Hashtbl.find_opt best key with
-      | Some d when d <= e.delay -> ()
-      | _ -> Hashtbl.replace best key e.delay)
-    !edges;
-  let edges =
-    Hashtbl.fold
-      (fun (from_node, to_node) delay acc -> { from_node; to_node; delay } :: acc)
-      best []
-  in
-  { nodes; edges = Array.of_list edges; source = g }
+  for a = 0 to nactors - 1 do
+    for k = 0 to q.(a) - 1 do
+      let next = (k + 1) mod q.(a) in
+      add (base.(a) + k) (base.(a) + next) (if next = 0 then 1 else 0)
+    done
+  done;
+  (* Sorted by (src, dst): by dst, then stably by src.  One edge per pair,
+     with the least delay — larger delays are dominated for cycle-ratio
+     purposes. *)
+  let order = sort_by ~n:nnodes rsrc (sort_by ~n:nnodes rdst (Array.init raw Fun.id)) in
+  let src = Array.make raw 0 and dst = Array.make raw 0 and delay = Array.make raw 0 in
+  let m = ref 0 in
+  Array.iter
+    (fun r ->
+      let last = !m - 1 in
+      if last >= 0 && src.(last) = rsrc.(r) && dst.(last) = rdst.(r) then
+        delay.(last) <- Int.min delay.(last) rdelay.(r)
+      else begin
+        src.(!m) <- rsrc.(r);
+        dst.(!m) <- rdst.(r);
+        delay.(!m) <- rdelay.(r);
+        incr m
+      end)
+    order;
+  let src = Array.sub src 0 !m and dst = Array.sub dst 0 !m in
+  let delay = Array.sub delay 0 !m in
+  { actor; src; dst; delay; source = g }
 
 let period_of_expansion h ~exec_times =
   if Array.length exec_times <> Graph.num_actors h.source then
     invalid_arg "Sdf.Hsdf.period_of_expansion: one execution time per actor";
   let edges =
-    Array.map
-      (fun e ->
-        (e.from_node, e.to_node, exec_times.(h.nodes.(e.from_node).actor), e.delay))
-      h.edges
+    Array.init (num_edges h) (fun e ->
+        (h.src.(e), h.dst.(e), exec_times.(h.actor.(h.src.(e))), h.delay.(e)))
   in
   match Mcm.max_cycle_ratio ~nodes:(num_nodes h) edges with
   | Some ratio -> ratio
@@ -89,24 +120,20 @@ let period_of_expansion h ~exec_times =
         (Printf.sprintf "Sdf.Hsdf.period: graph %S has no cycle (unbounded rate)"
            h.source.name)
 
-let period g =
-  let h = expand g in
-  period_of_expansion h
-    ~exec_times:(Array.map (fun (a : Graph.actor) -> a.exec_time) g.actors)
+let period g = period_of_expansion (expand g) ~exec_times:(Graph.exec_times g)
 
 let period_rational g =
   let h = expand g in
-  let int_time (n : node) =
-    let t = n.exec_time in
+  let int_time (a : Graph.actor) =
+    let t = a.exec_time in
     if Float.is_integer t && t >= 1. && t < 1e15 then int_of_float t
     else
       invalid_arg
         (Printf.sprintf "Sdf.Hsdf.period_rational: non-integer execution time %g" t)
   in
   let edges =
-    Array.map
-      (fun e -> (e.from_node, e.to_node, int_time h.nodes.(e.from_node), e.delay))
-      h.edges
+    Array.init (num_edges h) (fun e ->
+        (h.src.(e), h.dst.(e), int_time g.actors.(h.actor.(h.src.(e))), h.delay.(e)))
   in
   match Mcm.max_cycle_ratio_rational ~nodes:(num_nodes h) edges with
   | Some ratio -> ratio

@@ -11,24 +11,30 @@
     [sum of execution times / sum of delays] over the cycles of the
     expansion — see {!Mcm}. *)
 
-type node = {
-  actor : int;  (** Actor id in the original graph. *)
-  firing : int;  (** Firing index within an iteration, [0 .. q.(actor)-1]. *)
-  exec_time : float;
+type t = {
+  actor : int array;
+      (** Per node, the actor it fires.  Actor [a]'s [q.(a)] firings are
+          consecutive nodes, in actor order and then firing order. *)
+  src : int array;  (** Per edge, the producing firing's node. *)
+  dst : int array;  (** Per edge, the consuming firing's node. *)
+  delay : int array;  (** Per edge, the iteration distance; [>= 0]. *)
+  source : Graph.t;
 }
+(** An expansion in flat arrays.  Its edges are strictly sorted by
+    [(src, dst)]: one per pair of firings, carrying the least delay among
+    the dependencies between them (larger delays are dominated for
+    cycle-ratio purposes). *)
 
-type edge = {
-  from_node : int;  (** Index into {!nodes}. *)
-  to_node : int;
-  delay : int;  (** Iteration distance of the dependency; ≥ 0. *)
-}
-
-type t = { nodes : node array; edges : edge array; source : Graph.t }
-
-val expand : Graph.t -> t
-(** @raise Invalid_argument if the graph is inconsistent or disconnected. *)
+val expand : ?repetition:int array -> Graph.t -> t
+(** [repetition], when given, must be the graph's repetition vector
+    ({!Repetition.compute_exn}); otherwise it is computed.  Linear in the
+    nodes and the raw dependencies (one per produced token and one per
+    node): the pairs are counting-sorted, never compared, so an actor
+    firing thousands of times costs no more per edge than one firing once.
+    @raise Invalid_argument if the graph is inconsistent or disconnected. *)
 
 val num_nodes : t -> int
+val num_edges : t -> int
 
 val period_of_expansion : t -> exec_times:float array -> float
 (** Maximum cycle ratio of an existing expansion, with the node weights

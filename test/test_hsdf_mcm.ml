@@ -4,12 +4,80 @@ let test_expand_counts () =
   let h = Hsdf.expand (Fixtures.graph_a ()) in
   (* q = [1;2;1] -> 4 firing nodes. *)
   Alcotest.(check int) "nodes" 4 (Hsdf.num_nodes h);
-  Array.iter
-    (fun (e : Hsdf.edge) ->
-      Alcotest.(check bool) "delay >= 0" true (e.delay >= 0);
-      Alcotest.(check bool) "node range" true
-        (e.from_node >= 0 && e.from_node < 4 && e.to_node >= 0 && e.to_node < 4))
-    h.edges
+  for e = 0 to Hsdf.num_edges h - 1 do
+    Alcotest.(check bool) "delay >= 0" true (h.delay.(e) >= 0);
+    Alcotest.(check bool) "node range" true
+      (h.src.(e) >= 0 && h.src.(e) < 4 && h.dst.(e) >= 0 && h.dst.(e) < 4)
+  done
+
+(* The expansion's edges as (src, dst, delay) triples, in array order. *)
+let edge_list (h : Hsdf.t) =
+  List.init (Hsdf.num_edges h) (fun e -> (h.src.(e), h.dst.(e), h.delay.(e)))
+
+let check_sorted what (h : Hsdf.t) =
+  for e = 1 to Hsdf.num_edges h - 1 do
+    if compare (h.src.(e - 1), h.dst.(e - 1)) (h.src.(e), h.dst.(e)) >= 0 then
+      Alcotest.failf "%s: edge %d (%d, %d) does not follow (%d, %d)" what e h.src.(e)
+        h.dst.(e) h.src.(e - 1) h.dst.(e - 1)
+  done
+
+let test_expand_sorted_least_delay () =
+  (* Two parallel channels x -> y, one with no initial token and one with
+     one, make the pair (x, y) arise with delays 0 and 1, in either channel
+     order: the expansion keeps one edge for it, with delay 0. *)
+  List.iter
+    (fun channels ->
+      let g =
+        Graph.create ~name:"parallel" ~actors:[| ("x", 2.); ("y", 3.) |] ~channels
+      in
+      let h = Hsdf.expand g in
+      check_sorted "parallel" h;
+      Alcotest.(check (list (triple int int int)))
+        "edges" [ (0, 0, 1); (0, 1, 0); (1, 0, 1); (1, 1, 1) ] (edge_list h))
+    [
+      [| (0, 1, 1, 1, 0); (0, 1, 1, 1, 1); (1, 0, 1, 1, 1) |];
+      [| (0, 1, 1, 1, 1); (0, 1, 1, 1, 0); (1, 0, 1, 1, 1) |];
+    ];
+  (* A given repetition vector yields the same expansion. *)
+  let g = Fixtures.graph_a () in
+  Alcotest.(check (list (triple int int int)))
+    "given repetition"
+    (edge_list (Hsdf.expand g))
+    (edge_list (Hsdf.expand ~repetition:(Repetition.compute_exn g) g))
+
+let prop_expand_sorted =
+  Fixtures.qcheck_case ~count:200 "expanded edges strictly sorted" Fixtures.graph_gen
+    (fun g ->
+      check_sorted g.name (Hsdf.expand g);
+      true)
+
+(* Nodes and edges per expansion, one edge per pair of firings: the
+   fixtures, then the paper workload's ten apps (seed 2007). *)
+let test_expansion_sizes () =
+  let sizes (g : Graph.t) =
+    let h = Hsdf.expand g in
+    (g.name, Hsdf.num_nodes h, Hsdf.num_edges h)
+  in
+  Alcotest.(check (list (triple string int int)))
+    "fixtures"
+    [ ("A", 4, 9); ("B", 4, 9); ("pipe", 2, 4); ("single", 1, 1); ("dead", 2, 4) ]
+    (List.map sizes
+       [
+         Fixtures.graph_a ();
+         Fixtures.graph_b ();
+         Fixtures.pipeline ();
+         Fixtures.single ();
+         Fixtures.deadlocked ();
+       ]);
+  let w = Exp.Workload.make ~seed:2007 ~num_apps:10 ~procs:10 () in
+  Alcotest.(check (list (triple string int int)))
+    "paper apps"
+    [
+      ("A", 24, 63); ("B", 18, 47); ("C", 14, 41); ("D", 22, 61); ("E", 16, 42);
+      ("F", 20, 53); ("G", 18, 47); ("H", 21, 55); ("I", 22, 61); ("J", 12, 33);
+    ]
+    (Array.to_list
+       (Array.map (fun (a : Contention.Analysis.app) -> sizes a.graph) w.apps))
 
 let test_expand_homogeneous_identity () =
   (* A homogeneous graph expands to itself (plus self-loops). *)
@@ -77,6 +145,9 @@ let prop_engines_agree_fractional =
 let suite =
   [
     Alcotest.test_case "expand counts" `Quick test_expand_counts;
+    Alcotest.test_case "expand sorted, least delay" `Quick test_expand_sorted_least_delay;
+    prop_expand_sorted;
+    Alcotest.test_case "expansion sizes pinned" `Quick test_expansion_sizes;
     Alcotest.test_case "homogeneous identity" `Quick test_expand_homogeneous_identity;
     Alcotest.test_case "paper periods" `Quick test_paper_period;
     Alcotest.test_case "mcm simple cycle" `Quick test_mcm_simple_cycle;

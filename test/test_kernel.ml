@@ -55,6 +55,14 @@ let prop_evaluators_bit_match =
 (* ------------------------------------------------------------------ *)
 (* Flat maximum cycle ratio *)
 
+(* The kernel graph of (src, dst, delay) edges whose node v fires actor v,
+   seeded on its own scratch. *)
+let graph_of ?(seeds = []) ~nnodes name edges =
+  Kernel.graph (Kernel.scratch ()) ~name ~seeds ~actor:(Array.init nnodes Fun.id)
+    ~src:(Array.map (fun (u, _, _) -> u) edges)
+    ~dst:(Array.map (fun (_, v, _) -> v) edges)
+    ~delay:(Array.map (fun (_, _, d) -> d) edges)
+
 let raises_with what expected f =
   match f () with
   | exception Invalid_argument msg when msg = expected -> ()
@@ -62,10 +70,10 @@ let raises_with what expected f =
   | _ -> Alcotest.failf "%s: accepted" what
 
 let test_graph_validation () =
-  (match Kernel.graph ~nnodes:2 ~name:"g" ~seeds:[] [| (0, 1, 0, -1) |] with
+  (match graph_of ~nnodes:2 "g" [| (0, 1, -1) |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative delay accepted");
-  (match Kernel.graph ~nnodes:2 ~name:"g" ~seeds:[] [| (0, 5, 0, 1) |] with
+  (match graph_of ~nnodes:2 "g" [| (0, 5, 1) |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "endpoint out of range accepted");
   let s = Kernel.scratch () in
@@ -76,13 +84,11 @@ let test_graph_validation () =
   in
   let deadlock = "Sdf.Mcm.max_cycle_ratio: zero-delay cycle (deadlock)" in
   let negative = "Sdf.Mcm: negative weight or delay" in
-  let dag = Kernel.graph ~nnodes:2 ~name:"dag" ~seeds:[] [| (0, 1, 0, 1) |] in
+  let dag = graph_of ~nnodes:2 "dag" [| (0, 1, 1) |] in
   raises_with "acyclic graph" (no_cycle "dag") (period dag [| 1.; 2. |]);
-  let empty = Kernel.graph ~nnodes:1 ~name:"empty" ~seeds:[] [||] in
+  let empty = graph_of ~nnodes:1 "empty" [||] in
   raises_with "edgeless graph" (no_cycle "empty") (period empty [| 1. |]);
-  let zd =
-    Kernel.graph ~nnodes:2 ~name:"zd" ~seeds:[] [| (0, 1, 0, 0); (1, 0, 1, 0) |]
-  in
+  let zd = graph_of ~nnodes:2 "zd" [| (0, 1, 0); (1, 0, 0) |] in
   raises_with "zero-delay cycle" deadlock (period zd [| 1.; 2. |]);
   (* Weights are checked first, on every kind of graph. *)
   List.iter
@@ -92,8 +98,7 @@ let test_graph_validation () =
 let test_period_known_value () =
   (* Two-node ring, one token per edge: period = (3 + 5) / 2. *)
   let s = Kernel.scratch () in
-  let ring = [| (0, 1, 0, 1); (1, 0, 1, 1) |] in
-  let g = Kernel.graph ~nnodes:2 ~name:"ring" ~seeds:[] ring in
+  let g = graph_of ~nnodes:2 "ring" [| (0, 1, 1); (1, 0, 1) |] in
   let out = [| 0. |] in
   let exactly what expected =
     if not (Float.equal expected out.(0)) then
@@ -102,17 +107,14 @@ let test_period_known_value () =
   Kernel.period_into s g ~exec:[| 3.; 5. |] ~exec_off:0 ~out ~out_idx:0;
   exactly "ring period" 4.;
   (* A second cycle through node 2 dominating the ratio: (3 + 9) / 1 = 12. *)
-  let two_cycles = [| (0, 1, 0, 1); (1, 0, 1, 1); (0, 2, 0, 0); (2, 0, 2, 1) |] in
-  let g2 = Kernel.graph ~nnodes:3 ~name:"two-cycles" ~seeds:[] two_cycles in
+  let two_cycles = [| (0, 1, 1); (1, 0, 1); (0, 2, 0); (2, 0, 1) |] in
+  let g2 = graph_of ~nnodes:3 "two-cycles" two_cycles in
   Kernel.period_into s g2 ~exec:[| 3.; 5.; 9. |] ~exec_off:0 ~out ~out_idx:0;
   exactly "critical cycle" 12.;
   (* Form miss: seeded where the ring is critical ((3 + 5) / 2 = 4 beats
      3 + 0.5), then queried where the other cycle is: the search must climb
      past the seeded form to the new critical cycle. *)
-  let seeded =
-    Kernel.graph ~nnodes:3 ~name:"two-cycles" ~seeds:[ [| 3.; 5.; 0.5 |] ]
-      two_cycles
-  in
+  let seeded = graph_of ~seeds:[ [| 3.; 5.; 0.5 |] ] ~nnodes:3 "two-cycles" two_cycles in
   Kernel.period_into s seeded ~exec:[| 3.; 5.; 0.5 |] ~exec_off:0 ~out ~out_idx:0;
   exactly "seeded form" 4.;
   Kernel.period_into s seeded ~exec:[| 3.; 5.; 9. |] ~exec_off:0 ~out ~out_idx:0;
@@ -151,11 +153,8 @@ let in_child_within ~seconds what f =
    {!Analysis.prepare} flattens it, with the expansion for the reference. *)
 let kernel_graph ?(seeds = []) (g : Sdf.Graph.t) =
   let h = Sdf.Hsdf.expand g in
-  ( Kernel.graph ~nnodes:(Sdf.Hsdf.num_nodes h) ~name:g.name ~seeds
-      (Array.map
-         (fun (e : Sdf.Hsdf.edge) ->
-           (e.from_node, e.to_node, h.nodes.(e.from_node).Sdf.Hsdf.actor, e.delay))
-         h.edges),
+  ( Kernel.graph (Kernel.scratch ()) ~name:g.name ~seeds ~actor:h.actor ~src:h.src
+      ~dst:h.dst ~delay:h.delay,
     h )
 
 (* Within 1e-9 relative: the reference bisection's own epsilon. *)
@@ -195,10 +194,7 @@ let test_period_rejects_non_finite () =
      check would make the search loop on nan or infinite ratios. *)
   in_child_within ~seconds:10 "non-finite weights" (fun () ->
       let s = Kernel.scratch () in
-      let g =
-        Kernel.graph ~nnodes:2 ~name:"ring" ~seeds:[]
-          [| (0, 1, 0, 1); (1, 0, 1, 1) |]
-      in
+      let g = graph_of ~nnodes:2 "ring" [| (0, 1, 1); (1, 0, 1) |] in
       let out = [| 0. |] in
       List.fold_left
         (fun acc w ->
@@ -267,6 +263,86 @@ let prop_scaled_times_close =
       close_period out.(0) reference
       || QCheck2.Test.fail_reportf "scale %g: kernel %.17g, reference %.17g" scale
            out.(0) reference)
+
+(* The topological deadlock check against {!Sdf.Mcm.zero_delay_cycle}'s
+   DFS, on 200 generated expansions and on copies of them with one more
+   zero-delay edge between two random nodes, which closes a zero-delay
+   cycle exactly when its target already reaches its source through them. *)
+let test_deadlock_check_agrees () =
+  let mcm_verdict ~nnodes src dst delay =
+    Sdf.Mcm.zero_delay_cycle ~nodes:nnodes
+      (Array.mapi (fun e u -> (u, dst.(e), (), delay.(e))) src)
+  in
+  let verdicts = Array.make 2 0 in
+  for seed = 0 to 199 do
+    let g = Sdfgen.Generator.generate (Sdfgen.Rng.create seed) ~name:"G" in
+    let h = Sdf.Hsdf.expand g in
+    let n = Sdf.Hsdf.num_nodes h in
+    let rng = Sdfgen.Rng.create (seed + 1000) in
+    let u = Sdfgen.Rng.int rng n and v = Sdfgen.Rng.int rng n in
+    List.iter
+      (fun (src, dst, delay) ->
+        let kernel =
+          Kernel.deadlocks
+            (Kernel.graph (Kernel.scratch ()) ~name:"G" ~seeds:[] ~actor:h.actor ~src
+               ~dst ~delay)
+        in
+        let dfs = mcm_verdict ~nnodes:n src dst delay in
+        if kernel <> dfs then
+          Alcotest.failf "seed %d: kernel says %b, DFS says %b" seed kernel dfs;
+        if kernel then verdicts.(1) <- verdicts.(1) + 1
+        else verdicts.(0) <- verdicts.(0) + 1)
+      [
+        (h.src, h.dst, h.delay);
+        ( Array.append h.src [| u |],
+          Array.append h.dst [| v |],
+          Array.append h.delay [| 0 |] );
+      ]
+  done;
+  (* Both verdicts occur, so neither side can pass by a constant. *)
+  if verdicts.(0) < 200 || verdicts.(1) = 0 then
+    Alcotest.failf "verdicts: %d live, %d deadlocked" verdicts.(0) verdicts.(1);
+  (* A cycle of one node, which leaves just that node unordered. *)
+  List.iter
+    (fun (delay, expected) ->
+      let g = graph_of ~nnodes:2 "loop" [| (0, 1, 1); (1, 1, delay) |] in
+      Alcotest.(check bool) (Printf.sprintf "self-loop, delay %d" delay) expected
+        (Kernel.deadlocks g))
+    [ (0, true); (1, false) ]
+
+(* The period engine's counted work (relaxations: edges × probe rounds),
+   pinned where wall-clock would be noise.  The two-actor 10,000:1 ring's
+   expansion is a 10,001-node chain with 30,001 edges, on which a probe
+   that runs every round or cannot carry a distance along the chain in one
+   round costs thousands of E. *)
+let test_ring_work () =
+  let n = 10_000 in
+  let g =
+    Sdf.Graph.create ~name:"ring"
+      ~actors:[| ("a", 3.); ("b", 1.) |]
+      ~channels:[| (0, 1, n, 1, 0); (1, 0, 1, n, n) |]
+  in
+  let h = Sdf.Hsdf.expand g in
+  let edges = Sdf.Hsdf.num_edges h and nodes = Sdf.Hsdf.num_nodes h in
+  let r0, w0 = Analysis.kernel_work () in
+  let a = Analysis.app g ~mapping:[| 0; 0 |] in
+  let r1, w1 = Analysis.kernel_work () in
+  Alcotest.(check (float 0.)) "period" 10_003. a.isolation_period;
+  if r1 - r0 > 10 * edges then
+    Alcotest.failf "%d relaxations, above 10 x %d edges" (r1 - r0) edges;
+  if w1 - w0 > 10 * nodes then
+    Alcotest.failf "%d walk steps, above 10 x %d nodes" (w1 - w0) nodes
+
+let test_paper_prepare_work () =
+  (* The paper workload's ten apps (seed 2007): seeding their forms takes
+     10,284 relaxations, and 44,029 with probes that run all V + 1 rounds
+     over unsorted edges, so the bound tells the two apart. *)
+  let w = Exp.Workload.make ~seed:2007 ~num_apps:10 ~procs:10 () in
+  let r0, _ = Analysis.kernel_work () in
+  Array.iter (fun a -> ignore (Analysis.prepare a)) w.apps;
+  let r1, _ = Analysis.kernel_work () in
+  if r1 - r0 > 15_000 then
+    Alcotest.failf "preparing the paper apps took %d relaxations" (r1 - r0)
 
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence and batching *)
@@ -424,6 +500,9 @@ let suite =
       test_period_rejects_non_finite;
     prop_integer_times_exact;
     prop_scaled_times_close;
+    Alcotest.test_case "deadlock check = Mcm's DFS" `Quick test_deadlock_check_agrees;
+    Alcotest.test_case "work: 10,000:1 ring within 10E" `Quick test_ring_work;
+    Alcotest.test_case "work: paper prepares <= 15,000" `Quick test_paper_prepare_work;
     Alcotest.test_case "engine bit-identity" `Quick test_engine_bit_identity;
     Alcotest.test_case "worst-case periods = exact rational MCR" `Quick
       test_worst_case_periods_exact;
