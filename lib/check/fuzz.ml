@@ -232,7 +232,8 @@ let rel_dev a b =
 (* The re-fold oracle: the maintained per-processor state against a fresh
    fold of the current population.  The p-component of ⊕/⊖ is an exact
    inverse, so it must agree to rounding; the w-component may lag by the
-   drift-bounded ⊖ residue. *)
+   drift-bounded ⊖ residue.  The variance log's sum must equal a roster
+   walk's bit for bit. *)
 let refold_oracle config ctl step (max_p, max_w, acc) =
   let acc = ref acc and max_p = ref max_p and max_w = ref max_w in
   for proc = 0 to config.procs - 1 do
@@ -254,6 +255,14 @@ let refold_oracle config ctl step (max_p, max_w, acc) =
           "step %d proc %d: incremental w %.17g vs refold %.17g (tol %g)"
           step proc inc.Contention.Compose.w ref_.Contention.Compose.w
           config.w_tolerance
+        :: !acc;
+    let var = Admission.variance ctl ~proc in
+    let walked = Admission.refolded_variance ctl ~proc in
+    if Int64.bits_of_float var <> Int64.bits_of_float walked then
+      acc :=
+        churn_violation "churn-refold-var"
+          "step %d proc %d: logged variance %.17g vs roster walk %.17g" step proc
+          var walked
         :: !acc;
     if Admission.aggregate_drift ctl ~proc > config.refold_bound then
       acc :=

@@ -73,7 +73,10 @@ val run :
     [check_every] events its maintained per-processor composability
     aggregates are compared against a from-scratch re-fold of the
     population — the oracle for the controller's claim that joins and
-    leaves never refold from scratch. *)
+    leaves never refold from scratch.  The same checks compare each
+    processor's variance-log sum ({!Contention.Admission.variance}) with a
+    roster walk's, and count any bitwise difference as a
+    [churn-refold-var] violation. *)
 
 type churn_config = {
   procs : int;

@@ -35,8 +35,9 @@ type entry = {
   req : requirement;
   mutable loads : Prob.t array;
   mutable variances : float array;
-      (* per-actor variance of the blocking contribution at [loads], which
-         the z-score margin sums; set at join, reset by [observe] *)
+      (* per-actor variance of the blocking contribution at [loads]; set at
+         join, reset by [observe], mirrored in the variance log *)
+  mutable slot : int;  (* its first pair in the variance log *)
   mutable older : entry option;
   mutable newer : entry option;
 }
@@ -51,6 +52,14 @@ type t = {
   by_name : (string, entry) Hashtbl.t;
   mutable newest : entry option;  (* the roster's two ends *)
   mutable oldest : entry option;
+  (* The variance log: every resident's per-actor (processor, variance)
+     pairs in admission order, each resident's actors reversed (see
+     below).  A withdrawal zeroes its pairs; the log is compacted once
+     zeroed pairs outnumber live ones. *)
+  mutable log_proc : int array;
+  mutable log_var : float array;
+  mutable log_len : int;  (* pairs in use *)
+  mutable log_zeroed : int;  (* zeroed pairs among them *)
   mutable guaranteed : int;  (* admitted entries with a requirement *)
   mutable joins : int;
   mutable leaves : int;
@@ -72,6 +81,10 @@ let create ?(refold_bound = 0.05) ~procs () =
     by_name = Hashtbl.create 64;
     newest = None;
     oldest = None;
+    log_proc = Array.make 64 0;
+    log_var = Array.make 64 0.;
+    log_len = 0;
+    log_zeroed = 0;
     guaranteed = 0;
     joins = 0;
     leaves = 0;
@@ -115,6 +128,66 @@ let link_newest t e =
 let unlink t e =
   (match e.newer with Some n -> n.older <- e.older | None -> t.newest <- e.older);
   match e.older with Some o -> o.newer <- e.newer | None -> t.oldest <- e.newer
+
+(* ------------------------------------------------------------------ *)
+(* The variance log.  Entry [e]'s actor [a] of [n] sits at pair
+   [e.slot + n - 1 - a], so a backward scan visits the residents newest
+   first and each one's actors ascending: the order of the roster walk the
+   z-score margin summed in.  Float sums depend on their order, so that
+   order keeps every margin bit for bit. *)
+
+let log_write t (e : entry) =
+  let n = Array.length e.variances in
+  for actor = 0 to n - 1 do
+    let i = e.slot + n - 1 - actor in
+    t.log_proc.(i) <- e.app.Analysis.mapping.(actor);
+    t.log_var.(i) <- e.variances.(actor)
+  done
+
+let log_append t (e : entry) =
+  let n = Array.length e.variances in
+  if t.log_len + n > Array.length t.log_var then begin
+    let room = Int.max (t.log_len + n) (2 * Array.length t.log_var) in
+    let procs = Array.make room 0 and vars = Array.make room 0. in
+    Array.blit t.log_proc 0 procs 0 t.log_len;
+    Array.blit t.log_var 0 vars 0 t.log_len;
+    t.log_proc <- procs;
+    t.log_var <- vars
+  end;
+  e.slot <- t.log_len;
+  t.log_len <- t.log_len + n;
+  log_write t e
+
+(* A zeroed pair adds +0.0 to a sum that is never negative, so it changes no
+   bit of it.  Compaction moves the live pairs down in roster order, which
+   is their order already; it runs once per as many zeroed pairs as it
+   keeps, so a withdrawal costs O(its actors) amortised. *)
+let log_withdraw t (e : entry) =
+  let n = Array.length e.variances in
+  Array.fill t.log_var e.slot n 0.;
+  t.log_zeroed <- t.log_zeroed + n;
+  if t.log_zeroed > t.log_len - t.log_zeroed then begin
+    let next = ref 0 in
+    iter_newer
+      (fun (o : entry) ->
+        for k = 0 to Array.length o.variances - 1 do
+          t.log_proc.(!next + k) <- t.log_proc.(o.slot + k);
+          t.log_var.(!next + k) <- t.log_var.(o.slot + k)
+        done;
+        o.slot <- !next;
+        next := !next + Array.length o.variances)
+      t.oldest;
+    t.log_len <- !next;
+    t.log_zeroed <- 0
+  end
+
+(* Adds the logged variances into [var] per processor: a newest-first
+   roster walk's additions, in its order. *)
+let add_logged t var =
+  for i = t.log_len - 1 downto 0 do
+    let proc = t.log_proc.(i) in
+    var.(proc) <- var.(proc) +. t.log_var.(i)
+  done
 
 let admitted t =
   let acc = ref [] in
@@ -204,14 +277,17 @@ let margin_z cache t candidate aggregates (e : entry) ~period ~confidence =
   let na = Sdf.Graph.num_actors g in
   let z = Margin.z_of_confidence confidence in
   (* Per-processor variance of the total inflicted wait: the contenders
-     block independently, so the variances add. *)
+     block independently, so the variances add, a join's candidate first. *)
   let var = Array.make t.nprocs 0. in
-  iter_population t candidate (fun o ->
+  Option.iter
+    (fun (c : entry) ->
       Array.iteri
         (fun actor v ->
-          let proc = o.app.Analysis.mapping.(actor) in
+          let proc = c.app.Analysis.mapping.(actor) in
           var.(proc) <- var.(proc) +. v)
-        o.variances);
+        c.variances)
+    candidate;
+  add_logged t var;
   let responses = responses_under t candidate aggregates e in
   let resp_lo = Array.make na 0. and resp_hi = Array.make na 0. in
   for actor = 0 to na - 1 do
@@ -319,6 +395,7 @@ let entry_of app req =
     req;
     loads;
     variances = variances app loads;
+    slot = -1;
     older = None;
     newer = None;
   }
@@ -398,6 +475,7 @@ let join margin t app req =
         Array.blit tentative 0 t.aggregates 0 t.nprocs;
         Hashtbl.add t.by_name name candidate;
         link_newest t candidate;
+        log_append t candidate;
         if req.min_throughput > 0. then t.guaranteed <- t.guaranteed + 1;
         t.joins <- t.joins + 1;
         t.incremental_ops <- t.incremental_ops + Array.length candidate.loads;
@@ -424,6 +502,7 @@ let leave t name =
   let lifo = Option.is_none e.newer in
   Hashtbl.remove t.by_name name;
   unlink t e;
+  log_withdraw t e;
   if e.req.min_throughput > 0. then t.guaranteed <- t.guaranteed - 1;
   t.leaves <- t.leaves + 1;
   if Array.for_all invertible e.loads then begin
@@ -470,6 +549,7 @@ let observe t name ~measured_period =
   let new_loads = Analysis.loads_at_period e.app ~period:measured_period in
   e.loads <- new_loads;
   e.variances <- variances e.app new_loads;
+  log_write t e;
   t.observes_n <- t.observes_n + 1;
   if Array.for_all invertible old_loads then begin
     (* Re-base each actor incrementally: ⊖ the old contribution, ⊕ the new
@@ -526,3 +606,20 @@ let refolded_aggregate t ~proc =
 let aggregate_drift t ~proc =
   check_proc t proc "aggregate_drift";
   t.agg_drift.(proc)
+
+let variance t ~proc =
+  check_proc t proc "variance";
+  let var = Array.make t.nprocs 0. in
+  add_logged t var;
+  var.(proc)
+
+let refolded_variance t ~proc =
+  check_proc t proc "refolded_variance";
+  let acc = ref 0. in
+  iter_older
+    (fun e ->
+      Array.iteri
+        (fun actor v -> if e.app.Analysis.mapping.(actor) = proc then acc := !acc +. v)
+        e.variances)
+    t.newest;
+  !acc

@@ -26,12 +26,27 @@
     withdrawal are O(1) in the population, and every fold over the
     population visits it in one fixed order (newest first, oldest first for
     refolds).  Each entry also keeps the per-actor variances of its blocking
-    contributions, which the z-score margin sums; they are set at join and
-    reset by {!observe}.
+    contributions; they are set at join and reset by {!observe}.
+
+    The z-score margin sums those variances per processor from a {e
+    variance log} instead of walking the roster: one flat array of
+    (processor, variance) pairs, every resident's actors in admission
+    order, each resident's actors reversed.  A join appends its pairs,
+    {!observe} rewrites them in place, and a withdrawal zeroes them.
+    Scanned backward after the candidate's own pairs, the log adds exactly
+    what a newest-first roster walk adds, in the same order, and a zeroed
+    pair adds +0.0 to a sum that is never negative, so margins keep every
+    bit.  Once zeroed pairs outnumber live ones, the withdrawal that zeroed
+    them compacts the log in roster order: a withdrawal costs O(its
+    actors), plus an O(residents) compaction at most once per as many
+    zeroed pairs as the log keeps.  {!variance} and {!refolded_variance}
+    let the churn oracle compare the two sums.
 
     Every period here is {!Analysis.period_with} over a cache prepared once
     per call (once per margin, not per sample); no prepared cache is kept
-    per admitted entry. *)
+    per admitted entry.  A prepare adopts the app's cycle forms, so it
+    expands the HSDF but searches nothing once the app has been seeded
+    ({!Analysis.prepare}). *)
 
 type requirement = {
   min_throughput : float;
@@ -162,3 +177,13 @@ val refolded_aggregate : t -> proc:int -> Compose.t
 val aggregate_drift : t -> proc:int -> float
 (** The accumulated non-LIFO ⊖ error estimate on one processor, in
     [[0, refold_bound]]. *)
+
+val variance : t -> proc:int -> float
+(** The residents' summed blocking variance on one processor, as the
+    z-score margin reads it: the variance log scanned backward.
+    @raise Invalid_argument on an unknown processor. *)
+
+val refolded_variance : t -> proc:int -> float
+(** The same sum from a newest-first walk of the roster over each
+    resident's own variances — the oracle: it must equal {!variance} bit
+    for bit. *)

@@ -49,12 +49,17 @@ let estimator_of_string s =
 
 let all_paper_estimators = [ Worst_case; Order 4; Order 2; Composability ]
 
+(* Set once, by whichever domain seeds first; racing domains seed the same
+   forms, so it does not matter which one publishes. *)
+type forms = Kernel.forms option Atomic.t
+
 type app = {
   graph : Sdf.Graph.t;
   mapping : Mapping.t;
   repetition : int array;
   isolation_period : float;
   distributions : Dist.t array option;
+  forms : forms;
 }
 
 type workspace = {
@@ -112,29 +117,41 @@ let kernel_work () = Kernel.work (shared_workspace ()).ker
 let max_expansion = 1_000_000
 
 (* The HSDF expansion of [graph] flattened for {!Kernel.period_into}: an edge
-   weighs its source node's actor's execution time, and the cycle forms are
-   seeded, on the calling domain's scratch, with the critical cycle at
-   [exec], the graph's own times. *)
-let kernel_graph graph ~repetition ~exec =
-  (* Summed in floats, which no rate can overflow. *)
-  let size =
-    Array.fold_left
-      (fun n (c : Sdf.Graph.channel) ->
-        n +. (float_of_int repetition.(c.src) *. float_of_int c.produce))
-      (2. *. Array.fold_left (fun n q -> n +. float_of_int q) 0. repetition)
-      graph.Sdf.Graph.channels
-  in
-  if size > float_of_int max_expansion then
-    invalid_arg
-      (Printf.sprintf
-         "Contention.Analysis: graph %S expands to %.0f HSDF nodes and edges, \
-          above the limit of %d"
-         graph.Sdf.Graph.name size max_expansion);
+   weighs its source node's actor's execution time.  It adopts the cycle
+   forms in [forms]; without them it seeds them, on the calling domain's
+   scratch, with the critical cycle at [exec], the graph's own times, and
+   publishes them in [forms].  Forms exist only once an expansion has been
+   built, so only the seeding checks the expansion's size. *)
+let kernel_graph graph ~repetition ~exec ~forms =
+  let name = graph.Sdf.Graph.name in
+  let known = Atomic.get forms in
+  (if Option.is_none known then
+     (* Summed in floats, which no rate can overflow. *)
+     let size =
+       Array.fold_left
+         (fun n (c : Sdf.Graph.channel) ->
+           n +. (float_of_int repetition.(c.src) *. float_of_int c.produce))
+         (2. *. Array.fold_left (fun n q -> n +. float_of_int q) 0. repetition)
+         graph.Sdf.Graph.channels
+     in
+     if size > float_of_int max_expansion then
+       invalid_arg
+         (Printf.sprintf
+            "Contention.Analysis: graph %S expands to %.0f HSDF nodes and edges, \
+             above the limit of %d"
+            name size max_expansion));
   let h =
     Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand ~repetition graph)
   in
-  Kernel.graph (shared_workspace ()).ker ~name:graph.Sdf.Graph.name ~seeds:[ exec ]
-    ~actor:h.actor ~src:h.src ~dst:h.dst ~delay:h.delay
+  match known with
+  | Some f -> Kernel.with_forms f ~name ~actor:h.actor ~src:h.src ~dst:h.dst ~delay:h.delay
+  | None ->
+      let g =
+        Kernel.graph (shared_workspace ()).ker ~name ~seeds:[ exec ] ~actor:h.actor
+          ~src:h.src ~dst:h.dst ~delay:h.delay
+      in
+      ignore (Atomic.compare_and_set forms None (Some (Kernel.forms g)));
+      g
 
 let app ?period ?procs ?distributions graph ~mapping =
   (match procs with
@@ -155,26 +172,23 @@ let app ?period ?procs ?distributions graph ~mapping =
         Sdf.Graph.with_exec_times graph (Array.map Dist.mean dists)
   in
   let repetition = Sdf.Repetition.compute_exn graph in
+  let forms = Atomic.make None in
   let isolation_period =
     match period with
     | Some p -> p
     | None ->
         let exec = Sdf.Graph.exec_times graph in
-        let g = kernel_graph graph ~repetition ~exec in
+        let g = kernel_graph graph ~repetition ~exec ~forms in
         if Kernel.deadlocks g then
           invalid_arg
             (Printf.sprintf "Contention.Analysis.app: graph %S deadlocks"
                graph.Sdf.Graph.name);
-        (* The seeding just certified the critical cycle at [exec]: one
-           probe confirms it. *)
-        let out = [| 0. |] in
-        Kernel.period_into (shared_workspace ()).ker g ~exec ~exec_off:0 ~out
-          ~out_idx:0;
-        out.(0)
+        (* The seeding just certified the critical cycle at [exec]. *)
+        Kernel.seeded_period g ~exec
   in
   if not (Float.is_finite isolation_period && isolation_period > 0.) then
     invalid_arg "Contention.Analysis.app: period not finite and positive";
-  { graph; mapping; repetition; isolation_period; distributions }
+  { graph; mapping; repetition; isolation_period; distributions; forms }
 
 let loads_with_period a period =
   Array.init (Sdf.Graph.num_actors a.graph) (fun i ->
@@ -225,7 +239,9 @@ let prepare a =
         Obs.Span.with_ ~name:"analysis.loads" (fun () -> loads a)
       in
       let cached_exec = Sdf.Graph.exec_times a.graph in
-      let mcr = kernel_graph a.graph ~repetition:a.repetition ~exec:cached_exec in
+      let mcr =
+        kernel_graph a.graph ~repetition:a.repetition ~exec:cached_exec ~forms:a.forms
+      in
       { cached_loads; cached_exec; mcr })
 
 let estimate_args est n () =

@@ -16,7 +16,7 @@
     and every contended one here and in {!Admission}, {!Explain} and
     {!Tdma}, comes from {!Kernel.period_into}: the exact ratio of the
     application's critical cycle, certified by one probe when the cycle is
-    among the forms {!prepare} seeds.  Their
+    among the forms seeded once per app.  Their
     reference is the list-based pass [Check.Oracle.reference]: waits agree
     with it bit for bit, periods within its bisection's 1e-9 relative. *)
 
@@ -46,6 +46,11 @@ val all_paper_estimators : estimator list
 (** [[Worst_case; Order 4; Order 2; Composability]] — the four methods of the
     paper's evaluation, in its Figure 5 legend order. *)
 
+type forms
+(** The app's cycle forms ({!Kernel.forms}) once they are seeded: by {!app}
+    itself, or by the first {!prepare} of an app made with [period].  A few
+    ints per actor; not the expansion, which {!prepare} rebuilds. *)
+
 type app = private {
   graph : Sdf.Graph.t;
   mapping : Mapping.t;
@@ -55,6 +60,7 @@ type app = private {
       (** Per-actor execution-time distributions when the application uses
           the variable-execution-time extension; [None] for the paper's
           constant-time base model. *)
+  forms : forms;
 }
 
 val app :
@@ -66,11 +72,13 @@ val app :
   app
 (** Wrap a graph and its mapping.  Unless [period] is given, the isolation
     period is the maximum cycle ratio of the graph's HSDF expansion at its
-    own execution times, by {!Kernel.period_into}, the engine of every
-    contended period: the exact ratio of the critical cycle, so on integer
-    times the correctly rounded rational period.  When [procs] is given the
-    mapping is validated against it; without it, processor ids must still
-    be non-negative.
+    own execution times: the seeding of the app's cycle forms certifies the
+    critical cycle there, and the period is that cycle's ratio, the value
+    {!Kernel.period_into}, the engine of every contended period, returns
+    at those times, so on integer times the correctly rounded rational
+    period.  The app carries those forms, so no {!prepare} of it searches
+    again.  When [procs] is given the mapping is validated against it;
+    without it, processor ids must still be non-negative.
 
     With [distributions] (one per actor), the graph's execution times are
     replaced by the distribution means for all throughput computations and
@@ -126,8 +134,8 @@ val estimate :
 type cache
 (** Use-case-invariant per-application precomputation: the isolation-period
     load descriptors ({!loads}) and the HSDF expansion of the application
-    graph, flattened for {!Kernel.period_into} with its cycle forms seeded
-    by the critical cycle at the isolation execution times.  The expansion's
+    graph, flattened for {!Kernel.period_into} with the app's cycle forms,
+    the critical cycle at the isolation execution times.  The expansion's
     topology does not depend on execution times, and the forms never change
     after [prepare], so one cache serves every response time assignment and
     its periods depend on nothing else.  A cache depends only on the [app]
@@ -136,12 +144,17 @@ type cache
     appears in. *)
 
 val prepare : app -> cache
-(** Expands the graph with the app's repetition vector and seeds the cycle
-    forms on the calling domain's {!shared_workspace}: linear in the
-    expansion, plus the seeding's few probes.
+(** Expands the graph with the app's repetition vector, linear in the
+    expansion, and adopts the app's cycle forms ({!Kernel.with_forms}): no
+    probe.  Only the first [prepare] of an app made with [period], which
+    has no forms yet, seeds them, on the calling domain's
+    {!shared_workspace}, and publishes them in the app with one atomic
+    compare-and-set.  Domains that race on that first call each seed, find
+    the same forms (the seeding depends only on the app) and build the same
+    cache; one of them publishes, and every later [prepare] adopts.
     @raise Invalid_argument, naming the graph, when its HSDF expansion
     would pass 1,000,000 nodes and edges — which an app made with a given
-    [period] has not been checked for. *)
+    [period] has not been checked for, so only that first call can. *)
 
 val period_with : cache -> response_times:float array -> float
 (** The period of the cache's application with [response_times] as
@@ -166,8 +179,9 @@ val shared_workspace : unit -> workspace
 
 val kernel_work : unit -> int * int
 (** {!Kernel.work} of the calling domain's {!shared_workspace}: the period
-    engine's relaxations and parent-walk steps there, which {!app},
-    {!prepare} and {!period_with} add to.  A test hook that pins the
+    engine's relaxations and parent-walk steps there, which {!app}, the
+    first {!prepare} of an app made with [period], and {!period_with} add
+    to.  A test hook that pins the
     engine's work by count rather than by wall-clock. *)
 
 val estimate_prepared :

@@ -34,7 +34,7 @@ type scratch = {
   mutable par : int array;  (* relaxation parents, for cycle extraction *)
   mutable counts : int array;  (* per-actor edge counts of the last witness *)
   mutable tokens : int;  (* token count of the last witness *)
-  mutable binding : int;  (* the last period's form, or -1: the witness *)
+  mutable on_form : bool;  (* the last period is a form's ratio, not a witness's *)
   mutable relaxations : int;  (* edges scanned by probe rounds, ever *)
   mutable walk_steps : int;  (* parent links followed by probe walks, ever *)
 }
@@ -49,7 +49,7 @@ let scratch () =
     par = Array.make 64 0;
     counts = Array.make 16 0;
     tokens = 0;
-    binding = -1;
+    on_form = false;
     relaxations = 0;
     walk_steps = 0;
   }
@@ -213,19 +213,26 @@ let comp_into ~p ~mu ~off ~n ~out =
    critical-cycle iteration at the best form's ratio, so one probe that
    finds no cycle above it certifies the answer. *)
 
+(* A graph's cycle forms and its topology-only verdicts.  Both depend only
+   on the graph's arrays and its seeds, so a graph rebuilt on the same
+   arrays can adopt them instead of searching again. *)
+type forms = {
+  nactors : int;  (* 1 + the largest actor index weighting an edge *)
+  cyclic : bool;
+  zero_delay_cycle : bool;
+  nforms : int;
+  form_counts : int array;  (* form k < nforms's per-actor counts at [k * nactors ..] *)
+  form_tokens : int array;  (* form k's token count, >= 1 *)
+}
+
 type graph = {
   nnodes : int;
   nedges : int;
-  nactors : int;  (* 1 + the largest actor index weighting an edge *)
   src : int array;
   dst : int array;
   wactor : int array;  (* actor index weighting each edge (its source node) *)
   delay : int array;  (* >= 0 by construction *)
-  cyclic : bool;  (* topology-only, so decided once *)
-  zero_delay_cycle : bool;  (* topology-only, so decided once *)
-  nforms : int;
-  forms : int array;  (* form k < nforms's per-actor counts at [k * nactors ..] *)
-  form_tokens : int array;  (* form k's token count, >= 1 *)
+  f : forms;
   source_name : string;  (* for error messages *)
 }
 
@@ -233,7 +240,7 @@ let reserve_graph s g =
   s.dist <- grow s.dist g.nnodes;
   s.par <- grow_int s.par g.nnodes;
   s.wshift <- grow s.wshift g.nedges;
-  s.counts <- grow_int s.counts g.nactors
+  s.counts <- grow_int s.counts g.f.nactors
 
 let no_cycle_msg g =
   Printf.sprintf "Sdf.Hsdf.period: graph %S has no cycle (unbounded rate)"
@@ -252,9 +259,9 @@ let no_witness g lambda =
    order — the one way every returned period is computed, so it is a pure
    function of the cycle and the execution times.  On integral times the
    sum is exact and the quotient is the correctly rounded rational. *)
-let[@inline] cycle_ratio g ~counts ~coff ~tokens ~exec ~exec_off =
+let[@inline] cycle_ratio f ~counts ~coff ~tokens ~exec ~exec_off =
   let sum = ref 0. in
-  for a = 0 to g.nactors - 1 do
+  for a = 0 to f.nactors - 1 do
     sum := !sum +. (float_of_int counts.(coff + a) *. exec.(exec_off + a))
   done;
   !sum /. float_of_int tokens
@@ -323,7 +330,7 @@ let[@inline] probe s g ~exec ~exec_off ~lambda ~tol =
    so its ratio lies above the probe's lambda.  Returns the cycle's token
    count, or 0 when the walk leaves the parent graph (no witness). *)
 let witness s g last =
-  for a = 0 to g.nactors - 1 do
+  for a = 0 to g.f.nactors - 1 do
     s.counts.(a) <- 0
   done;
   let v = ref last in
@@ -343,7 +350,29 @@ let witness s g last =
     !tokens
   end
 
-let deadlocks g = g.zero_delay_cycle
+let deadlocks g = g.f.zero_delay_cycle
+
+let forms g = g.f
+
+(* The best of the forms' ratios at [exec] (the first of equal ones): where
+   the Dinkelbach iteration starts. *)
+let[@inline] best_form f ~exec ~exec_off =
+  let lambda = ref neg_infinity in
+  for k = 0 to f.nforms - 1 do
+    let r =
+      cycle_ratio f ~counts:f.form_counts ~coff:(k * f.nactors)
+        ~tokens:f.form_tokens.(k) ~exec ~exec_off
+    in
+    if r > !lambda then lambda := r
+  done;
+  !lambda
+
+(* The topology verdicts' errors, in the order they were always raised: an
+   edgeless graph is acyclic, and a zero-delay cycle makes a graph cyclic. *)
+let check_topology g =
+  if not g.f.cyclic then invalid_arg (no_cycle_msg g);
+  if g.f.zero_delay_cycle then
+    invalid_arg "Sdf.Mcm.max_cycle_ratio: zero-delay cycle (deadlock)"
 
 let period_into s g ~exec ~exec_off ~out ~out_idx =
   reserve_graph s g;
@@ -355,28 +384,15 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
       invalid_arg (Printf.sprintf "Sdf.Mcm: non-finite edge weight %g" w);
     total := !total +. w
   done;
-  (* An edgeless graph is acyclic; a zero-delay cycle makes a graph cyclic,
-     so these two checks keep the order the errors were always raised in. *)
-  if not g.cyclic then invalid_arg (no_cycle_msg g);
-  if g.zero_delay_cycle then
-    invalid_arg "Sdf.Mcm.max_cycle_ratio: zero-delay cycle (deadlock)";
+  check_topology g;
   (* The probe's roundoff grows with its longest-path distances, which the
      total weight bounds, so its relaxation tolerance is relative to it: an
      absolute one is finer than float resolution once weights pass ~1e3,
      where rounding would fake relaxations, and coarser than the gap
      between competing cycles once they fall below ~1e-3. *)
   let tol = 1e-12 *. !total in
-  let lambda = ref neg_infinity in
-  for k = 0 to g.nforms - 1 do
-    let r =
-      cycle_ratio g ~counts:g.forms ~coff:(k * g.nactors)
-        ~tokens:g.form_tokens.(k) ~exec ~exec_off
-    in
-    if r > !lambda then begin
-      lambda := r;
-      s.binding <- k
-    end
-  done;
+  let lambda = ref (best_form g.f ~exec ~exec_off) in
+  s.on_form <- true;
   (* Dinkelbach: while a probe finds a cycle above lambda, jump to that
      cycle's ratio.  Every jump strictly raises lambda through simple
      cycles, so the iteration ends, on a cycle no probe can beat. *)
@@ -388,11 +404,11 @@ let period_into s g ~exec ~exec_off ~out ~out_idx =
       let tokens = witness s g last in
       let r =
         if tokens = 0 then neg_infinity
-        else cycle_ratio g ~counts:s.counts ~coff:0 ~tokens ~exec ~exec_off
+        else cycle_ratio g.f ~counts:s.counts ~coff:0 ~tokens ~exec ~exec_off
       in
       if not (r > !lambda) then no_witness g !lambda;
       lambda := r;
-      s.binding <- -1;
+      s.on_form <- false;
       s.tokens <- tokens
     end
   done;
@@ -440,7 +456,8 @@ let zero_delay_cycle ~nnodes ~src ~dst ~delay =
   done;
   !ordered < nnodes
 
-let graph s ~name ~seeds ~actor ~src ~dst ~delay =
+(* The checked edge arrays, and the actor index weighting each edge. *)
+let arrays ~actor ~src ~dst ~delay =
   let nnodes = Array.length actor and nedges = Array.length src in
   if Array.length dst <> nedges || Array.length delay <> nedges then
     invalid_arg "Contention.Kernel.graph: edge arrays of different lengths";
@@ -452,26 +469,26 @@ let graph s ~name ~seeds ~actor ~src ~dst ~delay =
       invalid_arg "Contention.Kernel.graph: edge endpoint out of range"
   done;
   let wactor = Array.map (fun u -> actor.(u)) src in
-  let nactors = Array.fold_left (fun m a -> Int.max m (a + 1)) 0 wactor in
+  (wactor, Array.fold_left (fun m a -> Int.max m (a + 1)) 0 wactor)
+
+let graph s ~name ~seeds ~actor ~src ~dst ~delay =
+  let wactor, nactors = arrays ~actor ~src ~dst ~delay in
+  let nnodes = Array.length actor in
   let zero_delay_cycle = zero_delay_cycle ~nnodes ~src ~dst ~delay in
   (* Each seed adds at most one form. *)
   let room = Int.max 1 (List.length seeds) in
-  let g =
+  let f =
     {
-      nnodes;
-      nedges;
       nactors;
-      src;
-      dst;
-      wactor;
-      delay;
       cyclic = zero_delay_cycle;
       zero_delay_cycle;
       nforms = 0;
-      forms = Array.make (room * nactors) 0;
+      form_counts = Array.make (room * nactors) 0;
       form_tokens = Array.make room 0;
-      source_name = name;
     }
+  in
+  let g =
+    { nnodes; nedges = Array.length src; src; dst; wactor; delay; f; source_name = name }
   in
   (* Some cycle, if there is one: with every edge weighing 1, every cycle is
      positive at lambda = 0. *)
@@ -482,8 +499,8 @@ let graph s ~name ~seeds ~actor ~src ~dst ~delay =
     let tokens = witness s g last in
     if tokens = 0 then no_witness g 0.;
     let set_form k ~tokens =
-      Array.blit s.counts 0 g.forms (k * nactors) nactors;
-      g.form_tokens.(k) <- tokens
+      Array.blit s.counts 0 f.form_counts (k * nactors) nactors;
+      f.form_tokens.(k) <- tokens
     in
     (* The forms are the certified critical cycles at the seeds, each once.
        The search for the first one starts from the cycle just found, held
@@ -492,14 +509,33 @@ let graph s ~name ~seeds ~actor ~src ~dst ~delay =
        new one. *)
     set_form 0 ~tokens;
     let out = [| 0. |] in
+    let with_nforms nforms = { g with f = { f with cyclic = true; nforms } } in
     let add nforms t =
-      period_into s { g with cyclic = true; nforms = Int.max 1 nforms } ~exec:t
-        ~exec_off:0 ~out ~out_idx:0;
-      if s.binding < 0 then begin
+      period_into s (with_nforms (Int.max 1 nforms)) ~exec:t ~exec_off:0 ~out ~out_idx:0;
+      if not s.on_form then begin
         set_form nforms ~tokens:s.tokens;
         nforms + 1
       end
       else Int.max 1 nforms
     in
-    { g with cyclic = true; nforms = Int.max 1 (List.fold_left add 0 seeds) }
+    with_nforms (Int.max 1 (List.fold_left add 0 seeds))
   end
+
+let with_forms f ~name ~actor ~src ~dst ~delay =
+  let wactor, nactors = arrays ~actor ~src ~dst ~delay in
+  if nactors <> f.nactors then
+    invalid_arg "Contention.Kernel.with_forms: forms of a graph with other actors";
+  {
+    nnodes = Array.length actor;
+    nedges = Array.length src;
+    src;
+    dst;
+    wactor;
+    delay;
+    f;
+    source_name = name;
+  }
+
+let seeded_period g ~exec =
+  check_topology g;
+  best_form g.f ~exec ~exec_off:0

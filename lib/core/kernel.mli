@@ -119,12 +119,13 @@ val graph :
 
     The zero-delay-cycle verdict is one O(V + E) topological pass.  The
     forms are the certified critical cycles at the per-actor execution
-    times [seeds] ({!Analysis.app} and {!Analysis.prepare} pass the
-    graph's own times, so the isolation period is the first form's ratio);
+    times [seeds] ({!Analysis} passes the graph's own times, once per app,
+    so the isolation period is the first form's ratio: {!seeded_period});
     with no seeds, an arbitrary cycle.  The searches run on [s], the
-    calling domain's scratch.  The set never changes afterwards, so
-    {!period_into} is a pure function of the graph and the execution
-    times.
+    calling domain's scratch, and depend on nothing it holds, so two
+    domains seeding the same arrays find the same forms.  The set never
+    changes afterwards, so {!period_into} is a pure function of the graph
+    and the execution times.
     @raise Invalid_argument on edge arrays of different lengths, a
     negative delay or actor index, an endpoint out of range, or, as
     {!period_into}, a seed it rejects. *)
@@ -132,6 +133,42 @@ val graph :
 val deadlocks : graph -> bool
 (** Whether the graph has a zero-delay cycle, which {!period_into} refuses:
     the source graph deadlocks. *)
+
+type forms
+(** What {!graph} found on its arrays: the cycle forms (each critical
+    cycle's per-actor edge counts and token count) and the two topology
+    verdicts (has a cycle, has a zero-delay cycle).  A few ints per actor
+    and form, immutable, and safe to share across domains.  {!Analysis}
+    keeps an app's forms, so that each later expansion of it adopts them
+    ({!with_forms}) instead of searching again. *)
+
+val forms : graph -> forms
+
+val with_forms :
+  forms ->
+  name:string ->
+  actor:int array ->
+  src:int array ->
+  dst:int array ->
+  delay:int array ->
+  graph
+(** The graph {!graph} builds on these arrays, with [forms] adopted from a
+    graph built on the same arrays and seeds: no probe and no topological
+    pass, only {!graph}'s O(V + E) checks of the arrays.  The adopted
+    verdicts keep their errors, so {!period_into} and {!deadlocks} answer
+    as on the graph the forms came from, and its periods are the same bit
+    for bit, since they depend on nothing but the arrays, the forms and the
+    execution times.
+    @raise Invalid_argument as {!graph} on bad arrays, or when [forms] were
+    found on a graph with another number of actors. *)
+
+val seeded_period : graph -> exec:float array -> float
+(** The best of the graph's forms' ratios at [exec], which must be the
+    graph's first seed: the seeding certified that ratio as the maximum
+    cycle ratio there, so this is what {!period_into} returns at [exec],
+    bit for bit, without its confirming probe.
+    @raise Invalid_argument as {!period_into} on a graph with no cycle or
+    with a zero-delay cycle. *)
 
 val period_into :
   scratch ->

@@ -491,3 +491,73 @@ let suite =
       Alcotest.test_case "withdraw independent of population" `Quick
         test_withdraw_population_independent;
     ]
+
+(* --- the variance log against a roster walk ---------------------------- *)
+
+(* About 50 residents through 2,000 leave/join pairs, with observes and
+   releases.  Actors share processors at random, so a log that kept a
+   resident's actors in another order would add them in another order.
+   After every op, each processor's logged variance sum, which the z-score
+   margin reads, must equal a newest-first roster walk's bit for bit,
+   across the log's compactions (about 40 here). *)
+let test_variance_log () =
+  let procs = 3 and residents = 50 and spares = 30 in
+  let rng = Sdfgen.Rng.create 4711 in
+  let apps =
+    Array.init (residents + spares) (fun i ->
+        let a = pin_app rng i in
+        Analysis.app a.Analysis.graph ~period:a.Analysis.isolation_period
+          ?distributions:a.Analysis.distributions
+          ~mapping:(Array.map (fun _ -> Sdfgen.Rng.int rng procs) a.Analysis.mapping))
+  in
+  let name i = apps.(i).Analysis.graph.Sdf.Graph.name in
+  let ctl = Admission.create ~procs () in
+  let positive = ref 0 in
+  let check op =
+    for proc = 0 to procs - 1 do
+      let logged = Admission.variance ctl ~proc in
+      let walked = Admission.refolded_variance ctl ~proc in
+      if Int64.bits_of_float logged <> Int64.bits_of_float walked then
+        Alcotest.failf "op %d, proc %d: logged %h, roster walk %h" op proc logged walked;
+      if logged > 0. then incr positive
+    done
+  in
+  let join op i =
+    (match Admission.try_admit ctl apps.(i) Admission.best_effort with
+    | Admission.Admitted _ -> ()
+    | _ -> Alcotest.failf "op %d: %s rejected" op (name i));
+    check op
+  in
+  for i = 0 to residents - 1 do
+    join i i
+  done;
+  let inside = Array.init residents Fun.id in
+  let outside = Array.init spares (fun k -> residents + k) in
+  for pair = 1 to 2_000 do
+    let op = residents + (3 * pair) in
+    let slot = Sdfgen.Rng.int rng residents in
+    let leaving = name inside.(slot) in
+    (if Sdfgen.Rng.int rng 4 = 0 then
+       match Admission.release ctl leaving with
+       | Ok () -> ()
+       | Error msg -> Alcotest.failf "op %d: %s" op msg
+     else Admission.withdraw ctl leaving);
+    check op;
+    let k = Sdfgen.Rng.int rng spares in
+    let joining = outside.(k) in
+    outside.(k) <- inside.(slot);
+    inside.(slot) <- joining;
+    join (op + 1) joining;
+    if Sdfgen.Rng.int rng 3 = 0 then begin
+      let observed = name inside.(Sdfgen.Rng.int rng residents) in
+      Admission.observe ctl observed
+        ~measured_period:
+          (Admission.estimated_period ctl observed *. (1. +. Sdfgen.Rng.float rng 1.));
+      check (op + 2)
+    end
+  done;
+  if !positive = 0 then Alcotest.fail "every variance sum was zero"
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "variance log = roster walk" `Quick test_variance_log ]

@@ -331,18 +331,114 @@ let test_ring_work () =
   if r1 - r0 > 10 * edges then
     Alcotest.failf "%d relaxations, above 10 x %d edges" (r1 - r0) edges;
   if w1 - w0 > 10 * nodes then
-    Alcotest.failf "%d walk steps, above 10 x %d nodes" (w1 - w0) nodes
+    Alcotest.failf "%d walk steps, above 10 x %d nodes" (w1 - w0) nodes;
+  (* The seeding certifies the isolation period; a confirming probe on top
+     of it would make 6 x E. *)
+  if r1 - r0 > 4 * edges then
+    Alcotest.failf "%d relaxations, above 4 x %d edges" (r1 - r0) edges
 
 let test_paper_prepare_work () =
-  (* The paper workload's ten apps (seed 2007): seeding their forms takes
-     10,284 relaxations, and 44,029 with probes that run all V + 1 rounds
-     over unsorted edges, so the bound tells the two apart. *)
-  let w = Exp.Workload.make ~seed:2007 ~num_apps:10 ~procs:10 () in
+  (* Making the paper workload's ten apps (seed 2007) seeds their forms, and
+     their prepares then adopt them: 10,284 relaxations, and 44,029 with
+     probes that run all V + 1 rounds over unsorted edges, so the bound
+     tells the two apart. *)
   let r0, _ = Analysis.kernel_work () in
+  let w = Exp.Workload.make ~seed:2007 ~num_apps:10 ~procs:10 () in
   Array.iter (fun a -> ignore (Analysis.prepare a)) w.apps;
   let r1, _ = Analysis.kernel_work () in
   if r1 - r0 > 15_000 then
-    Alcotest.failf "preparing the paper apps took %d relaxations" (r1 - r0)
+    Alcotest.failf "making the paper apps took %d relaxations" (r1 - r0)
+
+(* An app seeds its forms once: every prepare of an app made by
+   [Analysis.app], and every prepare after the first of an app made with a
+   given period, adopts them and runs no probe. *)
+let test_prepare_adopts_forms () =
+  let g = Fixtures.graph_a () in
+  let quiet what f =
+    let before = Analysis.kernel_work () in
+    ignore (f ());
+    let r, w = Analysis.kernel_work () in
+    let r0, w0 = before in
+    if r <> r0 || w <> w0 then
+      Alcotest.failf "%s: %d relaxations and %d walk steps" what (r - r0) (w - w0)
+  in
+  let a = Analysis.app g ~mapping:[| 0; 0; 0 |] in
+  quiet "first prepare of an app" (fun () -> Analysis.prepare a);
+  quiet "second prepare of an app" (fun () -> Analysis.prepare a);
+  let p = Analysis.app ~period:400. g ~mapping:[| 0; 0; 0 |] in
+  let r0, _ = Analysis.kernel_work () in
+  ignore (Analysis.prepare p);
+  let r1, _ = Analysis.kernel_work () in
+  if r1 = r0 then Alcotest.fail "the first prepare of a ?period app seeded nothing";
+  quiet "second prepare of a ?period app" (fun () -> Analysis.prepare p);
+  quiet "third prepare of a ?period app" (fun () -> Analysis.prepare p)
+
+let outcome f =
+  match f () with
+  | period -> Ok (Int64.bits_of_float period)
+  | exception Invalid_argument msg -> Error msg
+
+(* Adopted forms answer as the seeded ones: the same periods bit for bit
+   at any response times, and the same refusals. *)
+let test_adopted_forms_agree () =
+  for seed = 0 to 199 do
+    let rng = Sdfgen.Rng.create (seed + 5000) in
+    let g = Sdfgen.Generator.generate (Sdfgen.Rng.split rng) ~name:"G" in
+    let n = Sdf.Graph.num_actors g in
+    let mapping = Array.make n 0 in
+    (* A fresh app with a given period seeds at its first prepare, and its
+       second prepare adopts; an app made without one seeds when made. *)
+    let fresh = Analysis.app ~period:1. g ~mapping in
+    let seeded = Analysis.prepare fresh in
+    let adopted = Analysis.prepare fresh in
+    let from_app = Analysis.prepare (Analysis.app g ~mapping) in
+    for draw = 1 to 5 do
+      let response_times =
+        Array.map
+          (fun t -> t *. (1. +. Sdfgen.Rng.float rng 3.))
+          (Sdf.Graph.exec_times g)
+      in
+      let expected = outcome (fun () -> Analysis.period_with seeded ~response_times) in
+      List.iter
+        (fun (what, c) ->
+          if outcome (fun () -> Analysis.period_with c ~response_times) <> expected
+          then Alcotest.failf "seed %d, draw %d: %s period differs" seed draw what)
+        [ ("adopted", adopted); ("app's", from_app) ]
+    done
+  done;
+  (* A deadlocking graph keeps its refusal through adopted forms. *)
+  let app = Analysis.app ~period:5. (Fixtures.deadlocked ()) ~mapping:[| 0; 0 |] in
+  let refusals =
+    List.map
+      (fun c -> outcome (fun () -> Analysis.period_with c ~response_times:[| 1.; 2. |]))
+      [ Analysis.prepare app; Analysis.prepare app ]
+  in
+  (match refusals with
+  | [ (Error _ as first); second ] when second = first -> ()
+  | _ -> Alcotest.fail "a deadlocking graph's adopted cache answers otherwise");
+  (* So do an acyclic and an edgeless graph, at the kernel's level. *)
+  let s = Kernel.scratch () in
+  let out = [| 0. |] in
+  List.iter
+    (fun (name, nnodes, edges) ->
+      let actor = Array.init nnodes Fun.id in
+      let src = Array.map (fun (u, _, _) -> u) edges
+      and dst = Array.map (fun (_, v, _) -> v) edges
+      and delay = Array.map (fun (_, _, d) -> d) edges in
+      let g = Kernel.graph s ~name ~seeds:[] ~actor ~src ~dst ~delay in
+      let adopted = Kernel.with_forms (Kernel.forms g) ~name ~actor ~src ~dst ~delay in
+      let period g () =
+        Kernel.period_into s g ~exec:(Array.make nnodes 1.) ~exec_off:0 ~out ~out_idx:0;
+        out.(0)
+      in
+      match (outcome (period g), outcome (period adopted)) with
+      | (Error _ as a), b when a = b -> ()
+      | _ -> Alcotest.failf "%s: the adopted graph answers otherwise" name)
+    [
+      ("dag", 2, [| (0, 1, 1) |]);
+      ("empty", 1, [||]);
+      ("zd", 2, [| (0, 1, 0); (1, 0, 0) |]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine equivalence and batching *)
@@ -503,6 +599,9 @@ let suite =
     Alcotest.test_case "deadlock check = Mcm's DFS" `Quick test_deadlock_check_agrees;
     Alcotest.test_case "work: 10,000:1 ring within 10E" `Quick test_ring_work;
     Alcotest.test_case "work: paper prepares <= 15,000" `Quick test_paper_prepare_work;
+    Alcotest.test_case "work: prepare adopts the app's forms" `Quick
+      test_prepare_adopts_forms;
+    Alcotest.test_case "adopted forms = seeded forms" `Quick test_adopted_forms_agree;
     Alcotest.test_case "engine bit-identity" `Quick test_engine_bit_identity;
     Alcotest.test_case "worst-case periods = exact rational MCR" `Quick
       test_worst_case_periods_exact;
