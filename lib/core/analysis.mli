@@ -154,7 +154,8 @@ val prepare : app -> cache
     cache; one of them publishes, and every later [prepare] adopts.
     @raise Invalid_argument, naming the graph, when its HSDF expansion
     would pass 1,000,000 nodes and edges — which an app made with a given
-    [period] has not been checked for, so only that first call can. *)
+    [period] has not been checked for, so only a [prepare] that seeds
+    can. *)
 
 val period_with : cache -> response_times:float array -> float
 (** The period of the cache's application with [response_times] as
@@ -181,8 +182,8 @@ val kernel_work : unit -> int * int
 (** {!Kernel.work} of the calling domain's {!shared_workspace}: the period
     engine's relaxations and parent-walk steps there, which {!app}, the
     first {!prepare} of an app made with [period], and {!period_with} add
-    to.  A test hook that pins the
-    engine's work by count rather than by wall-clock. *)
+    to.  A test hook that pins the engine's work by count rather than by
+    wall-clock. *)
 
 val estimate_prepared :
   ?workspace:workspace -> estimator -> (app * cache) list -> estimate list

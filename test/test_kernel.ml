@@ -339,9 +339,11 @@ let test_ring_work () =
 
 let test_paper_prepare_work () =
   (* Making the paper workload's ten apps (seed 2007) seeds their forms, and
-     their prepares then adopt them: 10,284 relaxations, and 44,029 with
-     probes that run all V + 1 rounds over unsorted edges, so the bound
-     tells the two apart. *)
+     their prepares then adopt them: 10,284 relaxations in all.  A
+     confirming probe per app and a seeding per prepare would make it
+     23,689, and seeding with probes that run all V + 1 rounds over
+     unsorted edges takes 44,029 for the prepares alone, so the bound
+     tells them apart. *)
   let r0, _ = Analysis.kernel_work () in
   let w = Exp.Workload.make ~seed:2007 ~num_apps:10 ~procs:10 () in
   Array.iter (fun a -> ignore (Analysis.prepare a)) w.apps;
