@@ -288,6 +288,12 @@ let churn ?(config = default_churn_config) ~seed () =
     state := (a, b, v :: acc)
   in
   let checks = ref 0 in
+  (* Withdraw a uniformly chosen resident, so mostly non-LIFO ⊖. *)
+  let leave () =
+    let name = List.nth !resident (Sdfgen.Rng.int rng (List.length !resident)) in
+    Admission.withdraw ctl name;
+    resident := List.filter (fun n -> n <> name) !resident
+  in
   for step = 1 to config.events do
     let population = List.length !resident in
     let die = Sdfgen.Rng.int rng (2 * config.resident) in
@@ -321,14 +327,7 @@ let churn ?(config = default_churn_config) ~seed () =
       Admission.observe ctl name
         ~measured_period:(factor *. Admission.estimated_period ctl name)
     end
-    else begin
-      (* Leave: uniform choice, so mostly non-LIFO ⊖. *)
-      let name =
-        List.nth !resident (Sdfgen.Rng.int rng (List.length !resident))
-      in
-      Admission.withdraw ctl name;
-      resident := List.filter (fun n -> n <> name) !resident
-    end;
+    else leave ();
     if step mod config.check_every = 0 then begin
       incr checks;
       state := refold_oracle config ctl step !state
@@ -336,10 +335,18 @@ let churn ?(config = default_churn_config) ~seed () =
   done;
   incr checks;
   state := refold_oracle config ctl config.events !state;
+  (* Drain to a quarter of the target, so that withdrawn pairs outnumber
+     live ones and the variance log compacts at any size; check again. *)
+  let drained = Int.max 0 (List.length !resident - (config.resident / 4)) in
+  for _ = 1 to drained do
+    leave ()
+  done;
+  incr checks;
+  state := refold_oracle config ctl (config.events + drained) !state;
   let max_p, max_w, violations = !state in
   let counters = Admission.counters ctl in
   {
-    churn_events = config.events;
+    churn_events = config.events + drained;
     joins = counters.Admission.joins;
     leaves = counters.Admission.leaves;
     observes = counters.Admission.observes;

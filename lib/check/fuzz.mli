@@ -76,7 +76,9 @@ val run :
     leaves never refold from scratch.  The same checks compare each
     processor's variance-log sum ({!Contention.Admission.variance}) with a
     roster walk's, and count any bitwise difference as a
-    [churn-refold-var] violation. *)
+    [churn-refold-var] violation.  The stream ends by draining residents,
+    in seeded random order, to a quarter of [resident], so that the
+    variance log compacts at any size, and checks once more. *)
 
 type churn_config = {
   procs : int;
@@ -102,11 +104,11 @@ val default_churn_config : churn_config
     [w_tolerance = refold_bound = 0.05], [period_slack = 12]. *)
 
 type churn_result = {
-  churn_events : int;
+  churn_events : int;  (** [events], then the drain's withdrawals. *)
   joins : int;
   leaves : int;
   observes : int;
-  checks : int;  (** Re-fold comparisons performed (includes one final). *)
+  checks : int;  (** Re-fold comparisons, one after the events and the drain each. *)
   max_p_err : float;
       (** Worst relative deviation of the maintained p-aggregate — ⊕/⊖ is
           exact on p, so this is rounding noise. *)

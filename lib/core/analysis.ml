@@ -49,17 +49,13 @@ let estimator_of_string s =
 
 let all_paper_estimators = [ Worst_case; Order 4; Order 2; Composability ]
 
-(* Set once, by whichever domain seeds first; racing domains seed the same
-   forms, so it does not matter which one publishes. *)
-type forms = Kernel.forms option Atomic.t
-
 type app = {
   graph : Sdf.Graph.t;
   mapping : Mapping.t;
   repetition : int array;
   isolation_period : float;
   distributions : Dist.t array option;
-  forms : forms;
+  forms : Kernel.forms;
 }
 
 type workspace = {
@@ -77,7 +73,6 @@ type workspace = {
   mutable g_wait : float array;
   mutable resp : float array;  (* one app's response times *)
   mutable periods : float array;  (* the last pass's, or period_with's, periods *)
-  r : int array;  (* int registers: counters without ref-cell boxing *)
 }
 
 let grow_f a n =
@@ -102,7 +97,6 @@ let workspace () =
     g_wait = Array.make 64 0.;
     resp = Array.make 32 0.;
     periods = Array.make 16 0.;
-    r = Array.make 8 0;
   }
 
 let workspace_key = Domain.DLS.new_key workspace
@@ -116,42 +110,12 @@ let kernel_work () = Kernel.work (shared_workspace ()).ker
    before any of it is allocated. *)
 let max_expansion = 1_000_000
 
-(* The HSDF expansion of [graph] flattened for {!Kernel.period_into}: an edge
-   weighs its source node's actor's execution time.  It adopts the cycle
-   forms in [forms]; without them it seeds them, on the calling domain's
-   scratch, with the critical cycle at [exec], the graph's own times, and
-   publishes them in [forms].  Forms exist only once an expansion has been
-   built, so only the seeding checks the expansion's size. *)
-let kernel_graph graph ~repetition ~exec ~forms =
-  let name = graph.Sdf.Graph.name in
-  let known = Atomic.get forms in
-  (if Option.is_none known then
-     (* Summed in floats, which no rate can overflow. *)
-     let size =
-       Array.fold_left
-         (fun n (c : Sdf.Graph.channel) ->
-           n +. (float_of_int repetition.(c.src) *. float_of_int c.produce))
-         (2. *. Array.fold_left (fun n q -> n +. float_of_int q) 0. repetition)
-         graph.Sdf.Graph.channels
-     in
-     if size > float_of_int max_expansion then
-       invalid_arg
-         (Printf.sprintf
-            "Contention.Analysis: graph %S expands to %.0f HSDF nodes and edges, \
-             above the limit of %d"
-            name size max_expansion));
-  let h =
-    Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand ~repetition graph)
-  in
-  match known with
-  | Some f -> Kernel.with_forms f ~name ~actor:h.actor ~src:h.src ~dst:h.dst ~delay:h.delay
-  | None ->
-      let g =
-        Kernel.graph (shared_workspace ()).ker ~name ~seeds:[ exec ] ~actor:h.actor
-          ~src:h.src ~dst:h.dst ~delay:h.delay
-      in
-      ignore (Atomic.compare_and_set forms None (Some (Kernel.forms g)));
-      g
+let expand graph ~repetition =
+  Obs.Span.with_ ~name:"hsdf.expand" (fun () -> Sdf.Hsdf.expand ~repetition graph)
+
+let check_period p =
+  if not (Float.is_finite p && p > 0.) then
+    invalid_arg "Contention.Analysis.app: period not finite and positive"
 
 let app ?period ?procs ?distributions graph ~mapping =
   (match procs with
@@ -161,6 +125,7 @@ let app ?period ?procs ?distributions graph ~mapping =
         invalid_arg "Contention.Analysis.app: mapping length mismatch";
       if Array.exists (fun p -> p < 0) mapping then
         invalid_arg "Contention.Analysis.app: negative processor id");
+  Option.iter check_period period;
   let graph =
     match distributions with
     | None -> graph
@@ -171,24 +136,43 @@ let app ?period ?procs ?distributions graph ~mapping =
         (* Throughput computations run on the mean execution times. *)
         Sdf.Graph.with_exec_times graph (Array.map Dist.mean dists)
   in
+  let name = graph.Sdf.Graph.name in
   let repetition = Sdf.Repetition.compute_exn graph in
-  let forms = Atomic.make None in
+  (* Summed in floats, which no rate can overflow. *)
+  let size =
+    Array.fold_left
+      (fun n (c : Sdf.Graph.channel) ->
+        n +. (float_of_int repetition.(c.src) *. float_of_int c.produce))
+      (2. *. Array.fold_left (fun n q -> n +. float_of_int q) 0. repetition)
+      graph.Sdf.Graph.channels
+  in
+  if size > float_of_int max_expansion then
+    invalid_arg
+      (Printf.sprintf
+         "Contention.Analysis: graph %S expands to %.0f HSDF nodes and edges, \
+          above the limit of %d"
+         name size max_expansion);
+  let h = expand graph ~repetition in
+  let exec = Sdf.Graph.exec_times graph in
+  let g =
+    Kernel.graph (shared_workspace ()).ker ~name ~seeds:[ exec ] ~actor:h.actor
+      ~src:h.src ~dst:h.dst ~delay:h.delay
+  in
+  if Kernel.deadlocks g then
+    invalid_arg (Printf.sprintf "Contention.Analysis.app: graph %S deadlocks" name);
   let isolation_period =
     match period with
     | Some p -> p
     | None ->
-        let exec = Sdf.Graph.exec_times graph in
-        let g = kernel_graph graph ~repetition ~exec ~forms in
-        if Kernel.deadlocks g then
-          invalid_arg
-            (Printf.sprintf "Contention.Analysis.app: graph %S deadlocks"
-               graph.Sdf.Graph.name);
         (* The seeding just certified the critical cycle at [exec]. *)
         Kernel.seeded_period g ~exec
   in
-  if not (Float.is_finite isolation_period && isolation_period > 0.) then
-    invalid_arg "Contention.Analysis.app: period not finite and positive";
-  { graph; mapping; repetition; isolation_period; distributions; forms }
+  check_period isolation_period;
+  { graph; mapping; repetition; isolation_period; distributions; forms = Kernel.forms g }
+
+let remap a ~procs ~mapping =
+  Mapping.validate ~procs a.graph mapping;
+  { a with mapping }
 
 let loads_with_period a period =
   Array.init (Sdf.Graph.num_actors a.graph) (fun i ->
@@ -239,8 +223,10 @@ let prepare a =
         Obs.Span.with_ ~name:"analysis.loads" (fun () -> loads a)
       in
       let cached_exec = Sdf.Graph.exec_times a.graph in
+      let h = expand a.graph ~repetition:a.repetition in
       let mcr =
-        kernel_graph a.graph ~repetition:a.repetition ~exec:cached_exec ~forms:a.forms
+        Kernel.with_forms a.forms ~name:a.graph.Sdf.Graph.name ~actor:h.actor
+          ~src:h.src ~dst:h.dst ~delay:h.delay
       in
       { cached_loads; cached_exec; mcr })
 
@@ -269,58 +255,52 @@ let kernel_pass ws est (apps : app array) (caches : cache array)
     ~(out : float array) =
   (* Member layout: one slot per (active app, actor). *)
   ws.app_off <- grow_i ws.app_off nactive;
-  ws.r.(0) <- 0;
-  (* total members *)
-  ws.r.(2) <- 0;
-  (* max processor id + 1 *)
-  ws.r.(3) <- 0;
-  (* max actors of one app *)
+  let nmembers = ref 0 and nprocs = ref 0 and max_actors = ref 0 in
   for k = 0 to nactive - 1 do
     let a = apps.(active.(k)) in
     let n = Array.length a.mapping in
-    ws.app_off.(k) <- ws.r.(0);
-    ws.r.(0) <- ws.r.(0) + n;
-    if n > ws.r.(3) then ws.r.(3) <- n;
+    ws.app_off.(k) <- !nmembers;
+    nmembers := !nmembers + n;
+    if n > !max_actors then max_actors := n;
     for actor = 0 to n - 1 do
-      if a.mapping.(actor) + 1 > ws.r.(2) then ws.r.(2) <- a.mapping.(actor) + 1
+      if a.mapping.(actor) + 1 > !nprocs then nprocs := a.mapping.(actor) + 1
     done
   done;
-  let nmembers = ws.r.(0) in
+  let nmembers = !nmembers in
   ws.slot <- grow_i ws.slot nmembers;
   ws.g_p <- grow_f ws.g_p nmembers;
   ws.g_mu <- grow_f ws.g_mu nmembers;
   ws.g_tau <- grow_f ws.g_tau nmembers;
   ws.g_wait <- grow_f ws.g_wait nmembers;
-  ws.group_of_proc <- grow_i ws.group_of_proc ws.r.(2);
+  ws.group_of_proc <- grow_i ws.group_of_proc !nprocs;
   ws.gstart <- grow_i ws.gstart (Int.max 1 nmembers);
   ws.gcount <- grow_i ws.gcount (Int.max 1 nmembers);
   ws.gfill <- grow_i ws.gfill (Int.max 1 nmembers);
-  ws.resp <- grow_f ws.resp ws.r.(3);
-  for p = 0 to ws.r.(2) - 1 do
+  ws.resp <- grow_f ws.resp !max_actors;
+  for p = 0 to !nprocs - 1 do
     ws.group_of_proc.(p) <- -1
   done;
   (* Group the members by processor, groups numbered in first-seen order. *)
-  ws.r.(1) <- 0;
-  (* group count *)
+  let ngroups = ref 0 in
   for k = 0 to nactive - 1 do
     let a = apps.(active.(k)) in
     for actor = 0 to Array.length a.mapping - 1 do
       let proc = a.mapping.(actor) in
       if ws.group_of_proc.(proc) < 0 then begin
-        ws.group_of_proc.(proc) <- ws.r.(1);
-        ws.gcount.(ws.r.(1)) <- 0;
-        ws.r.(1) <- ws.r.(1) + 1
+        ws.group_of_proc.(proc) <- !ngroups;
+        ws.gcount.(!ngroups) <- 0;
+        incr ngroups
       end;
       let g = ws.group_of_proc.(proc) in
       ws.gcount.(g) <- ws.gcount.(g) + 1
     done
   done;
-  let ngroups = ws.r.(1) in
-  ws.r.(4) <- 0;
+  let ngroups = !ngroups in
+  let start = ref 0 in
   for g = 0 to ngroups - 1 do
-    ws.gstart.(g) <- ws.r.(4);
+    ws.gstart.(g) <- !start;
     ws.gfill.(g) <- 0;
-    ws.r.(4) <- ws.r.(4) + ws.gcount.(g)
+    start := !start + ws.gcount.(g)
   done;
   (* Fill the member slots in descending (app, actor) order: the reference
      builds each per-processor contender list by prepending during an
@@ -342,11 +322,11 @@ let kernel_pass ws est (apps : app array) (caches : cache array)
     done
   done;
   (* Waiting times, one evaluator call per processor group. *)
-  ws.r.(5) <- 0;
+  let largest = ref 0 in
   for g = 0 to ngroups - 1 do
-    if ws.gcount.(g) > ws.r.(5) then ws.r.(5) <- ws.gcount.(g)
+    if ws.gcount.(g) > !largest then largest := ws.gcount.(g)
   done;
-  Kernel.reserve_group ws.ker ws.r.(5);
+  Kernel.reserve_group ws.ker !largest;
   (match est with
   | Worst_case ->
       for g = 0 to ngroups - 1 do
@@ -484,14 +464,14 @@ let prepare_workload ?caches apps =
 
 let estimate_periods_into ws est (p : prepared) ~usecase ~out =
   ws.active <- grow_i ws.active (Array.length p.papps);
-  ws.r.(6) <- 0;
+  let nactive = ref 0 in
   for ai = 0 to Array.length p.papps - 1 do
     if Usecase.mem ai usecase then begin
-      ws.active.(ws.r.(6)) <- ai;
-      ws.r.(6) <- ws.r.(6) + 1
+      ws.active.(!nactive) <- ai;
+      incr nactive
     end
   done;
-  let nactive = ws.r.(6) in
+  let nactive = !nactive in
   if nactive > 0 then
     kernel_pass ws est p.papps p.pcaches p.ploads ws.active nactive ~out;
   nactive

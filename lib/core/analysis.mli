@@ -46,11 +46,6 @@ val all_paper_estimators : estimator list
 (** [[Worst_case; Order 4; Order 2; Composability]] — the four methods of the
     paper's evaluation, in its Figure 5 legend order. *)
 
-type forms
-(** The app's cycle forms ({!Kernel.forms}) once they are seeded: by {!app}
-    itself, or by the first {!prepare} of an app made with [period].  A few
-    ints per actor; not the expansion, which {!prepare} rebuilds. *)
-
 type app = private {
   graph : Sdf.Graph.t;
   mapping : Mapping.t;
@@ -60,7 +55,9 @@ type app = private {
       (** Per-actor execution-time distributions when the application uses
           the variable-execution-time extension; [None] for the paper's
           constant-time base model. *)
-  forms : forms;
+  forms : Kernel.forms;
+      (** The cycle forms {!app} seeded: a few ints per actor, not the
+          expansion, which {!prepare} rebuilds. *)
 }
 
 val app :
@@ -70,25 +67,34 @@ val app :
   Sdf.Graph.t ->
   mapping:Mapping.t ->
   app
-(** Wrap a graph and its mapping.  Unless [period] is given, the isolation
-    period is the maximum cycle ratio of the graph's HSDF expansion at its
-    own execution times: the seeding of the app's cycle forms certifies the
-    critical cycle there, and the period is that cycle's ratio, the value
-    {!Kernel.period_into}, the engine of every contended period, returns
-    at those times, so on integer times the correctly rounded rational
-    period.  The app carries those forms, so no {!prepare} of it searches
-    again.  When [procs] is given the mapping is validated against it;
-    without it, processor ids must still be non-negative.
+(** Wrap a graph and its mapping, and seed the app's cycle forms: the
+    critical cycle of the graph's HSDF expansion at its own execution
+    times, found once on the calling domain's {!shared_workspace}.  The
+    app carries them, so no {!prepare} of it searches.  The isolation
+    period is [period] when given, and otherwise that cycle's ratio: the
+    value {!Kernel.period_into}, the engine of every contended period,
+    returns at those times, so on integer times the correctly rounded
+    rational period.  When [procs] is given the mapping is validated
+    against it; without it, processor ids must still be non-negative.
 
     With [distributions] (one per actor), the graph's execution times are
     replaced by the distribution means for all throughput computations and
     the loads use mean residual lives as blocking times (Section 6 of the
     paper); the per-firing durations themselves are only drawn when
     simulating ({!Desim.Engine.run}'s [firing_time] hook).
-    @raise Invalid_argument on a deadlocking graph or one whose HSDF
-    expansion would pass 1,000,000 nodes and edges (the message names it;
-    the expansion is refused before it is built), an invalid mapping, a distribution array of the wrong length, or a
-    [period] that is not finite and positive. *)
+    @raise Invalid_argument, with or without [period], on a deadlocking
+    graph or one whose HSDF expansion would pass 1,000,000 nodes and edges
+    (the message names it; the expansion is refused before it is built),
+    an invalid mapping, a distribution array of the wrong length, or a
+    [period] that is not finite and positive (refused before any
+    expansion). *)
+
+val remap : app -> procs:int -> mapping:Mapping.t -> app
+(** The app with another mapping, validated against [procs].  Its
+    isolation period and forms, and a {!cache} {!prepare}d from it, do not
+    depend on the mapping, so they serve the remapped app: {!Explore}
+    scores candidate mappings this way.
+    @raise Invalid_argument on an invalid mapping. *)
 
 val loads : app -> Prob.t array
 (** Per-actor load descriptors from the isolation period. *)
@@ -134,28 +140,17 @@ val estimate :
 type cache
 (** Use-case-invariant per-application precomputation: the isolation-period
     load descriptors ({!loads}) and the HSDF expansion of the application
-    graph, flattened for {!Kernel.period_into} with the app's cycle forms,
-    the critical cycle at the isolation execution times.  The expansion's
-    topology does not depend on execution times, and the forms never change
-    after [prepare], so one cache serves every response time assignment and
-    its periods depend on nothing else.  A cache depends only on the [app]
-    it was prepared from, so it can be computed once per workload, shared
-    read-only across domains, and reused by every use-case the application
-    appears in. *)
+    graph, flattened for {!Kernel.period_into} with the app's cycle forms.
+    The expansion's topology and the forms do not depend on execution
+    times, so one cache serves every response time assignment.  A cache
+    depends only on the [app] it was prepared from, so it can be computed
+    once per workload, shared read-only across domains, and reused by
+    every use-case the application appears in. *)
 
 val prepare : app -> cache
 (** Expands the graph with the app's repetition vector, linear in the
     expansion, and adopts the app's cycle forms ({!Kernel.with_forms}): no
-    probe.  Only the first [prepare] of an app made with [period], which
-    has no forms yet, seeds them, on the calling domain's
-    {!shared_workspace}, and publishes them in the app with one atomic
-    compare-and-set.  Domains that race on that first call each seed, find
-    the same forms (the seeding depends only on the app) and build the same
-    cache; one of them publishes, and every later [prepare] adopts.
-    @raise Invalid_argument, naming the graph, when its HSDF expansion
-    would pass 1,000,000 nodes and edges — which an app made with a given
-    [period] has not been checked for, so only a [prepare] that seeds
-    can. *)
+    probe, and no size check, which {!app} made. *)
 
 val period_with : cache -> response_times:float array -> float
 (** The period of the cache's application with [response_times] as
@@ -180,10 +175,9 @@ val shared_workspace : unit -> workspace
 
 val kernel_work : unit -> int * int
 (** {!Kernel.work} of the calling domain's {!shared_workspace}: the period
-    engine's relaxations and parent-walk steps there, which {!app}, the
-    first {!prepare} of an app made with [period], and {!period_with} add
-    to.  A test hook that pins the engine's work by count rather than by
-    wall-clock. *)
+    engine's relaxations and parent-walk steps there, which {!app} and
+    {!period_with} add to, and {!prepare} does not.  A test hook that pins
+    the engine's work by count rather than by wall-clock. *)
 
 val estimate_prepared :
   ?workspace:workspace -> estimator -> (app * cache) list -> estimate list

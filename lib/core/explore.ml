@@ -36,8 +36,7 @@ let improve ?(estimator = Analysis.Order 2) ?(max_moves = 32) ~procs assignment 
     mean_ratio
       (Analysis.estimate_prepared estimator
          (List.map2
-            (fun ((a : Analysis.app), cache) (g, m) ->
-              (Analysis.app ~period:a.isolation_period ~procs g ~mapping:m, cache))
+            (fun (a, cache) (_, mapping) -> (Analysis.remap a ~procs ~mapping, cache))
             prepared candidate))
   in
   let initial_score = eval assignment in

@@ -35,5 +35,6 @@ val improve :
     and applies the best strictly-improving one, stopping at a local optimum
     or after [max_moves] (default [32]) accepted moves.  Each application is
     prepared once ({!Analysis.prepare}: isolation period, loads, HSDF
-    expansion), since none of it depends on the mapping; a candidate is
-    scored exactly as {!score} would score it. *)
+    expansion), since none of it depends on the mapping, and re-mapped per
+    candidate ({!Analysis.remap}); a candidate is scored exactly as
+    {!score} would score it. *)

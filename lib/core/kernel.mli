@@ -111,7 +111,7 @@ val graph :
 (** [graph s ~name ~seeds ~actor ~src ~dst ~delay]: node [v] fires actor
     [actor.(v)], and edge [e] runs from node [src.(e)] to [dst.(e)] with
     [delay.(e)] tokens, weighing its source node's actor's execution time
-    ({!Sdf.Hsdf.t}'s arrays, as {!Analysis.prepare} hands them over; they
+    ({!Sdf.Hsdf.t}'s arrays, as {!Analysis.app} hands them over; they
     are kept, not copied, so the caller must not mutate them afterwards).
     [name] is the source graph's name, used in error messages.  Edges
     sorted by source, as an expansion's are, let a probe round carry a

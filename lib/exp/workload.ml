@@ -70,14 +70,18 @@ let sim_firing_time t usecase =
         | None -> (Sdf.Graph.actor a.Contention.Analysis.graph actor).exec_time)
 
 let app_index t name =
-  let found = ref None in
-  Array.iteri
-    (fun i (a : Contention.Analysis.app) ->
-      if a.graph.Sdf.Graph.name = name then found := Some i)
-    t.apps;
-  match !found with Some i -> i | None -> raise Not_found
+  match
+    Array.find_index
+      (fun (a : Contention.Analysis.app) -> a.graph.Sdf.Graph.name = name)
+      t.apps
+  with
+  | Some i -> i
+  | None -> raise Not_found
 
 let header_prefix = "# contention-workload"
+
+(* The applications a use-case mask ({!Contention.Usecase}) addresses. *)
+let max_apps = 30
 
 let to_string t =
   let header = Printf.sprintf "%s procs=%d seed=%d\n" header_prefix t.procs t.seed in
@@ -122,16 +126,26 @@ let of_string contents =
         match Sdf.Text.of_string_many contents with
         | Error _ as e -> e
         | Ok [] -> Error "workload carries no graphs"
-        | Ok graphs ->
-            (match
-               List.map
-                 (fun g ->
-                   Contention.Analysis.app ~procs g
-                     ~mapping:(Contention.Mapping.modulo ~procs g))
-                 graphs
-             with
-            | apps -> Ok { seed; procs; apps = Array.of_list apps }
-            | exception Invalid_argument msg -> Error msg)))
+        | Ok graphs when List.length graphs > max_apps ->
+            Error
+              (Printf.sprintf
+                 "workload carries %d graphs, above the %d a use-case addresses"
+                 (List.length graphs) max_apps)
+        | Ok graphs -> (
+            let names = List.map (fun (g : Sdf.Graph.t) -> g.name) graphs in
+            let shared name = List.length (List.filter (String.equal name) names) > 1 in
+            match List.find_opt shared names with
+            | Some name -> Error (Printf.sprintf "two graphs are named %S" name)
+            | None -> (
+                match
+                  List.map
+                    (fun g ->
+                      Contention.Analysis.app ~procs g
+                        ~mapping:(Contention.Mapping.modulo ~procs g))
+                    graphs
+                with
+                | apps -> Ok { seed; procs; apps = Array.of_list apps }
+                | exception Invalid_argument msg -> Error msg))))
 
 let load path =
   match open_in path with

@@ -58,7 +58,8 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** Parse a {!to_string} payload; mappings are reconstructed with the modulo
     policy and isolation periods recomputed.  Total: truncated or otherwise
-    malformed payloads yield [Error], never an exception. *)
+    malformed payloads yield [Error], never an exception, as do more than
+    30 graphs (a use-case mask's width) and two graphs of one name. *)
 
 val save : t -> string -> unit
 (** Write {!to_string} to a file. *)

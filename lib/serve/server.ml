@@ -106,9 +106,14 @@ end
 type cache_key = string * Contention.Usecase.t * string
 
 (* An estimate-cache entry: the rows, read by the audit and the hot hook,
-   and the reply's encoded body ({!Protocol.estimate_reply_body}), which a
-   hit answers with.  Immutable, so worker domains share it as is. *)
-type entry = { rows : Protocol.estimate_row list; body : string }
+   the reply's encoded body ({!Protocol.estimate_reply_body}), which a hit
+   answers with, and the requests it has served while resident, which
+   [on_hot] watches.  Worker domains share it as is. *)
+type entry = {
+  rows : Protocol.estimate_row list;
+  body : string;
+  requests : int Atomic.t;
+}
 
 type t = {
   config : config;
@@ -138,18 +143,12 @@ type t = {
   slo : Slo.t;
   journal : Journal.t option;
   audit : Audit.t option;
-  (* Hot-digest tracking: estimate-request counts per cache key.  When a
-     key's count crosses [hot_threshold], [on_hot] fires once with the rows
-     so the owner (the CLI's cluster glue) can replicate them to peers. *)
-  hot : (cache_key, int) Hashtbl.t;
-  hot_mutex : Mutex.t;
+  (* Fired with a cache entry's rows when its request count crosses
+     [hot_threshold], so the owner (the CLI's cluster glue) can replicate
+     them to peers. *)
   on_hot : (hot_entry -> unit) option;
   sessions : (string, Contention.Admission.t) Hashtbl.t;
   sessions_mutex : Mutex.t;
-  (* Per-workload analysis caches (loads, HSDF expansion, kernel graph),
-     keyed by digest: computed once, shared by every estimate served. *)
-  prepared : (string, Contention.Analysis.cache array) Hashtbl.t;
-  prepared_mutex : Mutex.t;
   conns : Unix.file_descr Chan.t;
   listeners : Unix.file_descr list;
   bound_tcp_port : int option;
@@ -220,28 +219,6 @@ let resolve_usecase w = function
                   Error (Printf.sprintf "unknown application %S" name)))
         (Ok 0) names
 
-let prepared_for t ~digest (w : Exp.Workload.t) =
-  Mutex.lock t.prepared_mutex;
-  match Hashtbl.find_opt t.prepared digest with
-  | Some caches ->
-      Mutex.unlock t.prepared_mutex;
-      caches
-  | None ->
-      Mutex.unlock t.prepared_mutex;
-      (* Prepare outside the lock — it is pure per-app work, and two workers
-         racing on a fresh digest just compute identical caches. *)
-      let caches = Array.map Contention.Analysis.prepare w.apps in
-      Mutex.lock t.prepared_mutex;
-      let caches =
-        match Hashtbl.find_opt t.prepared digest with
-        | Some existing -> existing
-        | None ->
-            Hashtbl.add t.prepared digest caches;
-            caches
-      in
-      Mutex.unlock t.prepared_mutex;
-      caches
-
 let estimate_rows estimator pairs =
   List.map
     (fun (r : Contention.Analysis.estimate) ->
@@ -258,38 +235,28 @@ let estimate_rows estimator pairs =
        ~workspace:(Contention.Analysis.shared_workspace ())
        estimator pairs)
 
-(* Bump the request count of a cache key; the crossing of [hot_threshold]
-   (exactly once per key) hands the rows to [on_hot] so the cluster glue can
-   replicate the entry to peers.  A failing hook must not fail the request. *)
-let note_hot t ~digest ~mask ~name rows =
+(* Bump the request count of a cache entry; its crossing of
+   [hot_threshold] (exactly once per residency) hands the rows to [on_hot]
+   so the cluster glue can replicate the entry to peers.  A failing hook
+   must not fail the request. *)
+let note_hot t (hot_digest, hot_mask, hot_estimator) entry =
   match t.on_hot with
-  | None -> ()
-  | Some hook when t.config.hot_threshold > 0 ->
-      let key = (digest, mask, name) in
-      Mutex.lock t.hot_mutex;
-      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.hot key) in
-      Hashtbl.replace t.hot key n;
-      Mutex.unlock t.hot_mutex;
-      if n = t.config.hot_threshold then begin
-        try
-          hook
-            {
-              hot_digest = digest;
-              hot_mask = mask;
-              hot_estimator = name;
-              hot_rows = rows;
-            }
-        with _ -> ()
-      end
-  | Some _ -> ()
+  | Some hook
+    when t.config.hot_threshold > 0
+         && 1 + Atomic.fetch_and_add entry.requests 1 = t.config.hot_threshold -> (
+      try hook { hot_digest; hot_mask; hot_estimator; hot_rows = entry.rows }
+      with _ -> ())
+  | _ -> ()
 
 let error_line fmt =
   Printf.ksprintf (fun msg -> Json.to_string (Protocol.error msg)) fmt
 
 (* Encode [rows] once under the canonical estimator [name] and cache the
-   entry under [key]. *)
-let store_entry t ((_, _, name) as key) rows =
-  let entry = { rows; body = Protocol.estimate_reply_body ~estimator:name rows } in
+   entry under [key], counting its requests in [requests]. *)
+let store_entry t ((_, _, name) as key) ~requests rows =
+  let entry =
+    { rows; body = Protocol.estimate_reply_body ~estimator:name rows; requests }
+  in
   Lru.put t.cache key entry;
   entry
 
@@ -298,28 +265,29 @@ let store_entry t ((_, _, name) as key) rows =
 let handle_estimate t ~digest ~usecase ~estimator =
   match Store.find t.store digest with
   | None -> error_line "unknown workload digest %S" digest
-  | Some w -> (
+  | Some { workload = w; caches } -> (
       match resolve_usecase w usecase with
       | Error msg -> error_line "%s" msg
       | Ok mask ->
           let name = Contention.Analysis.estimator_name estimator in
           let key = (digest, mask, name) in
-          let cached, { rows; body } =
+          let cached, entry =
             match Lru.find t.cache key with
             | Some entry ->
                 Obs.Metric.Counter.inc t.m_cache_hits;
                 (true, entry)
             | None ->
                 Obs.Metric.Counter.inc t.m_cache_misses;
-                let caches = prepared_for t ~digest w in
                 let pairs =
                   List.map
                     (fun i -> (w.apps.(i), caches.(i)))
                     (Contention.Usecase.to_list mask)
                 in
-                (false, store_entry t key (estimate_rows estimator pairs))
+                ( false,
+                  store_entry t key ~requests:(Atomic.make 0)
+                    (estimate_rows estimator pairs) )
           in
-          note_hot t ~digest ~mask ~name rows;
+          note_hot t key entry;
           (* Shadow audit: hand a head-sampled fraction of served estimates
              (cached or fresh — both were served) to the background replay
              domain, tagged with the originating trace context.  A full
@@ -333,16 +301,16 @@ let handle_estimate t ~digest ~usecase ~estimator =
                      workload = w;
                      mask;
                      estimator = name;
-                     rows;
+                     rows = entry.rows;
                      ctx = Obs.Span.current_context ();
                    })
           | _ -> ());
-          Protocol.estimate_reply_line ~cached body)
+          Protocol.estimate_reply_line ~cached entry.body)
 
 let handle_explain t ~digest ~usecase ~estimator =
   match Store.find t.store digest with
   | None -> Protocol.error (Printf.sprintf "unknown workload digest %S" digest)
-  | Some w -> (
+  | Some { workload = w; _ } -> (
       match resolve_usecase w usecase with
       | Error msg -> Protocol.error msg
       | Ok mask ->
@@ -378,7 +346,7 @@ let handle_cache_put t ~digest ~mask ~estimator ~rows =
      otherwise the entry could never hit, or would answer wrongly. *)
   match Store.find t.store digest with
   | None -> Protocol.error (Printf.sprintf "unknown workload digest %S" digest)
-  | Some w -> (
+  | Some { workload = w; _ } -> (
       match Contention.Analysis.estimator_of_string estimator with
       | Error msg -> Protocol.error msg
       | Ok est ->
@@ -394,7 +362,15 @@ let handle_cache_put t ~digest ~mask ~estimator ~rows =
                a positive period and throughput 1/period"
           else begin
             let name = Contention.Analysis.estimator_name est in
-            ignore (store_entry t (digest, mask, name) rows);
+            let key = (digest, mask, name) in
+            (* Replacing a resident entry's rows keeps its residency, and
+               so its request count. *)
+            let requests =
+              match Lru.find t.cache key with
+              | Some resident -> resident.requests
+              | None -> Atomic.make 0
+            in
+            ignore (store_entry t key ~requests rows);
             Protocol.ok
               (Json.Obj
                  [ ("installed", Json.Bool true); ("estimator", Json.Str name) ])
@@ -417,7 +393,7 @@ let handle_admit t ~session ~digest ~app ~min_throughput ~confidence
     ~margin_method =
   match Store.find t.store digest with
   | None -> Protocol.error (Printf.sprintf "unknown workload digest %S" digest)
-  | Some w -> (
+  | Some { workload = w; _ } -> (
       match Exp.Workload.app_index w app with
       | exception Not_found ->
           Protocol.error (Printf.sprintf "unknown application %S" app)
@@ -1035,13 +1011,9 @@ let start ?on_hot ?(config = default_config) () =
       audit;
       m_cache_hits;
       m_cache_misses;
-      hot = Hashtbl.create 8;
-      hot_mutex = Mutex.create ();
       on_hot;
       sessions = Hashtbl.create 8;
       sessions_mutex = Mutex.create ();
-      prepared = Hashtbl.create 8;
-      prepared_mutex = Mutex.create ();
       conns = Chan.create ();
       listeners;
       bound_tcp_port = Option.map snd tcp;

@@ -7,7 +7,7 @@
     handed to a fixed pool of worker domains modelled on {!Exp.Pool}: each
     connection is served by one worker, which stays with it until the peer
     closes it, so [jobs] idle connections hold every worker and later
-    connections wait in the accept queue.  Workloads live in a
+    connections wait in the accept queue.  Workloads live, prepared, in a
     content-addressed {!Store}; estimates are memoised in an {!Lru} cache
     keyed by [(workload digest, use-case mask, estimator name)], each entry
     holding its rows and its encoded reply body
@@ -34,9 +34,9 @@ type config = {
           [{"shed": ...}] frame and closed — explicit backpressure instead
           of unbounded queueing.  [0] disables the bound. *)
   hot_threshold : int;
-      (** Estimate requests per cache key before the entry counts as hot and
-          the [on_hot] hook (see {!start}) fires.  [0] disables hot
-          tracking. *)
+      (** Estimate requests a cache entry serves while cached before it
+          counts as hot and the [on_hot] hook (see {!start}) fires.  [0]
+          disables hot tracking. *)
   journal_path : string option;
       (** When set, sampled per-request records are appended there as JSONL
           (see {!Journal}).  [None] disables the journal entirely. *)
@@ -85,9 +85,11 @@ val start : ?on_hot:(hot_entry -> unit) -> ?config:config -> unit -> t
     ignore (a dead peer must surface as [EPIPE] on the worker, not kill the
     daemon).
 
-    [on_hot] fires at most once per cache key, from the worker domain
-    serving the request that crossed [config.hot_threshold]; exceptions it
-    raises are swallowed.  The cluster layer uses it to replicate hot
+    [on_hot] fires at most once per cache residency (a [cache-put] that
+    replaces a cached entry's rows keeps its count), from the worker domain
+    serving the request that brings the entry's count to
+    [config.hot_threshold]; exceptions it raises are swallowed.  The
+    cluster layer uses it to replicate hot
     estimate-cache entries to peers ({!Cluster} lives above {!Serve}, so
     the wiring happens in the binary, not here).
     @raise Invalid_argument, naming the field and before anything is bound,

@@ -1,6 +1,11 @@
+type entry = {
+  workload : Exp.Workload.t;
+  caches : Contention.Analysis.cache array;
+}
+
 type t = {
   mutex : Mutex.t;
-  table : (string, Exp.Workload.t) Hashtbl.t;
+  table : (string, entry) Hashtbl.t;
 }
 
 let create () = { mutex = Mutex.create (); table = Hashtbl.create 16 }
@@ -13,8 +18,14 @@ let locked t f =
 
 let add t w =
   let digest = digest_of w in
-  locked t (fun () ->
-      if not (Hashtbl.mem t.table digest) then Hashtbl.add t.table digest w);
+  if not (locked t (fun () -> Hashtbl.mem t.table digest)) then begin
+    (* Two uploads racing on a fresh digest build identical caches, and
+       the first to file its entry wins. *)
+    let caches = Array.map Contention.Analysis.prepare w.apps in
+    locked t (fun () ->
+        if not (Hashtbl.mem t.table digest) then
+          Hashtbl.add t.table digest { workload = w; caches })
+  end;
   digest
 
 let find t digest = locked t (fun () -> Hashtbl.find_opt t.table digest)

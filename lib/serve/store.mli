@@ -4,16 +4,24 @@
     {!Exp.Workload.to_string} serialization, so re-uploading the same
     workload — or a textually different payload that parses to the same
     canonical form — lands on the same entry and the same cache keys.
-    Thread-safe: worker domains share one store. *)
+    An entry also holds the workload's {!Contention.Analysis.prepare}
+    caches, made once, when its digest is first added.  Thread-safe:
+    worker domains share one store. *)
 
 type t
+
+type entry = {
+  workload : Exp.Workload.t;
+  caches : Contention.Analysis.cache array;  (** One per app, in order. *)
+}
 
 val create : unit -> t
 
 val add : t -> Exp.Workload.t -> string
-(** Store (or re-reference) the workload; returns its digest. *)
+(** Store (or re-reference) the workload; returns its digest.  A new
+    digest is prepared outside the store's lock. *)
 
-val find : t -> string -> Exp.Workload.t option
+val find : t -> string -> entry option
 val count : t -> int
 
 val digest_of : Exp.Workload.t -> string

@@ -91,3 +91,53 @@ let graph_gen =
 let qcheck_case ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)
+
+(* Helpers of the tests that drive a live daemon. *)
+module Daemon = struct
+  let unwrap = function
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "unexpected error: %s" msg
+
+  let expect_error what = function
+    | Ok _ -> Alcotest.failf "%s: expected an error reply" what
+    | Error (_ : string) -> ()
+
+  let poll ~what ?(attempts = 250) pred =
+    let rec go n =
+      if pred () then ()
+      else if n = 0 then Alcotest.failf "timed out waiting for %s" what
+      else begin
+        Unix.sleepf 0.02;
+        go (n - 1)
+      end
+    in
+    go attempts
+
+  (* A server on an ephemeral TCP port, or on [unix_path] alone. *)
+  let start_server ?on_hot ?(jobs = 2) ?(cache_capacity = 16)
+      ?(max_line = Serve.Server.default_config.max_line) ?(max_queue = 1024)
+      ?(hot_threshold = 0) ?unix_path () =
+    let config =
+      {
+        Serve.Server.default_config with
+        port = (if unix_path = None then Some 0 else None);
+        unix_path;
+        jobs = Some jobs;
+        cache_capacity;
+        max_line;
+        max_queue;
+        hot_threshold;
+      }
+    in
+    Serve.Server.start ?on_hot ~config ()
+
+  let tcp_endpoint server =
+    Cluster.Endpoint.Tcp
+      { host = "127.0.0.1"; port = Option.get (Serve.Server.tcp_port server) }
+
+  (* [f server port] on a fresh TCP server, stopped afterwards. *)
+  let with_server ?jobs ?cache_capacity ?(max_line = 64 * 1024) f =
+    let server = start_server ?jobs ?cache_capacity ~max_line () in
+    let port = Option.get (Serve.Server.tcp_port server) in
+    Fun.protect ~finally:(fun () -> Serve.Server.stop server) (fun () -> f server port)
+end

@@ -177,7 +177,7 @@ let test_app_validation () =
   | _ -> Alcotest.fail "deadlocked graph accepted");
   (* A graph whose HSDF expansion would not fit is refused by name before
      any of it is built, for its firings (1e8 of y) or its tokens alone (two
-     firings, 2e8 edges); with a given period, by [prepare]. *)
+     firings, 2e8 edges), with a given period as without. *)
   List.iter
     (fun (p, c) ->
       let g =
@@ -191,9 +191,9 @@ let test_app_validation () =
             when Fixtures.contains ~affix:{|graph "huge" expands|} msg -> ()
           | _ -> Alcotest.failf "%d:%d expansion not refused by name" p c)
         [ (fun () -> ignore (Analysis.app g ~mapping:[| 0; 1 |]));
-          (fun () -> ignore (Analysis.prepare (Analysis.app ~period:1. g ~mapping:[| 0; 1 |]))) ])
+          (fun () -> ignore (Analysis.app ~period:1. g ~mapping:[| 0; 1 |])) ])
     [ (100_000_000, 1); (100_000_000, 100_000_000) ];
-  (* An explicit period skips the isolation period computation. *)
+  (* An explicit period replaces the isolation period. *)
   let a = Analysis.app ~period:123. (Fixtures.graph_a ()) ~mapping:[| 0; 1; 2 |] in
   Fixtures.check_float "explicit period" 123. a.isolation_period;
   Fixtures.check_refuses_bad_periods "app ?period" (fun period ->

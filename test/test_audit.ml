@@ -11,10 +11,7 @@ module Json = Serve.Json
 module Protocol = Serve.Protocol
 module Audit = Serve.Audit
 module Span = Obs.Span
-
-let unwrap = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
+open Fixtures.Daemon
 
 (* --- drift detector --------------------------------------------------- *)
 

@@ -48,7 +48,14 @@ let check_campaign name (r : Check.Fuzz.churn_result) =
 let test_churn_quick () =
   let r = Check.Fuzz.churn ~seed:11 () in
   check_campaign "quick" r;
-  Alcotest.(check int) "all events ran" 600 r.Check.Fuzz.churn_events;
+  (* The 600 events, then the drain's withdrawals down to a quarter of the
+     48 residents: each event one join, leave or observe. *)
+  Alcotest.(check int) "all events ran" r.Check.Fuzz.churn_events
+    (r.Check.Fuzz.joins + r.Check.Fuzz.leaves + r.Check.Fuzz.observes);
+  Alcotest.(check bool) "the drain follows the 600 events" true
+    (r.Check.Fuzz.churn_events >= 600);
+  Alcotest.(check int) "drained to a quarter" 12
+    (r.Check.Fuzz.joins - r.Check.Fuzz.leaves);
   Alcotest.(check bool) "oracle ran" true (r.Check.Fuzz.checks >= 24);
   (* p-composition is exactly invertible; w lags by the bounded residue. *)
   Alcotest.(check bool) "p deviation is rounding noise" true

@@ -14,14 +14,7 @@ module Ring = Cluster.Ring
 module Pool = Cluster.Pool
 module Router = Cluster.Router
 module Loadgen = Cluster.Loadgen
-
-let unwrap = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
-let expect_error what = function
-  | Ok _ -> Alcotest.failf "%s: expected an error" what
-  | Error (_ : string) -> ()
+open Fixtures.Daemon
 
 let small_workload ?(seed = 7) () =
   Exp.Workload.make ~seed ~num_apps:3 ~procs:2 ()
@@ -158,25 +151,6 @@ let fresh_sock_path () =
     (Printf.sprintf "contention-cluster-%d-%d.sock" (Unix.getpid ())
        (Atomic.fetch_and_add next_sock 1))
 
-let start_server ?on_hot ?(jobs = 2) ?(max_queue = 1024) ?(hot_threshold = 0)
-    ?unix_path () =
-  let config =
-    {
-      Serve.Server.default_config with
-      port = (if unix_path = None then Some 0 else None);
-      unix_path;
-      jobs = Some jobs;
-      cache_capacity = 16;
-      max_queue;
-      hot_threshold;
-    }
-  in
-  Serve.Server.start ?on_hot ~config ()
-
-let tcp_endpoint server =
-  Endpoint.Tcp
-    { host = "127.0.0.1"; port = Option.get (Serve.Server.tcp_port server) }
-
 let gauge_value registry name =
   List.find_map
     (fun (e : Obs.Metric.exposed) ->
@@ -186,17 +160,6 @@ let gauge_value registry name =
         | (_, Obs.Metric.Sample v) :: _ -> Some v
         | _ -> None)
     (Obs.Metric.export registry)
-
-let poll ~what ?(attempts = 200) pred =
-  let rec go n =
-    if pred () then ()
-    else if n = 0 then Alcotest.failf "timed out waiting for %s" what
-    else begin
-      Unix.sleepf 0.02;
-      go (n - 1)
-    end
-  in
-  go attempts
 
 (* --- pool: reconnect across a server restart ------------------------- *)
 

@@ -351,9 +351,8 @@ let test_paper_prepare_work () =
   if r1 - r0 > 15_000 then
     Alcotest.failf "making the paper apps took %d relaxations" (r1 - r0)
 
-(* An app seeds its forms once: every prepare of an app made by
-   [Analysis.app], and every prepare after the first of an app made with a
-   given period, adopts them and runs no probe. *)
+(* An app seeds its forms when it is made, with a given period or
+   without, and every prepare adopts them and runs no probe. *)
 let test_prepare_adopts_forms () =
   let g = Fixtures.graph_a () in
   let quiet what f =
@@ -364,16 +363,29 @@ let test_prepare_adopts_forms () =
     if r <> r0 || w <> w0 then
       Alcotest.failf "%s: %d relaxations and %d walk steps" what (r - r0) (w - w0)
   in
-  let a = Analysis.app g ~mapping:[| 0; 0; 0 |] in
-  quiet "first prepare of an app" (fun () -> Analysis.prepare a);
-  quiet "second prepare of an app" (fun () -> Analysis.prepare a);
-  let p = Analysis.app ~period:400. g ~mapping:[| 0; 0; 0 |] in
-  let r0, _ = Analysis.kernel_work () in
-  ignore (Analysis.prepare p);
-  let r1, _ = Analysis.kernel_work () in
-  if r1 = r0 then Alcotest.fail "the first prepare of a ?period app seeded nothing";
-  quiet "second prepare of a ?period app" (fun () -> Analysis.prepare p);
-  quiet "third prepare of a ?period app" (fun () -> Analysis.prepare p)
+  List.iter
+    (fun (what, a) ->
+      quiet ("first prepare of " ^ what) (fun () -> Analysis.prepare a);
+      quiet ("second prepare of " ^ what) (fun () -> Analysis.prepare a))
+    [
+      ("an app", Analysis.app g ~mapping:[| 0; 0; 0 |]);
+      ("a ?period app", Analysis.app ~period:400. g ~mapping:[| 0; 0; 0 |]);
+    ]
+
+(* An app made with a given period has seeded when [app] returns: it does
+   the same engine work as an app that computes its isolation period. *)
+let test_period_app_seeds () =
+  let g = Fixtures.graph_a () in
+  let work f =
+    let r0, w0 = Analysis.kernel_work () in
+    ignore (f () : Analysis.app);
+    let r1, w1 = Analysis.kernel_work () in
+    (r1 - r0, w1 - w0)
+  in
+  let given = work (fun () -> Analysis.app ~period:400. g ~mapping:[| 0; 0; 0 |]) in
+  let own = work (fun () -> Analysis.app g ~mapping:[| 0; 0; 0 |]) in
+  if fst given = 0 then Alcotest.fail "app ~period seeded nothing";
+  Alcotest.(check (pair int int)) "seeding work, with a period and without" own given
 
 let outcome f =
   match f () with
@@ -383,16 +395,18 @@ let outcome f =
 (* Adopted forms answer as the seeded ones: the same periods bit for bit
    at any response times, and the same refusals. *)
 let test_adopted_forms_agree () =
+  let s = Kernel.scratch () in
+  let out = [| 0. |] in
   for seed = 0 to 199 do
     let rng = Sdfgen.Rng.create (seed + 5000) in
     let g = Sdfgen.Generator.generate (Sdfgen.Rng.split rng) ~name:"G" in
     let n = Sdf.Graph.num_actors g in
     let mapping = Array.make n 0 in
-    (* A fresh app with a given period seeds at its first prepare, and its
-       second prepare adopts; an app made without one seeds when made. *)
-    let fresh = Analysis.app ~period:1. g ~mapping in
-    let seeded = Analysis.prepare fresh in
-    let adopted = Analysis.prepare fresh in
+    (* The expansion seeded at the graph's own times, as [Analysis.app]
+       seeds it, against the caches of apps made with a given period and
+       without one, which adopt the forms their app seeded. *)
+    let seeded, _ = kernel_graph ~seeds:[ Sdf.Graph.exec_times g ] g in
+    let with_period = Analysis.prepare (Analysis.app ~period:1. g ~mapping) in
     let from_app = Analysis.prepare (Analysis.app g ~mapping) in
     for draw = 1 to 5 do
       let response_times =
@@ -400,27 +414,31 @@ let test_adopted_forms_agree () =
           (fun t -> t *. (1. +. Sdfgen.Rng.float rng 3.))
           (Sdf.Graph.exec_times g)
       in
-      let expected = outcome (fun () -> Analysis.period_with seeded ~response_times) in
+      let expected =
+        outcome (fun () ->
+            Kernel.period_into s seeded ~exec:response_times ~exec_off:0 ~out ~out_idx:0;
+            out.(0))
+      in
       List.iter
         (fun (what, c) ->
           if outcome (fun () -> Analysis.period_with c ~response_times) <> expected
           then Alcotest.failf "seed %d, draw %d: %s period differs" seed draw what)
-        [ ("adopted", adopted); ("app's", from_app) ]
+        [ ("?period app's", with_period); ("app's", from_app) ]
     done
   done;
-  (* A deadlocking graph keeps its refusal through adopted forms. *)
-  let app = Analysis.app ~period:5. (Fixtures.deadlocked ()) ~mapping:[| 0; 0 |] in
-  let refusals =
-    List.map
-      (fun c -> outcome (fun () -> Analysis.period_with c ~response_times:[| 1.; 2. |]))
-      [ Analysis.prepare app; Analysis.prepare app ]
+  (* A deadlocking graph is refused when made, alike with a given period
+     and without. *)
+  let refusal period =
+    match Analysis.app ?period (Fixtures.deadlocked ()) ~mapping:[| 0; 0 |] with
+    | exception Invalid_argument msg -> Some msg
+    | _ -> None
   in
-  (match refusals with
-  | [ (Error _ as first); second ] when second = first -> ()
-  | _ -> Alcotest.fail "a deadlocking graph's adopted cache answers otherwise");
-  (* So do an acyclic and an edgeless graph, at the kernel's level. *)
-  let s = Kernel.scratch () in
-  let out = [| 0. |] in
+  (match (refusal None, refusal (Some 5.)) with
+  | Some without, Some given when given = without -> ()
+  | _, None -> Alcotest.fail "a deadlocking graph made with a period is accepted"
+  | _ -> Alcotest.fail "a deadlocking graph is refused otherwise with a period");
+  (* Adopted forms keep the refusals of an acyclic, an edgeless and a
+     zero-delay graph, at the kernel's level. *)
   List.iter
     (fun (name, nnodes, edges) ->
       let actor = Array.init nnodes Fun.id in
@@ -603,6 +621,7 @@ let suite =
     Alcotest.test_case "work: paper prepares <= 15,000" `Quick test_paper_prepare_work;
     Alcotest.test_case "work: prepare adopts the app's forms" `Quick
       test_prepare_adopts_forms;
+    Alcotest.test_case "work: app ?period seeds when made" `Quick test_period_app_seeds;
     Alcotest.test_case "adopted forms = seeded forms" `Quick test_adopted_forms_agree;
     Alcotest.test_case "engine bit-identity" `Quick test_engine_bit_identity;
     Alcotest.test_case "worst-case periods = exact rational MCR" `Quick

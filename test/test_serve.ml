@@ -10,15 +10,9 @@
 module Json = Serve.Json
 module Protocol = Serve.Protocol
 
+open Fixtures.Daemon
+
 let small_workload () = Exp.Workload.make ~seed:7 ~num_apps:3 ~procs:2 ()
-
-let unwrap = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
-let expect_error what = function
-  | Ok _ -> Alcotest.failf "%s: expected an error reply" what
-  | Error (_ : string) -> ()
 
 (* --- store ----------------------------------------------------------- *)
 
@@ -28,15 +22,19 @@ let test_store () =
   let d = Serve.Store.add s w in
   Alcotest.(check string) "digest is stable" d (Serve.Store.digest_of w);
   Alcotest.(check int) "one entry" 1 (Serve.Store.count s);
+  let first = Serve.Store.find s d in
   (* Re-adding the same content lands on the same address. *)
   let w' = unwrap (Exp.Workload.of_string (Exp.Workload.to_string w)) in
   Alcotest.(check string) "content-addressed" d (Serve.Store.add s w');
   Alcotest.(check int) "still one entry" 1 (Serve.Store.count s);
   (match Serve.Store.find s d with
-  | Some found ->
+  | Some ({ workload = found; caches } as entry) ->
       Alcotest.(check string) "find returns the workload"
         (Exp.Workload.to_string w)
-        (Exp.Workload.to_string found)
+        (Exp.Workload.to_string found);
+      Alcotest.(check int) "one cache per app" 3 (Array.length caches);
+      if not (Option.fold ~none:false ~some:(( == ) entry) first) then
+        Alcotest.fail "re-adding made the entry again"
   | None -> Alcotest.fail "digest not found");
   (match Serve.Store.find s "feedfacefeedfacefeedfacefeedface" with
   | None -> ()
@@ -160,21 +158,6 @@ let test_estimator_names () =
 
 (* --- live-server helpers --------------------------------------------- *)
 
-let with_server ?(cache_capacity = 16) ?(max_line = 64 * 1024) f =
-  let config =
-    {
-      Serve.Server.default_config with
-      port = Some 0;
-      unix_path = None;
-      jobs = Some 2;
-      cache_capacity;
-      max_line;
-    }
-  in
-  let server = Serve.Server.start ~config () in
-  let port = Option.get (Serve.Server.tcp_port server) in
-  Fun.protect ~finally:(fun () -> Serve.Server.stop server) (fun () -> f server port)
-
 let with_client port f =
   let c = unwrap (Serve.Client.connect ~port ()) in
   Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
@@ -272,6 +255,25 @@ let test_non_finite_upload () =
             (Serve.Server.handle_line server request))
         [ "nan"; "inf" ])
 
+(* The reply to an in-process upload of [payload]. *)
+let upload_reply server payload =
+  Serve.Server.handle_line server (request_line (Protocol.Upload { payload }))
+
+let upload_in_process server w =
+  let up =
+    unwrap
+      (Result.bind
+         (Result.bind
+            (Json.of_string (upload_reply server (Exp.Workload.to_string w)))
+            Protocol.unwrap_reply)
+         Protocol.upload_reply_of_json)
+  in
+  up.Protocol.digest
+
+(* A workload of [graphs] on two processors. *)
+let workload_payload graphs =
+  "# contention-workload procs=2 seed=7\n" ^ Sdf.Text.to_string_many graphs
+
 (* A graph the analysis cannot take refuses the whole upload, and the reply
    names it among the workload's graphs: a deadlocked ring, and a ring whose
    HSDF expansion would run to hundreds of millions of nodes (refused before
@@ -284,13 +286,7 @@ let test_refused_upload () =
             Sdf.Graph.create ~name ~actors:[| ("a0", 1.); ("a1", 1.) |]
               ~channels:[| (0, 1, rate, 1, 0); (1, 0, 1, rate, tokens) |]
           in
-          let payload =
-            "# contention-workload procs=2 seed=7\n"
-            ^ Sdf.Text.to_string_many [ Fixtures.pipeline (); g ]
-          in
-          let reply =
-            Serve.Server.handle_line server (request_line (Protocol.Upload { payload }))
-          in
+          let reply = upload_reply server (workload_payload [ Fixtures.pipeline (); g ]) in
           match Json.of_string reply with
           | Ok (Json.Obj [ ("error", Json.Str msg) ])
             when String.starts_with ~prefix:"bad workload" msg
@@ -300,20 +296,58 @@ let test_refused_upload () =
           | _ -> Alcotest.failf "expected a bad workload naming %S, got %s" name reply)
         [ ("stuck", 1, 0); ("wide", 100_000_000, 100_000_000) ])
 
-(* --- stored reply bytes: hits, cache-put entries, evictions ------------ *)
+(* A two-actor ring with one token. *)
+let ring name ~tau =
+  Sdf.Graph.create ~name
+    ~actors:[| ("p0", tau); ("p1", 5.) |]
+    ~channels:[| (0, 1, 1, 1, 0); (1, 0, 1, 1, 1) |]
 
-let upload_in_process server w =
-  let reply =
-    Serve.Server.handle_line server
-      (request_line (Protocol.Upload { payload = Exp.Workload.to_string w }))
-  in
-  let up =
-    unwrap
-      (Result.bind
-         (Result.bind (Json.of_string reply) Protocol.unwrap_reply)
-         Protocol.upload_reply_of_json)
-  in
-  up.Protocol.digest
+let expect_bad_workload what ~affix reply =
+  match Json.of_string reply with
+  | Ok (Json.Obj [ ("error", Json.Str msg) ])
+    when String.starts_with ~prefix:"bad workload: " msg
+         && Fixtures.contains ~affix msg ->
+      ()
+  | _ -> Alcotest.failf "%s: expected a bad workload naming %s, got %s" what affix reply
+
+(* Use-case masks address 30 applications: an upload of 30 graphs is
+   estimated whole, one of 31 is refused, since its last graph could not
+   be named in a use-case. *)
+let test_upload_mask_width () =
+  let graph i = ring (Printf.sprintf "X%d" i) ~tau:(float_of_int (i + 1)) in
+  with_server (fun server _port ->
+      expect_bad_workload "31 graphs" ~affix:"31 graphs"
+        (upload_reply server (workload_payload (List.init 31 graph)));
+      let digest =
+        upload_in_process server
+          (unwrap (Exp.Workload.of_string (workload_payload (List.init 30 graph))))
+      in
+      let rows usecase =
+        let reply =
+          Serve.Server.handle_line server
+            (request_line
+               (Protocol.Estimate
+                  { digest; usecase; estimator = Contention.Analysis.Order 2 }))
+        in
+        (unwrap
+           (Result.bind
+              (Result.bind (Json.of_string reply) Protocol.unwrap_reply)
+              Protocol.estimate_reply_of_json))
+          .Protocol.rows
+      in
+      Alcotest.(check int) "every graph estimated" 30 (List.length (rows None));
+      Alcotest.(check (list string)) "the last graph addressed" [ "X29" ]
+        (List.map (fun (r : Protocol.estimate_row) -> r.app) (rows (Some [ "X29" ]))))
+
+(* Names key use-cases, sessions and rows: two graphs of one name are
+   refused, not answered for the second alone. *)
+let test_upload_shared_name () =
+  with_server (fun server _port ->
+      expect_bad_workload "two graphs named A" ~affix:{|"A"|}
+        (upload_reply server
+           (workload_payload [ ring "A" ~tau:3.; Fixtures.pipeline (); ring "A" ~tau:4. ])))
+
+(* --- stored reply bytes: hits, cache-put entries, evictions ------------ *)
 
 let miss_prefix = {|{"ok":{"cached":false|}
 
@@ -383,6 +417,63 @@ let test_stored_replies () =
       Alcotest.(check string)
         "second miss after eviction" first
         (send (estimate digest (Contention.Analysis.Order 2))))
+
+(* --- hot entries: once per cache residency ----------------------------- *)
+
+(* [on_hot] fires when a cache entry's request count reaches
+   [hot_threshold]: once however often the entry is requested while it
+   stays cached, once more after it was evicted and requested that often
+   again, and not again when a cache-put replaces its rows. *)
+let test_hot_once_per_residency () =
+  let fired = ref [] in
+  let server =
+    start_server ~jobs:1 ~cache_capacity:1 ~hot_threshold:2
+      ~on_hot:(fun e -> fired := e :: !fired)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Serve.Server.stop server)
+    (fun () ->
+      let send = Serve.Server.handle_line server in
+      let digest = upload_in_process server (small_workload ()) in
+      let estimate estimator =
+        ignore
+          (send (request_line (Protocol.Estimate { digest; usecase = None; estimator }))
+            : string)
+      in
+      let fired_for what n =
+        Alcotest.(check (list string)) what (List.init n (fun _ -> "second-order"))
+          (List.map (fun (e : Serve.Server.hot_entry) -> e.hot_estimator) !fired)
+      in
+      for _ = 1 to 5 do
+        estimate (Contention.Analysis.Order 2)
+      done;
+      fired_for "once in one residency" 1;
+      (* Capacity 1: the worst-case entry evicts the second-order one. *)
+      estimate Contention.Analysis.Worst_case;
+      estimate (Contention.Analysis.Order 2);
+      fired_for "not before the threshold" 1;
+      estimate (Contention.Analysis.Order 2);
+      fired_for "once more after an eviction" 2;
+      let e = List.hd !fired in
+      ignore
+        (unwrap
+           (Protocol.unwrap_reply
+              (unwrap
+                 (Json.of_string
+                    (send
+                       (request_line
+                          (Protocol.Cache_put
+                             {
+                               digest;
+                               mask = e.hot_mask;
+                               estimator = e.hot_estimator;
+                               rows = e.hot_rows;
+                             })))))));
+      for _ = 1 to 3 do
+        estimate (Contention.Analysis.Order 2)
+      done;
+      fired_for "not again after a cache-put" 2)
 
 (* --- stats reads the registry ------------------------------------------ *)
 
@@ -863,7 +954,11 @@ let suite =
     Alcotest.test_case "robustness" `Quick test_robustness;
     Alcotest.test_case "non-finite upload refused" `Quick test_non_finite_upload;
     Alcotest.test_case "refused upload names the graph" `Quick test_refused_upload;
+    Alcotest.test_case "upload past the mask width refused" `Quick test_upload_mask_width;
+    Alcotest.test_case "upload of a shared name refused" `Quick test_upload_shared_name;
     Alcotest.test_case "stored reply bytes" `Quick test_stored_replies;
+    Alcotest.test_case "hot hook once per cache residency" `Quick
+      test_hot_once_per_residency;
     Alcotest.test_case "admission errors" `Quick test_release_errors;
     Alcotest.test_case "integration" `Quick test_integration;
     Alcotest.test_case "graceful stop, idle client" `Quick

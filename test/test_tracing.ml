@@ -12,23 +12,8 @@ module Json = Serve.Json
 module Protocol = Serve.Protocol
 module Span = Obs.Span
 module Trace = Obs.Trace
-module Endpoint = Cluster.Endpoint
 module Router = Cluster.Router
-
-let unwrap = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "unexpected error: %s" msg
-
-let poll ~what ?(attempts = 250) pred =
-  let rec go n =
-    if pred () then ()
-    else if n = 0 then Alcotest.failf "timed out waiting for %s" what
-    else begin
-      Unix.sleepf 0.02;
-      go (n - 1)
-    end
-  in
-  go attempts
+open Fixtures.Daemon
 
 (* Span buffers are process-global; keep them clean around each test so
    suites do not leak spans into each other. *)
@@ -298,22 +283,6 @@ let test_file_roundtrip () =
         Alcotest.failf "duration drifted by %Ldns in the round-trip" dt)
 
 (* --- live propagation across two peered servers ---------------------- *)
-
-let start_server ?on_hot ?(hot_threshold = 0) () =
-  let config =
-    {
-      Serve.Server.default_config with
-      port = Some 0;
-      jobs = Some 2;
-      cache_capacity = 16;
-      hot_threshold;
-    }
-  in
-  Serve.Server.start ?on_hot ~config ()
-
-let tcp_endpoint server =
-  Endpoint.Tcp
-    { host = "127.0.0.1"; port = Option.get (Serve.Server.tcp_port server) }
 
 let test_cluster_propagation () =
   with_recording (fun () ->

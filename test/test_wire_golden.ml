@@ -200,28 +200,13 @@ let requests add =
 
 (* --- live replies ------------------------------------------------------ *)
 
-let with_server f =
-  let config =
-    {
-      Serve.Server.default_config with
-      port = Some 0;
-      unix_path = None;
-      jobs = Some 1;
-      cache_capacity = 16;
-      audit_sample = 0;
-      journal_path = None;
-    }
-  in
-  let server = Serve.Server.start ~config () in
-  Fun.protect ~finally:(fun () -> Serve.Server.stop server) (fun () -> f server)
-
 let explain_frame add label frame =
   reply_codec P.explain_reply_of_json P.explain_reply_to_json label frame;
   add label ("md5:" ^ Digest.to_hex (Digest.string frame))
 
 let live add =
   let w = workload () in
-  with_server (fun server ->
+  Fixtures.Daemon.with_server ~jobs:1 (fun server _port ->
       let send r = Serve.Server.handle_line server (Json.to_string (P.request_to_json r)) in
       let upload = send (P.Upload { payload = Exp.Workload.to_string w }) in
       reply_codec P.upload_reply_of_json P.upload_reply_to_json "reply/upload" upload;
