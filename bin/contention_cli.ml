@@ -1329,7 +1329,10 @@ let explain_cmd =
         let apps =
           List.map (fun i -> w.apps.(i)) (Contention.Usecase.to_list mask)
         in
-        let e = Contention.Explain.compute estimator apps in
+        let e =
+          Contention.Explain.compute estimator
+            (List.map (fun a -> (a, Contention.Analysis.prepare a)) apps)
+        in
         output json e;
         if verify then begin
           match Contention.Explain.verify e apps with

@@ -90,8 +90,9 @@ let sandwich_for order loads wait =
   if order mod 2 = 0 then { s_order = order; s_lower = other; s_upper = wait }
   else { s_order = order; s_lower = wait; s_upper = other }
 
-let compute est (apps : Analysis.app list) =
-  let apps = Array.of_list apps in
+let compute est (pairs : (Analysis.app * Analysis.cache) list) =
+  let apps = Array.of_list (List.map fst pairs) in
+  let caches = Array.of_list (List.map snd pairs) in
   let app_loads = Array.map Analysis.loads apps in
   let names =
     Array.map (fun (a : Analysis.app) -> a.graph.Sdf.Graph.name) apps
@@ -149,7 +150,7 @@ let compute est (apps : Analysis.app list) =
     let response_times =
       Array.of_list (List.map (fun x -> x.a_response) actors)
     in
-    let period = Analysis.period_with (Analysis.prepare a) ~response_times in
+    let period = Analysis.period_with caches.(ai) ~response_times in
     {
       x_app = names.(ai);
       x_isolation = a.isolation_period;

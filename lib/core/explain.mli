@@ -87,12 +87,16 @@ type t = {
   apps : app list;
 }
 
-val compute : Analysis.estimator -> Analysis.app list -> t
+val compute : Analysis.estimator -> (Analysis.app * Analysis.cache) list -> t
 (** Run one Figure-4 pass over exactly the given applications (the
-    use-case), recording provenance along the way.  Every recorded number
-    is bit-identical to what {!Analysis.estimate} (and the kernel path
-    behind {!Analysis.estimate_prepared}) produces for the same inputs.
-    [x_margin] is [None] everywhere; see {!with_margins}. *)
+    use-case), each paired with its {!Analysis.prepare} cache as
+    {!Analysis.estimate_prepared} takes them, recording provenance along
+    the way.  Every recorded number is bit-identical to what
+    {!Analysis.estimate} (and the kernel path behind
+    {!Analysis.estimate_prepared}) produces for the same inputs.
+    [x_margin] is [None] everywhere; see {!with_margins}.
+    @raise Invalid_argument as {!Analysis.period_with} when a cache was
+    prepared from an application of another actor count. *)
 
 val with_margins : t -> (string * Margin.t) list -> t
 (** Attach confidence margins to the named applications (unknown names are

@@ -9,32 +9,139 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
+let hex = "0123456789abcdef"
+
+(* The first index from [i] of a byte that a string literal cannot carry as
+   is, or the length of [s]. *)
+let rec plain_end s i =
+  if i = String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\000' .. '\031' -> i
+    | _ -> plain_end s (i + 1)
+
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if plain_end s 0 = String.length s then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf "\\u00";
+            Buffer.add_char buf hex.[Char.code c lsr 4];
+            Buffer.add_char buf hex.[Char.code c land 15]
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
+
+(* [%.17g] without [Printf].  A positive double is [m * 2^e] with a 53-bit
+   [m]; its 17 digits are [m * 2^e * 10^s] rounded half to even, as the C
+   library rounds, for the [s] that puts that in [10^16, 10^17), and its
+   exponent is [16 - s].  For [0 <= s <= 26], about [1e-10 <= x < 1e17],
+   [m * 5^s] fits 114 bits (31-bit limbs) and [2^(e + s)] is a shift, so the
+   digits are exact; [Printf] prints the rest. *)
+let pow5 = Array.make 27 1
+let () = for k = 1 to 26 do pow5.(k) <- 5 * pow5.(k - 1) done
+
+let mask31 = (1 lsl 31) - 1
+let e17 = 100_000_000_000_000_000
+
+(* [m * 2^e * 10^s] rounded half to even, or [-1] if it is [10^17] or more
+   before rounding.  Needs [m * 2^e * 10^s >= 10^16], so that [q] below
+   fits an int and at most 60 bits are shifted out. *)
+let scaled m e s =
+  let p = pow5.(s) in
+  let m0 = m land mask31 and m1 = m lsr 31 in
+  let p0 = p land mask31 and p1 = p lsr 31 in
+  let c = m0 * p0 in
+  let l0 = c land mask31 in
+  let c = (m0 * p1) + (m1 * p0) + (c lsr 31) in
+  (* m * 5^s = hi * 2^62 + lo *)
+  let lo = l0 lor ((c land mask31) lsl 31) in
+  let hi = (m1 * p1) + (c lsr 31) in
+  (* [r > 0] bits are shifted out: the first is the half, the rest break
+     a tie. *)
+  let r = -(e + s) in
+  let q = if r <= 0 then lo lsl -r else (lo lsr r) lor (hi lsl (62 - r)) in
+  if q >= e17 then -1
+  else if
+    r > 0
+    && (lo lsr (r - 1)) land 1 = 1
+    && (lo land ((1 lsl (r - 1)) - 1) <> 0 || q land 1 = 1)
+  then q + 1
+  else q
+
+(* The [n] low decimal digits of [d] at [out.[p .. p + n - 1]]. *)
+let put_digits out p d n =
+  let d = ref d in
+  for i = p + n - 1 downto p do
+    Bytes.unsafe_set out i (Char.unsafe_chr (48 + (!d mod 10)));
+    d := !d / 10
+  done
+
+let add_g17 buf x =
+  let b = Int64.to_int (Int64.bits_of_float (Float.abs x)) in
+  let be = b lsr 52 in
+  let m = b land ((1 lsl 52) - 1) lor (1 lsl 52) and e = be - 1075 in
+  (* floor (log10 2^(be - 1023)); x's decimal exponent is it or one more. *)
+  let x0 = ((be - 1023) * 78913) asr 18 in
+  let s = ref (16 - x0) and d = ref (-1) in
+  if be > 0 && !s >= 0 && !s <= 26 then begin
+    d := scaled m e !s;
+    if !d < 0 && !s > 0 then begin
+      decr s;
+      d := scaled m e !s
+    end
+  end;
+  if !d < 0 then Buffer.add_string buf (Printf.sprintf "%.17g" x)
+  else begin
+    (* Rounding up to 10^17 carries into the exponent. *)
+    let d, x10 = if !d = e17 then (e17 / 10, 17 - !s) else (!d, 16 - !s) in
+    (* d.ddde-XX, ddd.ddd, or 0.000ddd as ddd after -x10 zeros; [ip] digits
+       go before the point. *)
+    let sci = x10 < -4 || x10 >= 17 in
+    let z = if sci then 0 else Int.max 0 (-x10) in
+    let ip = if sci then 1 else Int.max 0 x10 + 1 in
+    let out = Bytes.create 24 in
+    let p = if x < 0. then (Bytes.set out 0 '-'; 1) else 0 in
+    Bytes.fill out p z '0';
+    put_digits out (p + z) d 17;
+    let nd = ref (z + 17) in
+    while Bytes.get out (p + !nd - 1) = '0' do
+      decr nd
+    done;
+    (* A fraction moves right to make room for the point. *)
+    let k =
+      if !nd <= ip then p + ip
+      else begin
+        Bytes.blit out (p + ip) out (p + ip + 1) (!nd - ip);
+        Bytes.set out (p + ip) '.';
+        p + !nd + 1
+      end
+    in
+    if sci then begin
+      Bytes.blit_string (if x10 < 0 then "e-" else "e+") 0 out k 2;
+      put_digits out (k + 2) (abs x10) 2
+    end;
+    Buffer.add_subbytes buf out 0 (if sci then k + 4 else k)
+  end
 
 let add_num buf x =
   if not (Float.is_finite x) then
     invalid_arg "Serve.Json.to_string: non-finite number";
   if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
-  else
-    (* 17 significant digits reparse to the identical IEEE double. *)
-    Buffer.add_string buf (Printf.sprintf "%.17g" x)
+    (* [%.0f]; 17 significant digits reparse to the identical double. *)
+    Buffer.add_string buf
+      (if x = 0. && Float.sign_bit x then "-0" else string_of_int (int_of_float x))
+  else add_g17 buf x
 
 let to_string v =
   let buf = Buffer.create 256 in
@@ -93,7 +200,8 @@ let of_string ?(max_depth = 512) s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Fail (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* The next byte, or ['\000'] at the end ([value] checks for the end). *)
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let skip_ws () =
     while
       !pos < n
@@ -122,8 +230,8 @@ let of_string ?(max_depth = 512) s =
     done;
     !v
   in
-  let string_lit () =
-    expect '"';
+  (* A string literal's rest after its opening quote, escapes and all. *)
+  let escaped_lit () =
     let buf = Buffer.create 16 in
     let rec go () =
       if !pos >= n then fail "unterminated string";
@@ -168,22 +276,39 @@ let of_string ?(max_depth = 512) s =
     go ();
     Buffer.contents buf
   in
+  (* A literal with no escape and no control byte is a slice of [s]. *)
+  let string_lit () =
+    expect '"';
+    let start = !pos in
+    let i = plain_end s start in
+    if i < n && String.unsafe_get s i = '"' then begin
+      pos := i + 1;
+      String.sub s start (i - start)
+    end
+    else escaped_lit ()
+  in
+  let is_digit c = c >= '0' && c <= '9' in
   let number () =
     let start = !pos in
-    if peek () = Some '-' then incr pos;
+    if peek () = '-' then incr pos;
+    (* RFC 8259: no digit after a leading zero. *)
+    if peek () = '0' && !pos + 1 < n && is_digit s.[!pos + 1] then begin
+      incr pos;
+      fail "malformed number"
+    end;
     let digits () =
       let d0 = !pos in
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
+      while !pos < n && is_digit s.[!pos] do
         incr pos
       done;
       if !pos = d0 then fail "malformed number"
     in
     digits ();
-    if peek () = Some '.' then begin incr pos; digits () end;
+    if peek () = '.' then begin incr pos; digits () end;
     (match peek () with
-    | Some ('e' | 'E') ->
+    | 'e' | 'E' ->
         incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
+        (match peek () with '+' | '-' -> incr pos | _ -> ());
         digits ()
     | _ -> ());
     match float_of_string_opt (String.sub s start (!pos - start)) with
@@ -201,19 +326,19 @@ let of_string ?(max_depth = 512) s =
       else fail "invalid literal"
     in
     match peek () with
-    | Some 't' -> lit "true" (Bool true)
-    | Some 'f' -> lit "false" (Bool false)
+    | 't' -> lit "true" (Bool true)
+    | 'f' -> lit "false" (Bool false)
     | _ -> lit "null" Null
   in
   let rec value depth =
     if depth > max_depth then fail "nesting too deep";
     skip_ws ();
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
+    | _ when !pos >= n -> fail "unexpected end of input"
+    | '{' ->
         incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin incr pos; Obj [] end
+        if peek () = '}' then begin incr pos; Obj [] end
         else begin
           let rec members acc =
             skip_ws ();
@@ -223,31 +348,31 @@ let of_string ?(max_depth = 512) s =
             let v = value (depth + 1) in
             skip_ws ();
             match peek () with
-            | Some ',' -> incr pos; members ((k, v) :: acc)
-            | Some '}' -> incr pos; List.rev ((k, v) :: acc)
+            | ',' -> incr pos; members ((k, v) :: acc)
+            | '}' -> incr pos; List.rev ((k, v) :: acc)
             | _ -> fail "expected ',' or '}'"
           in
           Obj (members [])
         end
-    | Some '[' ->
+    | '[' ->
         incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin incr pos; Arr [] end
+        if peek () = ']' then begin incr pos; Arr [] end
         else begin
           let rec elements acc =
             let v = value (depth + 1) in
             skip_ws ();
             match peek () with
-            | Some ',' -> incr pos; elements (v :: acc)
-            | Some ']' -> incr pos; List.rev (v :: acc)
+            | ',' -> incr pos; elements (v :: acc)
+            | ']' -> incr pos; List.rev (v :: acc)
             | _ -> fail "expected ',' or ']'"
           in
           Arr (elements [])
         end
-    | Some '"' -> Str (string_lit ())
-    | Some ('t' | 'f' | 'n') -> keyword ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
+    | '"' -> Str (string_lit ())
+    | 't' | 'f' | 'n' -> keyword ()
+    | '-' | '0' .. '9' -> number ()
+    | c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
     let v = value 0 in

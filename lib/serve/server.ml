@@ -310,17 +310,19 @@ let handle_estimate t ~digest ~usecase ~estimator =
 let handle_explain t ~digest ~usecase ~estimator =
   match Store.find t.store digest with
   | None -> Protocol.error (Printf.sprintf "unknown workload digest %S" digest)
-  | Some { workload = w; _ } -> (
+  | Some { workload = w; caches } -> (
       match resolve_usecase w usecase with
       | Error msg -> Protocol.error msg
       | Ok mask ->
-          (* The reference pass over the same apps the estimate ran on:
-             bit-identical to the kernel-served rows (the PR 5 contract),
-             so the record reproduces what was actually answered. *)
-          let apps =
-            List.map (fun i -> w.apps.(i)) (Contention.Usecase.to_list mask)
+          (* The reference pass over the same apps and caches the estimate
+             ran on: bit-identical to the kernel-served rows, so the record
+             reproduces what was actually answered. *)
+          let pairs =
+            List.map
+              (fun i -> (w.apps.(i), caches.(i)))
+              (Contention.Usecase.to_list mask)
           in
-          let e = Contention.Explain.compute estimator apps in
+          let e = Contention.Explain.compute estimator pairs in
           Protocol.ok (Protocol.explain_reply_to_json e))
 
 (* Whether an estimate of [mask] could have produced [rows]: one per
@@ -678,6 +680,20 @@ let command_metrics t cmd =
       publish ();
       m
 
+(* The request's span name, ["serve." ^ Protocol.cmd_name r], without
+   building it per request. *)
+let span_name : Protocol.request -> string = function
+  | Ping -> "serve.ping"
+  | Upload _ -> "serve.upload"
+  | Estimate _ -> "serve.estimate"
+  | Explain _ -> "serve.explain"
+  | Admit _ -> "serve.admit"
+  | Release _ -> "serve.release"
+  | Cache_put _ -> "serve.cache-put"
+  | Stats -> "serve.stats"
+  | Metrics -> "serve.metrics"
+  | Shutdown -> "serve.shutdown"
+
 (* One request line through the full parse-and-dispatch path, returning the
    reply line.  Shared by the connection workers and exposed as the
    in-process fuzzing entry ({!Check.Wirefuzz}): whatever bytes come in, the
@@ -685,12 +701,14 @@ let command_metrics t cmd =
 let handle_line t line =
   let queue_depth = Chan.length t.conns in
   let t0 = Obs.Clock.now_ns () in
-  let cmd, ctx, digest, reply =
+  (* [json] is the request's frame, [Null] when it did not decode. *)
+  let cmd, ctx, json, reply =
     match Json.of_string line with
-    | Error msg -> ("invalid", None, None, error_line "bad frame: %s" msg)
+    | Error msg -> ("invalid", None, Json.Null, error_line "bad frame: %s" msg)
     | Ok json -> (
         match Protocol.request_of_json json with
-        | Error msg -> ("invalid", None, None, error_line "bad request: %s" msg)
+        | Error msg ->
+            ("invalid", None, Json.Null, error_line "bad request: %s" msg)
         | Ok request -> (
             let cmd = Protocol.cmd_name request in
             (* The trace envelope re-establishes the caller's context here,
@@ -698,13 +716,8 @@ let handle_line t line =
                client's span across the process boundary.  Malformed trace
                decorations read as None — they never fail the request. *)
             let ctx = Protocol.trace_of_request json in
-            let digest =
-              match request with
-              | Protocol.Upload _ -> None
-              | _ -> Option.bind (Json.member "workload" json) Json.get_str
-            in
             let run () =
-              Obs.Span.with_ ~name:("serve." ^ cmd)
+              Obs.Span.with_ ~name:(span_name request)
                 ~args:(fun () -> [ ("cmd", cmd) ])
                 (fun () -> dispatch t request)
             in
@@ -714,13 +727,13 @@ let handle_line t line =
               | Some c -> Obs.Span.with_context c run
             in
             match body () with
-            | reply -> (cmd, ctx, digest, reply)
+            | reply -> (cmd, ctx, json, reply)
             | exception e ->
                 (* A dispatch bug must never take the daemon down with
                    the connection. *)
                 ( cmd,
                   ctx,
-                  digest,
+                  json,
                   error_line "internal error: %s" (Printexc.to_string e) )))
   in
   let latency_s = Obs.Clock.elapsed_s ~since:t0 in
@@ -730,6 +743,11 @@ let handle_line t line =
   Obs.Metric.Histogram.observe seconds latency_s;
   (match t.journal with
   | Some j when Journal.sampled j ~ctx ->
+      (* An upload's [workload] member is its payload, not a digest. *)
+      let digest =
+        if cmd = "upload" then None
+        else Option.bind (Json.member "workload" json) Json.get_str
+      in
       journal_record j ~ctx ~cmd ~digest ~queue_depth ~reply ~latency_s
   | _ -> ());
   reply

@@ -20,6 +20,9 @@ let apps_of w =
   Exp.Workload.analysis_apps w
     (Contention.Usecase.full ~napps:(Exp.Workload.num_apps w))
 
+(* Each app with its cache, as [E.compute] takes them. *)
+let with_caches apps = List.map (fun a -> (a, A.prepare a)) apps
+
 (* --- bit-identity with the estimator paths --------------------------- *)
 
 let check_against_rows name (ex : E.t) (results : A.estimate list) =
@@ -48,11 +51,11 @@ let check_against_rows name (ex : E.t) (results : A.estimate list) =
 
 let test_agrees_with_estimate () =
   let apps = apps_of (workload ()) in
-  let prepared = List.map (fun a -> (a, A.prepare a)) apps in
+  let prepared = with_caches apps in
   List.iter
     (fun est ->
       let name = A.estimator_name est in
-      let ex = E.compute est apps in
+      let ex = E.compute est prepared in
       Alcotest.(check string) "estimator name" name ex.E.estimator;
       (* Unprepared entry point. *)
       check_against_rows (name ^ "/reference") ex (A.estimate est apps);
@@ -63,14 +66,14 @@ let test_agrees_with_estimate () =
 let test_agrees_with_exact () =
   (* Exact enumerates contender subsets; keep the use-case small. *)
   let apps = apps_of (Exp.Workload.make ~seed:5 ~num_apps:2 ~procs:2 ()) in
-  let ex = E.compute A.Exact apps in
+  let ex = E.compute A.Exact (with_caches apps) in
   check_against_rows "exact" ex (A.estimate A.Exact apps)
 
 let test_statespace_engine () =
   (* Periods have one engine: the record names it, and verify refuses a
      record naming another. *)
   let apps = apps_of (Exp.Workload.make ~seed:5 ~num_apps:2 ~procs:2 ()) in
-  let ex = E.compute (A.Order 2) apps in
+  let ex = E.compute (A.Order 2) (with_caches apps) in
   Alcotest.(check string) "engine recorded" "mcm" ex.E.engine;
   match E.verify { ex with E.engine = "statespace" } apps with
   | Ok () -> Alcotest.fail "verify accepted a statespace record"
@@ -82,7 +85,7 @@ let test_sandwich () =
   let apps = apps_of (workload ()) in
   List.iter
     (fun m ->
-      let ex = E.compute (A.Order m) apps in
+      let ex = E.compute (A.Order m) (with_caches apps) in
       List.iter
         (fun (x : E.app) ->
           List.iter
@@ -108,7 +111,7 @@ let test_sandwich () =
   (* Non-truncation estimators carry no sandwich. *)
   List.iter
     (fun est ->
-      let ex = E.compute est apps in
+      let ex = E.compute est (with_caches apps) in
       List.iter
         (fun (x : E.app) ->
           List.iter
@@ -123,7 +126,7 @@ let test_sandwich () =
 
 let test_fold_lineage () =
   let apps = apps_of (workload ()) in
-  let ex = E.compute A.Composability apps in
+  let ex = E.compute A.Composability (with_caches apps) in
   List.iter
     (fun (x : E.app) ->
       List.iter
@@ -139,7 +142,7 @@ let test_fold_lineage () =
         x.E.x_actors)
     ex.E.apps;
   (* Other estimators fold nothing. *)
-  let ex = E.compute (A.Order 2) apps in
+  let ex = E.compute (A.Order 2) (with_caches apps) in
   List.iter
     (fun (x : E.app) ->
       List.iter
@@ -154,7 +157,7 @@ let test_codec_roundtrip () =
   let apps = apps_of (workload ()) in
   List.iter
     (fun est ->
-      let ex = E.compute est apps in
+      let ex = E.compute est (with_caches apps) in
       match
         Serve.Protocol.explain_reply_of_json
           (Serve.Protocol.explain_reply_to_json ex)
@@ -191,7 +194,7 @@ let test_codec_total () =
 let test_wire_bridge () =
   (* Through the serve layer: core json -> wire json -> string -> back. *)
   let apps = apps_of (workload ()) in
-  let ex = E.compute (A.Order 2) apps in
+  let ex = E.compute (A.Order 2) (with_caches apps) in
   let line = Serve.Json.to_string (Serve.Protocol.explain_reply_to_json ex) in
   match
     Result.bind (Serve.Json.of_string line) Serve.Protocol.explain_reply_of_json
@@ -227,7 +230,9 @@ let test_codec_integers () =
      out-of-range number is refused, not truncated to a valid index. *)
   let apps = apps_of (workload ()) in
   let margin = Contention.Margin.of_bounds ~confidence:0.9 ~period:2. ~lo:1. ~hi:3. in
-  let ex = E.with_margins (E.compute (A.Order 2) apps) [ ("A", margin) ] in
+  let ex =
+    E.with_margins (E.compute (A.Order 2) (with_caches apps)) [ ("A", margin) ]
+  in
   let doc = Serve.Protocol.explain_reply_to_json ex in
   (match Serve.Protocol.explain_reply_of_json doc with
   | Ok ex' when compare ex ex' = 0 -> ()
@@ -258,7 +263,7 @@ let test_verify () =
   let apps = apps_of (workload ()) in
   List.iter
     (fun est ->
-      let ex = E.compute est apps in
+      let ex = E.compute est (with_caches apps) in
       match E.verify ex apps with
       | Ok () -> ()
       | Error msg ->
@@ -267,7 +272,7 @@ let test_verify () =
 
 let test_verify_detects_tampering () =
   let apps = apps_of (workload ()) in
-  let ex = E.compute (A.Order 2) apps in
+  let ex = E.compute (A.Order 2) (with_caches apps) in
   let tamper_wait (ex : E.t) =
     {
       ex with
@@ -304,7 +309,7 @@ let test_verify_detects_tampering () =
    for the first actor of the first application is refused. *)
 let refuses_first_actor what tamper =
   let apps = apps_of (workload ()) in
-  let ex = E.compute (A.Order 2) apps in
+  let ex = E.compute (A.Order 2) (with_caches apps) in
   let tampered =
     match ex.E.apps with
     | x :: rest -> (
@@ -348,7 +353,7 @@ let test_estimator_names () =
 
 let test_render_golden () =
   let apps = apps_of (Exp.Workload.make ~seed:3 ~num_apps:2 ~procs:2 ()) in
-  let ex = E.compute (A.Order 2) apps in
+  let ex = E.compute (A.Order 2) (with_caches apps) in
   let expected =
     String.concat "\n"
           [

@@ -108,10 +108,11 @@ let check_parse msg expected s =
         Alcotest.failf "%s: parsed %s" msg (Json.to_string v)
   | Error e -> Alcotest.failf "%s: %s" msg e
 
-let check_error msg s =
+(* [s] is refused with exactly [expected], offset included. *)
+let check_error msg expected s =
   match Json.of_string s with
   | Ok v -> Alcotest.failf "%s: unexpectedly parsed %s" msg (Json.to_string v)
-  | Error _ -> ()
+  | Error e -> Alcotest.(check string) msg expected e
 
 let test_escapes () =
   check_parse "standard escapes"
@@ -119,30 +120,56 @@ let test_escapes () =
     {|"a\nb\tA\\ \"\/\b\f\r"|};
   check_parse "\\u BMP escape" (Json.Str "A\xc3\xa9") {|"Aé"|};
   check_parse "surrogate pair" (Json.Str "\xf0\x9f\x98\x80") {|"😀"|};
-  check_error "unpaired high surrogate" {|"\ud83d"|};
-  check_error "unpaired low surrogate" {|"\ude00"|};
-  check_error "bad escape" {|"\q"|};
-  check_error "raw control character" "\"a\nb\"";
-  check_error "truncated \\u" {|"\u00|}
+  check_error "unpaired high surrogate"
+    "unpaired high surrogate at offset 7" {|"\ud83d"|};
+  check_error "unpaired low surrogate" "unpaired low surrogate at offset 7"
+    {|"\ude00"|};
+  check_error "bad escape" "invalid escape at offset 2" {|"\q"|};
+  check_error "raw control character"
+    "raw control character in string at offset 2" "\"a\nb\"";
+  check_error "truncated \\u" "truncated \\u escape at offset 3" {|"\u00|};
+  (* Past a long plain prefix, the escape decodes and the control byte is
+     refused where it stands. *)
+  let plain = String.make 100 'a' in
+  check_parse "escape after 100 plain bytes"
+    (Json.Str (plain ^ "\n"))
+    ("\"" ^ plain ^ {|\n"|});
+  check_error "control byte after 100 plain bytes"
+    "raw control character in string at offset 101"
+    ("\"" ^ plain ^ "\001\"");
+  check_error "unterminated after 100 plain bytes"
+    "unterminated string at offset 101" ("\"" ^ plain)
 
 let test_strictness () =
   check_parse "surrounding whitespace" (Json.Num 42.) " 42 ";
-  check_error "trailing bytes" "1 2";
-  check_error "empty input" "";
-  check_error "bare minus" "-";
-  check_error "overflowing number" "1e999";
-  check_error "leading plus" "+1";
-  check_error "unterminated array" "[1, 2";
-  check_error "unterminated object" {|{"a": 1|};
-  check_error "lone closing bracket" "]";
+  check_error "trailing bytes" "trailing bytes after value at offset 2" "1 2";
+  check_error "empty input" "unexpected end of input at offset 0" "";
+  check_error "bare minus" "malformed number at offset 1" "-";
+  check_error "overflowing number" "number out of range at offset 5" "1e999";
+  check_error "leading plus" "unexpected character '+' at offset 0" "+1";
+  check_error "unterminated array" "expected ',' or ']' at offset 5" "[1, 2";
+  check_error "unterminated object" "expected ',' or '}' at offset 7"
+    {|{"a": 1|};
+  check_error "lone closing bracket" "unexpected character ']' at offset 0"
+    "]";
+  (* RFC 8259: no digit after a leading zero. *)
+  check_error "leading zero" "malformed number at offset 1" "01";
+  check_error "negative leading zero" "malformed number at offset 2" "-01";
+  check_error "leading zero, fraction" "malformed number at offset 1" "00.5";
+  List.iter
+    (fun (x, s) -> check_parse s (Json.Num x) s)
+    [ (0., "0"); (-0., "-0"); (0.5, "0.5"); (-500., "-0.5e3") ];
   (match Json.of_string "nul" with
-  | Error _ -> ()
+  | Error e ->
+      Alcotest.(check string) "truncated keyword" "invalid literal at offset 0" e
   | Ok _ -> Alcotest.fail "truncated keyword parsed");
   (* Offsets in messages. *)
   match Json.of_string "[1, x]" with
   | Error e ->
       if not (Fixtures.contains ~affix:"offset" e) then
-        Alcotest.failf "no offset in error: %s" e
+        Alcotest.failf "no offset in error: %s" e;
+      Alcotest.(check string)
+        "unexpected character" "unexpected character 'x' at offset 4" e
   | Ok _ -> Alcotest.fail "parsed [1, x]"
 
 let test_depth_limit () =
@@ -182,6 +209,78 @@ let test_numbers () =
     ignore (Json.to_string (Json.Num Float.infinity) : string);
     Alcotest.fail "infinity printed"
   with Invalid_argument _ -> ()
+
+(* The printer against the rule it implements, as the C library applies it:
+   [%.0f] for integers below 1e15 in magnitude, [%.17g] for every other
+   finite number.  Over a million seeded doubles, in and out of the exact
+   writer's range. *)
+let printf_rule x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.17g" x
+
+let test_printer_agreement () =
+  let rng = Random.State.make [| 35 |] in
+  let checked = ref 0 in
+  let check x =
+    if Float.is_finite x then begin
+      incr checked;
+      let got = Json.to_string (Json.Num x) in
+      let want = printf_rule x in
+      if not (String.equal got want) then
+        Alcotest.failf "%h printed %s, Printf %s" x got want
+    end
+  in
+  (* Uniform bit patterns: mostly far outside the exact range. *)
+  for _ = 1 to 250_000 do
+    check (Int64.float_of_bits (Random.State.bits64 rng))
+  done;
+  (* Periods and throughputs, log-uniform from 1e-6 to 1e7, both signs. *)
+  for _ = 1 to 250_000 do
+    let x = 10. ** (Random.State.float rng 13. -. 6.) in
+    check x;
+    check (-.x)
+  done;
+  (* The exact range and past both its ends, log-uniform. *)
+  for _ = 1 to 200_000 do
+    check (10. ** (Random.State.float rng 30. -. 12.))
+  done;
+  (* Quarters and eighths in [2^43, 2^51): with 14 to 16 integer digits
+     these are exact ties at the 18th digit, which round half to even. *)
+  for _ = 1 to 100_000 do
+    let i = (1 lsl 43) + Random.State.full_int rng ((1 lsl 51) - (1 lsl 43)) in
+    let f = Random.State.int rng 8 in
+    check (float_of_int ((i * 8) + f) /. 8.);
+    check (float_of_int ((i * 4) + (f land 3)) /. 4.)
+  done;
+  (* Around every power of ten from 1e-12 to 1e22. *)
+  for k = -12 to 22 do
+    let p = float_of_string (Printf.sprintf "1e%d" k) in
+    List.iter check [ p; Float.pred p; Float.succ p ]
+  done;
+  (* Subnormals, the ends of the double range, signed zeros, and the
+     integer rule's edge. *)
+  for _ = 1 to 1_000 do
+    check (Int64.float_of_bits (Random.State.int64 rng 0x10_0000_0000_0000L))
+  done;
+  List.iter check
+    [
+      Float.succ 0.; Float.min_float; Float.pred Float.min_float;
+      Float.max_float; -.Float.max_float; 0.; -0.; Float.pred 1e15;
+      Float.succ 1e15; 1e16; 1e17;
+    ];
+  if !checked < 1_000_000 then Alcotest.failf "only %d doubles" !checked;
+  (* The cases that tell a right writer from a near miss, pinned. *)
+  List.iter
+    (fun (x, s) -> Alcotest.(check string) s s (Json.to_string (Json.Num x)))
+    [
+      (1125899906842624.25, "1125899906842624.2");
+      (1125899906842624.75, "1125899906842624.8");
+      (1e-7, "9.9999999999999995e-08");
+      (-0., "-0");
+      (-1e15, "-1000000000000000");
+      (0.1, "0.10000000000000001");
+      (1e-5, "1.0000000000000001e-05");
+    ]
 
 let test_accessors () =
   let obj = Json.Obj [ ("a", Json.Num 3.); ("b", Json.Str "x") ] in
@@ -257,6 +356,7 @@ let suite =
     Alcotest.test_case "strictness" `Quick test_strictness;
     Alcotest.test_case "depth limit" `Quick test_depth_limit;
     Alcotest.test_case "number round-trip" `Quick test_numbers;
+    Alcotest.test_case "number printer = Printf" `Quick test_printer_agreement;
     Alcotest.test_case "accessors" `Quick test_accessors;
     prop_roundtrip;
     prop_total_on_garbage;

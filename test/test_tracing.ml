@@ -377,6 +377,65 @@ let test_cluster_propagation () =
             "forward digest arg" (Some digest)
             (List.assoc_opt "digest" forward.Span.args)))
 
+(* --- serve spans over stored caches ----------------------------------- *)
+
+(* Each request runs under a span named "serve." ^ its command, and an
+   explain, like an estimate miss, answers from the store entry's prepare
+   caches: no HSDF expansion runs inside either. *)
+let test_serve_spans () =
+  with_server ~jobs:1 (fun server _port ->
+      let send r =
+        Serve.Server.handle_line server
+          (Json.to_string (Protocol.request_to_json r))
+      in
+      let w = Exp.Workload.make ~seed:7 ~num_apps:3 ~procs:2 () in
+      let digest =
+        (unwrap
+           (Result.bind
+              (Result.bind
+                 (Json.of_string
+                    (send
+                       (Protocol.Upload { payload = Exp.Workload.to_string w })))
+                 Protocol.unwrap_reply)
+              Protocol.upload_reply_of_json))
+          .Protocol.digest
+      in
+      let estimator = Contention.Analysis.Order 2 in
+      let app = w.Exp.Workload.apps.(0).Contention.Analysis.graph.Sdf.Graph.name in
+      with_recording (fun () ->
+          List.iter
+            (fun r ->
+              ignore (Span.drain ());
+              let reply = send r in
+              let cmd = Protocol.cmd_name r in
+              (match Result.bind (Json.of_string reply) Protocol.unwrap_reply with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "%s: %s" cmd e);
+              let names = List.map (fun (s : Span.t) -> s.name) (Span.drain ()) in
+              if not (List.mem ("serve." ^ cmd) names) then
+                Alcotest.failf "no serve.%s span" cmd;
+              if cmd = "estimate" || cmd = "explain" then
+                Alcotest.(check int)
+                  (cmd ^ ": hsdf.expand spans") 0
+                  (List.length (List.filter (String.equal "hsdf.expand") names)))
+            [
+              Protocol.Ping;
+              Protocol.Estimate { digest; usecase = None; estimator };
+              Protocol.Explain { digest; usecase = None; estimator };
+              Protocol.Admit
+                {
+                  session = "s";
+                  digest;
+                  app;
+                  min_throughput = 0.;
+                  confidence = None;
+                  margin_method = None;
+                };
+              Protocol.Release { session = "s"; app };
+              Protocol.Stats;
+              Protocol.Metrics;
+            ]))
+
 (* --- admission spans ---------------------------------------------------- *)
 
 (* A join, then a non-LIFO leave whose drift charge crosses a tiny bound:
@@ -729,6 +788,7 @@ let suite =
     Alcotest.test_case "trace file round-trip" `Quick test_file_roundtrip;
     Alcotest.test_case "propagation across peered servers" `Slow
       test_cluster_propagation;
+    Alcotest.test_case "serve spans, stored caches" `Quick test_serve_spans;
     Alcotest.test_case "admission spans" `Quick test_admission_spans;
     Alcotest.test_case "request journal" `Quick test_journal;
     Alcotest.test_case "journal cache outcome" `Quick test_journal_cache_outcome;

@@ -463,7 +463,9 @@ let fixed add =
     Exp.Workload.analysis_apps (workload ()) (Contention.Usecase.full ~napps:2)
   in
   let with_margins =
-    E.with_margins (E.compute A.Worst_case apps) [ ("A", z_margin); ("B", q_margin) ]
+    E.with_margins
+      (E.compute A.Worst_case (List.map (fun a -> (a, A.prepare a)) apps))
+      [ ("A", z_margin); ("B", q_margin) ]
   in
   explain_frame add "record/explain-margins"
     (Json.to_string (P.ok (P.explain_reply_to_json with_margins)));
