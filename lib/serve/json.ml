@@ -22,24 +22,24 @@ let rec plain_end s i =
 
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  if plain_end s 0 = String.length s then Buffer.add_string buf s
-  else
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | '\b' -> Buffer.add_string buf "\\b"
-        | '\012' -> Buffer.add_string buf "\\f"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf "\\u00";
-            Buffer.add_char buf hex.[Char.code c lsr 4];
-            Buffer.add_char buf hex.[Char.code c land 15]
-        | c -> Buffer.add_char buf c)
-      s;
+  (* The plain prefix, usually the whole string, in one copy. *)
+  let i = plain_end s 0 in
+  Buffer.add_substring buf s 0 i;
+  for j = i to String.length s - 1 do
+    match String.unsafe_get s j with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | '\b' -> Buffer.add_string buf "\\b"
+    | '\012' -> Buffer.add_string buf "\\f"
+    | c when Char.code c < 0x20 ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 15]
+    | c -> Buffer.add_char buf c
+  done;
   Buffer.add_char buf '"'
 
 (* [%.17g] without [Printf].  A positive double is [m * 2^e] with a 53-bit
@@ -54,8 +54,8 @@ let () = for k = 1 to 26 do pow5.(k) <- 5 * pow5.(k - 1) done
 let mask31 = (1 lsl 31) - 1
 let e17 = 100_000_000_000_000_000
 
-(* [m * 2^e * 10^s] rounded half to even, or [-1] if it is [10^17] or more
-   before rounding.  Needs [m * 2^e * 10^s >= 10^16], so that [q] below
+(* [m * 2^e * 10^s] rounded half to even, or [-1] if that is [10^17] or
+   more.  Needs [10^16 - 1 < m * 2^e * 10^s < 10^18], so that [q] below
    fits an int and at most 60 bits are shifted out. *)
 let scaled m e s =
   let p = pow5.(s) in
@@ -71,13 +71,12 @@ let scaled m e s =
      a tie. *)
   let r = -(e + s) in
   let q = if r <= 0 then lo lsl -r else (lo lsr r) lor (hi lsl (62 - r)) in
-  if q >= e17 then -1
-  else if
-    r > 0
-    && (lo lsr (r - 1)) land 1 = 1
-    && (lo land ((1 lsl (r - 1)) - 1) <> 0 || q land 1 = 1)
-  then q + 1
-  else q
+  let half = r > 0 && (lo lsr (r - 1)) land 1 = 1 in
+  let q =
+    if half && (lo land ((1 lsl (r - 1)) - 1) <> 0 || q land 1 = 1) then q + 1
+    else q
+  in
+  if q >= e17 then -1 else q
 
 (* The [n] low decimal digits of [d] at [out.[p .. p + n - 1]]. *)
 let put_digits out p d n =
@@ -91,7 +90,8 @@ let add_g17 buf x =
   let b = Int64.to_int (Int64.bits_of_float (Float.abs x)) in
   let be = b lsr 52 in
   let m = b land ((1 lsl 52) - 1) lor (1 lsl 52) and e = be - 1075 in
-  (* floor (log10 2^(be - 1023)); x's decimal exponent is it or one more. *)
+  (* floor (log10 2^(be - 1023)); x's decimal exponent, rounded to 17
+     digits, is it or one more. *)
   let x0 = ((be - 1023) * 78913) asr 18 in
   let s = ref (16 - x0) and d = ref (-1) in
   if be > 0 && !s >= 0 && !s <= 26 then begin
@@ -103,11 +103,11 @@ let add_g17 buf x =
   end;
   if !d < 0 then Buffer.add_string buf (Printf.sprintf "%.17g" x)
   else begin
-    (* Rounding up to 10^17 carries into the exponent. *)
-    let d, x10 = if !d = e17 then (e17 / 10, 17 - !s) else (!d, 16 - !s) in
+    let d = !d and x10 = 16 - !s in
     (* d.ddde-XX, ddd.ddd, or 0.000ddd as ddd after -x10 zeros; [ip] digits
-       go before the point. *)
-    let sci = x10 < -4 || x10 >= 17 in
+       go before the point.  [%.17g]'s other exponent form, for [x10 >= 17],
+       is out of range. *)
+    let sci = x10 < -4 in
     let z = if sci then 0 else Int.max 0 (-x10) in
     let ip = if sci then 1 else Int.max 0 x10 + 1 in
     let out = Bytes.create 24 in
@@ -128,8 +128,8 @@ let add_g17 buf x =
       end
     in
     if sci then begin
-      Bytes.blit_string (if x10 < 0 then "e-" else "e+") 0 out k 2;
-      put_digits out (k + 2) (abs x10) 2
+      Bytes.blit_string "e-" 0 out k 2;
+      put_digits out (k + 2) (-x10) 2
     end;
     Buffer.add_subbytes buf out 0 (if sci then k + 4 else k)
   end

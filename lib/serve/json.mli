@@ -21,8 +21,9 @@ type t =
 
 val to_string : t -> string
 (** Compact (single-line) rendering.  Integral numbers of magnitude below
-    1e15 print without a fractional part; all other finite numbers print
-    with 17 significant digits, which reparses to the identical double.
+    1e15 print without a fractional part, as C's [%.0f] would; all other
+    finite numbers print with 17 significant digits, as [%.17g] would,
+    which reparses to the identical double.
     @raise Invalid_argument on a NaN or infinite number — JSON cannot
     represent them. *)
 
@@ -31,7 +32,8 @@ val of_string : ?max_depth:int -> string -> (t, string) result
     trailing bytes are an error).  The standard escapes — backslash-quote,
     backslash-backslash, [\/ \b \f \n \r \t \uXXXX] — are decoded ([\u]
     surrogate pairs become UTF-8).  Numbers that overflow the IEEE double
-    range (["1e999"]) are an error, so every parsed value re-serializes.
+    range (["1e999"]) are an error, so every parsed value re-serializes;
+    so is a digit after a leading zero (["01"], RFC 8259).
     [max_depth] (default 512) bounds array/object nesting.  Error messages
     carry the byte offset. *)
 
